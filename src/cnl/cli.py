@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .dimension import GeometryError, theta_dimension_trace
-from .equidist import dn_diagnostic, normality_report
+from .equidist import dn_diagnostic
 from .expansion import (
     DigitError,
     digit_census,
@@ -30,7 +30,7 @@ from .expansion import (
     transcode,
     transcode_shifted,
 )
-from .numeric import format_decimal
+from .numeric import format_decimal, fraction_text, int_text
 from .refpair import build_report
 from .sequences import ChainSpec, RuleError, rule_from_json
 from .theta import (
@@ -39,9 +39,9 @@ from .theta import (
     TailCertificateError,
     build_schedule,
     digit_candidates,
-    extract_y_prefix,
     generate_digits,
     prefix_bound_check,
+    y_prefix_count,
 )
 
 EXIT_OK = 0
@@ -184,6 +184,12 @@ def cmd_analyze(args) -> int:
     for j in levels:
         if not 1 <= j <= spec.depth:
             raise RuleError(f"level {j} outside chain depth 1..{spec.depth}")
+    # A shift runs at each requested level j with S_j > k and is skipped
+    # at the others; one that no requested level can take is bad input.
+    widest = max((spec.big_s(j) for j in levels), default=1)
+    for k in shifts:
+        if not 0 <= k < widest:
+            raise RuleError(f"shift {k} out of range 0..{widest - 1} at every requested level")
 
     try:
         stream = load_jsonl(args.digits, rule=spec.base)
@@ -224,20 +230,19 @@ def cmd_analyze(args) -> int:
             dn = dn_diagnostic(coarse, level_rule, samples)
             dn.write_csv(out_dir / f"dn_j{j}.csv")
 
+            # Zero-block ratios; expected = proxy * n = sum_{i <= n} 1/q_i.
+            digits = coarse.prefix(coarse_len)
             with open(out_dir / f"rn_j{j}.csv", "w", encoding="utf-8") as fh:
                 fh.write("n,block,count,expected_num,expected_den,ratio\n")
-                for n in samples:
-                    rep = normality_report(coarse, level_rule, 1, n, [(0,)])
-                    row = rep.rows[0]
-                    ratio = str(row.ratio) if row.ratio is not None else "undefined"
+                for row in dn.rows:
+                    count = digits[: row.n].count(0)
+                    expected = row.proxy * row.n
                     fh.write(
-                        f"{n},0,{row.count},{row.expected.numerator},"
-                        f"{row.expected.denominator},{ratio}\n"
+                        f"{row.n},0,{count},{int_text(expected.numerator)},"
+                        f"{int_text(expected.denominator)},{fraction_text(count / expected)}\n"
                     )
         if conformant and schedule is not None and j <= schedule.levels:
-            max_points = len(
-                extract_y_prefix(schedule, stream, j, min(total, schedule.coverage))
-            )
+            max_points = y_prefix_count(schedule, j, min(total, schedule.coverage))
             if max_points >= 1:
                 env = prefix_bound_check(
                     schedule, stream, j, _sample_prefixes(max_points)
@@ -251,7 +256,8 @@ def cmd_analyze(args) -> int:
             if k == 0:
                 continue
             if k >= spec.big_s(j):
-                raise RuleError(f"shift {k} out of range 0..{spec.big_s(j) - 1} at level {j}")
+                level_info[f"shift_{k}_skipped"] = f"needs S_{j} > {k}"
+                continue
             shifted = transcode_shifted(stream, spec, j, k)
             shifted_len = shifted.limit
             if shifted_len and shifted_len >= 1:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .expansion import DigitStream
-from .numeric import sqrt_lower
-from .sequences import BasicSequenceRule, partial_sum_qnk
+from .numeric import int_text, sqrt_lower
+from .sequences import BasicSequenceRule, partial_sum_qnk, window_reciprocal_sums
 
 __all__ = [
     "COND_START",
@@ -29,6 +29,7 @@ __all__ = [
     "AapBound",
     "count_below",
     "star_discrepancy",
+    "star_discrepancy_ladder",
     "verify_aap",
     "aap_bound",
     "concat_bound",
@@ -63,25 +64,134 @@ def count_below(points: Sequence[Fraction], gamma: Fraction) -> int:
     return sum(1 for v in values if v < gamma)
 
 
+def _dyadic(dens: Iterable[int]) -> bool:
+    return all(den & (den - 1) == 0 for den in dens)
+
+
+def _shift_to_common(nums: list[int], dens: Sequence[int]) -> int:
+    """Rewrite nums[i]/dens[i] in place over d, the largest (power-of-two) denominator."""
+    d = max(dens)
+    width = d.bit_length()
+    for i, den in enumerate(dens):
+        nums[i] <<= width - den.bit_length()
+    return d
+
+
+def _integer_ladder(scaled: list[int], d: int, lengths: Sequence[int]) -> list[Fraction]:
+    """The ladder over integer numerators X_i of points X_i/d."""
+    out = []
+    run: list[int] = []
+    for n in lengths:
+        # The sorted shorter prefix stays one run, so each sort is a merge.
+        run.extend(scaled[len(run) : n])
+        run.sort()
+        # left_i = X_(i)*n - (i-1)*d; the right term i*d - X_(i)*n is d - left_i.
+        high = low = run[0] * n
+        offset = 0
+        for x in run:
+            left = x * n - offset
+            offset += d
+            if left > high:
+                high = left
+            elif left < low:
+                low = left
+        out.append(Fraction(max(high, d - low), n * d))
+    return out
+
+
+def _fraction_ladder(points: list[Fraction], lengths: Sequence[int]) -> list[Fraction]:
+    """The ladder for any denominators, each point over its own.
+
+    Distinct fractions with denominators below 2**b differ by more than
+    2**(-2b), so the integer key floor(x * 2**(2b)) sorts them exactly.
+    With x_(i) = a/c, the term x_(i)*n - (i-1) is (a*n - (i-1)*c)/c;
+    terms are compared by cross-multiplication, so no lcm is formed and
+    every product stays near the size of one point.
+    """
+    shift = 2 * max(x.denominator for x in points).bit_length()
+    out = []
+    run: list[Fraction] = []
+    for n in lengths:
+        run.extend(points[len(run) : n])
+        run.sort(key=lambda x: (x.numerator << shift) // x.denominator)
+        high_num = low_num = run[0].numerator * n
+        high_den = low_den = run[0].denominator
+        for rank, x in enumerate(run):
+            den = x.denominator
+            left = x.numerator * n - rank * den
+            if left * high_den > high_num * den:
+                high_num, high_den = left, den
+            elif left * low_den < low_num * den:
+                low_num, low_den = left, den
+        # The right term i - x_(i)*n is 1 - left_i; both are in units of 1/n.
+        best = max(Fraction(high_num, high_den), 1 - Fraction(low_num, low_den))
+        out.append(best / n)
+    return out
+
+
+def star_discrepancy_ladder(
+    nums: list[int], dens: list[int], prefix_lengths: Sequence[int]
+) -> list[Fraction]:
+    """Exact star discrepancy of the first n points nums[i]/dens[i], per n.
+
+    Each point must satisfy 0 <= nums[i] < dens[i]; denominators need
+    not be reduced.  ``prefix_lengths`` must be nondecreasing, from 1 to
+    len(nums).  Both lists are consumed: ``nums`` is rewritten in place
+    and ``dens`` emptied, so no second copy of the points is held.
+
+    Each prefix is sorted by merging its new points into the sorted
+    shorter prefix, then evaluated in integers by the closed form of
+    Kuipers and Niederreiter,
+
+        D*_n = max_i max(x_(i) - (i-1)/n, i/n - x_(i)).
+
+    Power-of-two denominators share one common denominator d, the
+    largest: with X_i = x_i * d the terms are X_(i)*n - (i-1)*d and
+    i*d - X_(i)*n over n*d, and one d serves the whole ladder.  Other
+    denominators keep each point over its own (``_fraction_ladder``):
+    their lcm can be far wider than any one point, so it is never
+    formed, and no input falls back to sorting by ``Fraction``
+    comparisons.
+    """
+    lengths = list(prefix_lengths)
+    if not lengths:
+        return []
+    if lengths[0] < 1:
+        raise ValueError("star discrepancy of an empty sequence is undefined")
+    if lengths != sorted(lengths) or lengths[-1] > len(nums) or len(dens) != len(nums):
+        raise ValueError(
+            f"need nondecreasing prefix lengths up to {len(nums)}, one denominator per point"
+        )
+    for num, den in zip(nums, dens):
+        if not 0 <= num < den:
+            raise ValueError(f"point {Fraction(num, den)} outside [0, 1)")
+    if _dyadic(dens):
+        d = _shift_to_common(nums, dens)
+        dens.clear()
+        return _integer_ladder(nums, d, lengths)
+    for i, den in enumerate(dens):
+        nums[i] = Fraction(nums[i], den)
+    dens.clear()
+    return _fraction_ladder(nums, lengths)
+
+
 def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
     """Exact sup over gamma of |count_below/N - gamma|.
 
     Uses the sorted-points closed form: with x_(1) <= ... <= x_(N) the
-    supremum equals max over i of max(x_(i) - (i-1)/N, i/N - x_(i)).
+    supremum equals max over i of max(x_(i) - (i-1)/N, i/N - x_(i)),
+    evaluated in integers as in ``star_discrepancy_ladder``.
     """
-    values = sorted(_validate_unit_points(points))
-    n = len(values)
-    if n == 0:
+    values = _validate_unit_points(points)
+    if not values:
         raise ValueError("star discrepancy of an empty sequence is undefined")
-    best = Fraction(0)
-    for i, x in enumerate(values, start=1):
-        left = x - Fraction(i - 1, n)
-        right = Fraction(i, n) - x
-        if left > best:
-            best = left
-        if right > best:
-            best = right
-    return best
+    if not _dyadic(v.denominator for v in values):
+        return _fraction_ladder(values, [len(values)])[0]
+    dens = [v.denominator for v in values]
+    for i, v in enumerate(values):
+        values[i] = v.numerator
+    d = _shift_to_common(values, dens)
+    return _integer_ladder(values, d, [len(values)])[0]
 
 
 @dataclass(frozen=True)
@@ -325,33 +435,31 @@ class DiscrepancyReport:
                 fh.write(f"# {self.header_note}\n")
             writer.writerow(columns)
             for row in self.rows:
-                record = [
-                    row.n,
-                    row.dstar.numerator,
-                    row.dstar.denominator,
-                    row.bound.numerator if row.bound is not None else "",
-                    row.bound.denominator if row.bound is not None else "",
-                    row.certificate,
-                ]
+                record = [row.n, *_cells(row.dstar), *_cells(row.bound), row.certificate]
                 if with_proxy:
-                    record += (
-                        [row.proxy.numerator, row.proxy.denominator]
-                        if row.proxy is not None
-                        else ["", ""]
-                    )
+                    record += _cells(row.proxy)
                 if with_env:
-                    record += (
-                        [row.envelope.numerator, row.envelope.denominator]
-                        if row.envelope is not None
-                        else ["", ""]
-                    )
+                    record += _cells(row.envelope)
                 writer.writerow(record)
+
+
+def _cells(value: Optional[Fraction]) -> list[str]:
+    """Numerator and denominator cells, exact at any size; blank for None."""
+    if value is None:
+        return ["", ""]
+    return [int_text(value.numerator), int_text(value.denominator)]
 
 
 def dn_diagnostic(
     stream: DigitStream, rule: BasicSequenceRule, prefix_lengths: Sequence[int]
 ) -> DiscrepancyReport:
     """Star discrepancy of the digit ratios E_n / q_n at each prefix.
+
+    The whole ladder is one exact integer sweep
+    (``star_discrepancy_ladder``), and the proxies come from one running
+    sum.  Power-of-two bases put every ratio over one common
+    denominator, the largest base, by a shift; other bases keep each
+    ratio over its own base and never form an lcm.
 
     Each row carries the averaged-reciprocal proxy (1/N) sum 1/q_n: the
     equivalence between digit-ratio equidistribution and orbit
@@ -360,20 +468,18 @@ def dn_diagnostic(
     reported and the inference left to the reader.
     """
     report = DiscrepancyReport(header_note="dn diagnostic over digit ratios E_n/q_n")
-    running_recip = Fraction(0)
-    covered = 0
-    ratios: list[Fraction] = []
-    for n in sorted(set(int(p) for p in prefix_lengths)):
-        if n < 1:
-            raise ValueError("prefix lengths must be positive")
-        while covered < n:
-            covered += 1
-            running_recip += Fraction(1, rule.q(covered))
-            ratios.append(Fraction(stream.digit(covered), rule.q(covered)))
+    lengths = sorted(set(int(p) for p in prefix_lengths))
+    if lengths and lengths[0] < 1:
+        raise ValueError("prefix lengths must be positive")
+    top = max(lengths, default=0)
+    bases = rule.values(top)
+    sums = window_reciprocal_sums(bases, 1, lengths)
+    dstars = star_discrepancy_ladder(stream.prefix(top), bases, lengths)
+    for n, dstar, running_recip in zip(lengths, dstars, sums):
         report.rows.append(
             DiscrepancyRow(
                 n=n,
-                dstar=star_discrepancy(ratios),
+                dstar=dstar,
                 bound=Fraction(1),
                 certificate="trivial",
                 proxy=running_recip / n,

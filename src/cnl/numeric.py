@@ -71,6 +71,23 @@ def sqrt_lower(x: Fraction, bits: int | None = None) -> Fraction:
     return Fraction(isqrt(shifted), 1 << bits)
 
 
+def int_text(value: int) -> str:
+    """Exact decimal text of an integer of any size.
+
+    Goes through ``Decimal``, which converts exactly and is not bound by
+    the interpreter's limit on int-to-str digits (4300 by default on
+    3.10.7+ and 3.11+); the process-wide limit is left as it is.
+    """
+    return str(Decimal(value))
+
+
+def fraction_text(value: Fraction) -> str:
+    """``str(value)`` ("num/den", or "num" for an integer), without a digit limit."""
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
 def format_decimal(value: Fraction, digits: int = 12) -> str:
     """Fixed-point decimal rendering, deterministic half-up rounding."""
     num, den = value.numerator, value.denominator

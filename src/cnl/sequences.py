@@ -13,10 +13,12 @@ schedule machinery requires callers to certify tail monotonicity via
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import isqrt
-from typing import Optional
+from typing import Iterable, Optional
 
 from .numeric import hp_ln
 
@@ -32,6 +34,7 @@ __all__ = [
     "ShiftedContractionRule",
     "ChainSpec",
     "qn",
+    "window_reciprocal_sums",
     "partial_sum_qnk",
     "DivergenceReport",
     "divergence_report",
@@ -409,22 +412,41 @@ def qn(rule: BasicSequenceRule, n: int) -> int:
     return value
 
 
+def window_reciprocal_sums(
+    bases: Iterable[int], k: int, stops: Iterable[int]
+) -> list[Fraction]:
+    """Running sums over j <= n of 1/(q_j * ... * q_{j+k-1}), one per stop n.
+
+    ``bases`` yields q_1, q_2, ... and is read only as far as the last
+    stop needs (n + k - 1 values); ``stops`` must be nondecreasing, so
+    one pass serves a whole prefix ladder.
+    """
+    if k < 1:
+        raise OutOfDomainError(f"window length must be >= 1, got {k}")
+    values = iter(bases)
+    window: deque[int] = deque()
+    product = 1
+    total = Fraction(0)
+    covered = 0
+    sums = []
+    for n in stops:
+        while covered < n:
+            covered += 1
+            while len(window) < k:
+                q = next(values)
+                window.append(q)
+                product *= q
+            total += Fraction(1, product)
+            product //= window.popleft()
+        sums.append(total)
+    return sums
+
+
 def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
     """Sum over j <= n of 1/(q_j * ... * q_{j+k-1}); 0 for n = 0."""
     if n < 0:
         raise OutOfDomainError(f"prefix length must be >= 0, got {n}")
-    if k < 1:
-        raise OutOfDomainError(f"window length must be >= 1, got {k}")
-    if n == 0:
-        return Fraction(0)
-    window = 1
-    for i in range(1, k + 1):
-        window *= rule.q(i)
-    total = Fraction(1, window)
-    for j in range(2, n + 1):
-        window = window * rule.q(j + k - 1) // rule.q(j - 1)
-        total += Fraction(1, window)
-    return total
+    return window_reciprocal_sums(map(rule.q, count(1)), k, [n])[0]
 
 
 @dataclass(frozen=True)
@@ -456,14 +478,9 @@ def divergence_report(rule: BasicSequenceRule, k: int, horizon: int) -> Divergen
     """
     if horizon < 1:
         raise OutOfDomainError("horizon must be >= 1")
-    values = [partial_sum_qnk(rule, 0, k)]
-    window = 1
-    for i in range(1, k + 1):
-        window *= rule.q(i)
-    values.append(values[0] + Fraction(1, window))
-    for j in range(2, horizon + 1):
-        window = window * rule.q(j + k - 1) // rule.q(j - 1)
-        values.append(values[-1] + Fraction(1, window))
+    values = [Fraction(0)] + window_reciprocal_sums(
+        map(rule.q, count(1)), k, range(1, horizon + 1)
+    )
     decade = max(1, horizon // 10)
     head = values[decade] - values[0]
     tail = values[horizon] - values[horizon - decade]

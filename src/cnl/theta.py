@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
-from .equidist import DiscrepancyReport, DiscrepancyRow, star_discrepancy
+from .equidist import DiscrepancyReport, DiscrepancyRow, star_discrepancy_ladder
 from .expansion import DigitStream
 from .sequences import ChainSpec, OutOfDomainError
 
@@ -43,6 +44,7 @@ __all__ = [
     "extract_y",
     "extract_y_prefix",
     "y_prefix_points",
+    "y_prefix_count",
     "envelope",
     "envelope_sup",
     "YPrefixDecomposition",
@@ -433,20 +435,32 @@ def extract_y_prefix(
     ]
 
 
+def _first_y_positions(schedule: ThetaSchedule, j: int, count: int) -> list[int]:
+    positions = list(islice(_iter_y_positions(schedule, j, schedule.coverage), count))
+    if len(positions) < count:
+        raise ScheduleError(
+            f"only {len(positions)} sampled points exist within coverage, need {count}"
+        )
+    return positions
+
+
 def y_prefix_points(
     schedule: ThetaSchedule, stream: DigitStream, j: int, count: int
 ) -> list[Fraction]:
     """The first ``count`` sampled points for chain level j."""
-    points = []
-    for pos in _iter_y_positions(schedule, j, schedule.coverage):
-        if len(points) == count:
-            break
-        points.append(Fraction(stream.digit(pos), schedule.q(pos)))
-    if len(points) < count:
-        raise ScheduleError(
-            f"only {len(points)} sampled points exist within coverage, need {count}"
-        )
-    return points
+    return [
+        Fraction(stream.digit(pos), schedule.q(pos))
+        for pos in _first_y_positions(schedule, j, count)
+    ]
+
+
+def y_prefix_count(schedule: ThetaSchedule, j: int, n: int) -> int:
+    """How many sampled points ``extract_y_prefix`` returns, without building them."""
+    if not 1 <= j <= schedule.levels:
+        raise ScheduleError(f"level {j} outside 1..{schedule.levels}")
+    if n > schedule.coverage:
+        raise ScheduleError(f"position {n} beyond coverage {schedule.coverage}")
+    return sum(1 for _ in _iter_y_positions(schedule, j, n))
 
 
 def envelope(schedule: ThetaSchedule, j: int, t: int, w: int, z: int) -> Fraction:
@@ -542,7 +556,12 @@ def prefix_bound_check(
 ) -> EnvelopeReport:
     """Pair exact prefix discrepancies with their envelope bounds.
 
-    Each row checks D*(prefix) <= f <= ebar exactly.  Prefixes shorter
+    The sampled points are read once, up to the longest prefix, and the
+    discrepancies of all prefixes come from one exact integer sweep
+    (``star_discrepancy_ladder``): power-of-two bases put every point
+    over one common denominator, the largest base; other bases keep
+    each point over its own base and never form an lcm.  Each row
+    checks D*(prefix) <= f <= ebar exactly.  Prefixes shorter
     than the accounting horizon L_j/S_j get the trivial bound 1 and a
     "below-horizon" certificate.  Violating rows are flagged fatal; the
     envelope trend over available levels rides along so the shrink
@@ -555,9 +574,14 @@ def prefix_bound_check(
         )
     )
     horizon = schedule.big_l(j) // schedule.big_s(j)
-    for n in sorted(set(int(p) for p in prefix_lengths)):
-        points = y_prefix_points(schedule, stream, j, n)
-        dstar = star_discrepancy(points)
+    lengths = sorted(set(int(p) for p in prefix_lengths))
+    positions = _first_y_positions(schedule, j, max(lengths, default=0))
+    dstars = star_discrepancy_ladder(
+        [stream.digit(pos) for pos in positions],
+        [schedule.q(pos) for pos in positions],
+        lengths,
+    )
+    for n, dstar in zip(lengths, dstars):
         if n < horizon:
             report.rows.append(
                 DiscrepancyRow(n=n, dstar=dstar, bound=Fraction(1), certificate="below-horizon")

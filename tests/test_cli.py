@@ -145,6 +145,45 @@ class TestAnalyze:
         )
         assert code == 2
 
+    def test_shift_too_large_for_one_level_is_skipped_there(self, tmp_path, generated):
+        config, digits = generated
+        out = tmp_path / "analysis"
+        code = main(
+            ["analyze", "--config", str(config), "--digits", str(digits),
+             "--out", str(out), "--levels", "2,3", "--shifts", "0,3"]
+        )
+        assert code == 0
+        levels = json.loads((out / "analyze_summary.json").read_text())["levels"]
+        assert levels["2"]["shift_3_skipped"] == "needs S_2 > 3"
+        assert "shift_3_zero_count" not in levels["2"]
+        assert levels["3"]["shift_3_zero_count"] == 0
+        assert not (out / "dn_j2_k3.csv").exists()
+        assert (out / "dn_j3_k3.csv").exists()
+
+    def test_rn_rows_match_normality_report(self, tmp_path, generated):
+        from fractions import Fraction
+
+        from cnl.equidist import normality_report
+        from cnl.expansion import load_jsonl, transcode
+        from cnl.sequences import ChainSpec
+
+        config, digits = generated
+        out = tmp_path / "analysis"
+        assert main(
+            ["analyze", "--config", str(config), "--digits", str(digits),
+             "--out", str(out), "--levels", "2"]
+        ) == 0
+        spec = ChainSpec(base=GeometricRule(8, 2), s=ConstantRule(2), depth=4)
+        coarse = transcode(load_jsonl(digits, rule=spec.base), spec, 2)
+        lines = (out / "rn_j2.csv").read_text().splitlines()
+        assert lines[0] == "n,block,count,expected_num,expected_den,ratio"
+        for line in lines[1:]:
+            n, block, count, num, den, ratio = line.split(",")
+            row = normality_report(coarse, spec.rule(2), 1, int(n), [(0,)]).rows[0]
+            assert (block, int(count)) == ("0", row.count)
+            assert Fraction(int(num), int(den)) == row.expected
+            assert Fraction(ratio) == row.ratio
+
     def test_malformed_digit_file_exits_one(self, tmp_path, generated):
         config, _ = generated
         bad = tmp_path / "bad.jsonl"
@@ -174,6 +213,64 @@ class TestAnalyze:
         summary = json.loads((out / "analyze_summary.json").read_text())
         assert summary["schedule_conformant"] is False
         assert summary["levels"]["1"]["zero_digit_found"] is True
+
+
+class TestReadmeExample:
+    def test_generate_then_analyze_verbatim(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path)
+        assert main(
+            ["theta", "generate", "--config", "config.json", "--out", "gen", "--n", "1000"]
+        ) == 0
+        code = main(
+            ["analyze", "--config", "config.json", "--digits", "gen/digits.jsonl",
+             "--out", "rep", "--levels", "1,2,3,4", "--shifts", "0,1"]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "rep" / "analyze_summary.json").read_text())
+        levels = summary["levels"]
+        assert levels["1"]["shift_1_skipped"] == "needs S_1 > 1"
+        for j in ("2", "3", "4"):
+            assert levels[j]["shift_1_zero_count"] == 0
+            assert (tmp_path / "rep" / f"dn_j{j}_k1.csv").exists()
+        assert summary["envelope_violations"] == 0
+
+
+class TestBigIntegerReports:
+    def test_all_levels_on_5000_seeded_digits(self, tmp_path, spec_a):
+        """Level-3 and level-4 values pass 4300 decimal digits at 5000 digits."""
+        from decimal import Decimal
+        from fractions import Fraction
+
+        from cnl.equidist import dn_diagnostic
+        from cnl.expansion import load_jsonl, transcode
+
+        def exact(num_text, den_text):
+            return Fraction(int(Decimal(num_text)), int(Decimal(den_text)))
+
+        config = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(gen),
+             "--n", "5000", "--policy", "seeded", "--seed", "7"]
+        ) == 0
+        out = tmp_path / "analysis"
+        code = main(
+            ["analyze", "--config", str(config), "--digits", str(gen / "digits.jsonl"),
+             "--out", str(out), "--levels", "1,2,3,4"]
+        )
+        assert code == 0
+        cells = (out / "dn_j4.csv").read_text().splitlines()[-1].split(",")
+        n = int(cells[0])
+        assert n == 5000 // 8
+        assert len(cells[7]) > 4300  # proxy_den
+        stream = transcode(load_jsonl(gen / "digits.jsonl", rule=spec_a.base), spec_a, 4)
+        want = dn_diagnostic(stream, spec_a.rule(4), [n]).rows[0]
+        assert exact(cells[1], cells[2]) == want.dstar
+        assert exact(cells[6], cells[7]) == want.proxy
+        rn_cells = (out / "rn_j4.csv").read_text().splitlines()[-1].split(",")
+        assert len(rn_cells[4]) > 4300
+        assert exact(rn_cells[3], rn_cells[4]) == want.proxy * n
 
 
 class TestDim:

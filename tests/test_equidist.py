@@ -15,9 +15,11 @@ from cnl.equidist import (
     dn_diagnostic,
     normality_report,
     star_discrepancy,
+    star_discrepancy_ladder,
     verify_aap,
 )
 from cnl.expansion import DigitStream
+from cnl.refpair import fine_base_rule, fine_stream
 from cnl.sequences import ConstantRule, ExplicitListRule
 
 from .conftest import brute_force_star_discrepancy
@@ -77,6 +79,99 @@ class TestStarDiscrepancy:
     def test_universal_range(self, points):
         d = star_discrepancy(points)
         assert Fraction(1, 2 * len(points)) <= d <= 1
+
+
+dyadic_fractions = st.integers(min_value=0, max_value=90).flatmap(
+    lambda k: st.builds(lambda num: Fraction(num, 2**k), st.integers(0, 2**k - 1))
+)
+
+# Small bases, and large primes coprime to them and to each other.
+MIXED_DENOMINATORS = (2, 3, 5, 6, 12, 49, 64, 2**61 - 1, 2**89 - 1, 10**9 + 7, 3**80)
+mixed_fractions = st.sampled_from(MIXED_DENOMINATORS).flatmap(
+    lambda den: st.builds(lambda num: Fraction(num, den), st.integers(0, den - 1))
+)
+
+
+def ladder_of(points, lengths):
+    """star_discrepancy_ladder on fresh lists (it consumes its inputs)."""
+    nums = [Fraction(p).numerator for p in points]
+    dens = [Fraction(p).denominator for p in points]
+    return star_discrepancy_ladder(nums, dens, lengths)
+
+
+def assert_ladder_matches_brute_force(points):
+    lengths = list(range(1, len(points) + 1))
+    got = ladder_of(points, lengths)
+    want = [brute_force_star_discrepancy(points[:n]) for n in lengths]
+    assert got == want
+    assert star_discrepancy(points) == want[-1]
+
+
+class TestStarDiscrepancyLadder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(dyadic_fractions, min_size=1, max_size=25))
+    def test_dyadic_matches_brute_force(self, points):
+        assert_ladder_matches_brute_force(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(mixed_fractions, min_size=1, max_size=25))
+    def test_mixed_coprime_denominators_match_brute_force(self, points):
+        assert_ladder_matches_brute_force(points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.one_of(dyadic_fractions, mixed_fractions), min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), min_size=1, max_size=25),
+    )
+    def test_duplicates_match_brute_force(self, pool, picks):
+        assert_ladder_matches_brute_force([pool[i % len(pool)] for i in picks])
+
+    def test_points_pressed_against_window_edges(self):
+        # Seeded digits sit within a hair of their window's left edge, so
+        # any fixed-width rounding of the ratios would tie them.
+        tiny = Fraction(1, 2**300)
+        edges = [Fraction(1, 16), Fraction(5, 16), Fraction(1, 3), Fraction(1, 2)]
+        points = []
+        for j in range(8):
+            for edge in edges:
+                points.append(edge + j * tiny)
+                points.append(edge - tiny if j % 2 else edge)
+        assert_ladder_matches_brute_force(points)
+        assert_ladder_matches_brute_force([p for p in points if p.denominator & 1 == 0])
+
+    def test_unreduced_denominators(self):
+        assert star_discrepancy_ladder([2, 6, 1], [8, 8, 3], [1, 2, 3]) == [
+            brute_force_star_discrepancy([Fraction(1, 4)]),
+            brute_force_star_discrepancy([Fraction(1, 4), Fraction(3, 4)]),
+            brute_force_star_discrepancy([Fraction(1, 4), Fraction(3, 4), Fraction(1, 3)]),
+        ]
+
+    def test_repeated_lengths_give_repeated_rows(self):
+        points = [Fraction(k, 7) for k in (3, 1, 6, 1, 0)]
+        assert ladder_of(points, [2, 2, 5]) == [
+            brute_force_star_discrepancy(points[:2]),
+            brute_force_star_discrepancy(points[:2]),
+            brute_force_star_discrepancy(points),
+        ]
+
+    def test_inputs_are_consumed(self):
+        nums, dens = [1, 1], [2, 4]
+        star_discrepancy_ladder(nums, dens, [2])
+        assert dens == []
+
+    @pytest.mark.parametrize(
+        "nums, dens, lengths",
+        [
+            ([1, 1], [2, 4], [2, 1]),  # unsorted
+            ([1, 1], [2, 4], [3]),  # beyond the points
+            ([1, 1], [2, 4], [0, 2]),  # empty prefix
+            ([2], [2], [1]),  # point at 1
+            ([1, 1], [2], [1]),  # missing denominator
+        ],
+    )
+    def test_rejects_bad_input(self, nums, dens, lengths):
+        with pytest.raises(ValueError):
+            star_discrepancy_ladder(nums, dens, lengths)
 
 
 class TestVerifyAap:
@@ -239,6 +334,20 @@ class TestDnDiagnostic:
         expected = (Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 8) + Fraction(1, 16)) / 4
         assert rep.rows[0].proxy == expected
 
+    @pytest.mark.parametrize("kind", ["dyadic", "non-dyadic"])
+    def test_rows_equal_star_discrepancy_of_each_prefix(self, kind, stream_a, spec_a):
+        if kind == "dyadic":
+            stream, rule = stream_a, spec_a.base
+        else:
+            stream, rule = fine_stream(), fine_base_rule()
+        lengths = [500, 1, 2, 5, 10, 2, 20, 50, 100, 200, 500]
+        rep = dn_diagnostic(stream, rule, lengths)
+        assert [row.n for row in rep.rows] == sorted(set(lengths))
+        for row in rep.rows:
+            ratios = [Fraction(stream.digit(n), rule.q(n)) for n in range(1, row.n + 1)]
+            assert row.dstar == star_discrepancy(ratios)
+            assert row.proxy == sum(Fraction(1, rule.q(n)) for n in range(1, row.n + 1)) / row.n
+
     def test_csv_round_digits(self, tmp_path):
         rule = ConstantRule(4)
         stream = DigitStream(rule, lambda n: n % 4, "pattern")
@@ -248,3 +357,19 @@ class TestDnDiagnostic:
         lines = path.read_text().strip().splitlines()
         assert lines[1].startswith("N,Dstar_num,Dstar_den,bound_num,bound_den,certificate")
         assert len(lines) == 4
+
+    def test_csv_writes_integers_past_the_str_digit_limit(self, tmp_path):
+        from decimal import Decimal
+
+        from cnl.equidist import DiscrepancyReport, DiscrepancyRow
+
+        den = 7**6000  # 5071 decimal digits, over the default 4300-digit limit
+        value = Fraction(den // 3, den)
+        report = DiscrepancyReport(rows=[DiscrepancyRow(n=1, dstar=value, proxy=value)])
+        path = tmp_path / "dn.csv"
+        report.write_csv(path)
+        cells = path.read_text().splitlines()[1].split(",")
+        assert len(cells[2]) == 5071
+        num, den_text = cells[1], cells[2]
+        assert Fraction(int(Decimal(num)), int(Decimal(den_text))) == value
+        assert cells[6:8] == cells[1:3]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cnl.numeric import format_decimal, hp_ln, log_bits, sqrt_lower
+from cnl.numeric import format_decimal, fraction_text, hp_ln, int_text, log_bits, sqrt_lower
 
 LN2_NUM = 12786308645202655659  # floor(2**64 * ln 2) is this or this + 1
 
@@ -84,3 +84,25 @@ class TestEnvPrecision:
         monkeypatch.setenv("CNL_PRECISION_BITS", "4")
         with pytest.raises(ValueError):
             log_bits()
+
+
+class TestIntegerText:
+    @pytest.mark.parametrize("value", [0, 7, -7, 10**40, -(2**200)])
+    def test_matches_str(self, value):
+        assert int_text(value) == str(value)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(0), Fraction(5), Fraction(-3, 4), Fraction(2**100, 3)]
+    )
+    def test_fraction_matches_str(self, value):
+        assert fraction_text(value) == str(value)
+
+    def test_past_the_digit_limit(self):
+        import sys
+
+        value = 10**6000 + 123  # 6001 digits
+        text = int_text(value)
+        assert text == "1" + "0" * 5997 + "123"
+        assert fraction_text(Fraction(value, 7)) == text + "/7"
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() in (0, 4300)

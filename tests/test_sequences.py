@@ -22,6 +22,7 @@ from cnl.sequences import (
     rule_from_json,
     rule_to_json,
     shifted_rule,
+    window_reciprocal_sums,
 )
 
 from .conftest import doubling_spec
@@ -85,6 +86,52 @@ class TestPartialSums:
             cur = partial_sum_qnk(rule, n, 2)
             assert cur > prev
             prev = cur
+
+
+def direct_window_sum(values, n, k):
+    total = Fraction(0)
+    for j in range(n):
+        window = 1
+        for q in values[j : j + k]:
+            window *= q
+        total += Fraction(1, window)
+    return total
+
+
+class TestWindowReciprocalSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2, 10**6), min_size=6, max_size=30),
+        st.integers(1, 5),
+        st.lists(st.integers(0, 25), max_size=8),
+    )
+    def test_matches_direct_sums_on_a_ladder(self, values, k, stops):
+        stops = sorted(n for n in stops if n + k - 1 <= len(values))
+        got = window_reciprocal_sums(values, k, stops)
+        assert got == [direct_window_sum(values, n, k) for n in stops]
+
+    def test_reads_only_the_bases_it_needs(self):
+        def bases():
+            yield from (2, 3, 4)
+            raise AssertionError("read past q_3")
+
+        assert window_reciprocal_sums(bases(), 2, [1, 2]) == [
+            Fraction(1, 6),
+            Fraction(1, 6) + Fraction(1, 12),
+        ]
+
+    def test_partial_sums_agree_with_ladder(self):
+        rule = ramp_rule()
+        stops = [1, 7, 7, 40, 300]
+        assert window_reciprocal_sums(rule.values(302), 3, stops) == [
+            partial_sum_qnk(rule, n, 3) for n in stops
+        ]
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(OutOfDomainError):
+            window_reciprocal_sums([2, 3], 0, [1])
+        with pytest.raises(OutOfDomainError):
+            divergence_report(ConstantRule(2), 0, 5)
 
 
 class TestDivergenceReport:

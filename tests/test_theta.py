@@ -19,6 +19,7 @@ from cnl.theta import (
     generate_digits,
     position_decomposition,
     prefix_bound_check,
+    y_prefix_count,
     y_prefix_points,
 )
 
@@ -223,6 +224,10 @@ class TestExtractY:
     def test_y_prefix_points_count(self, schedule_a, stream_a):
         assert len(y_prefix_points(schedule_a, stream_a, 1, 10)) == 10
 
+    @pytest.mark.parametrize("j, n", [(1, 146), (2, 152), (1, 5000), (2, 5000), (3, 5000)])
+    def test_prefix_count_matches_extraction(self, schedule_a, stream_a, j, n):
+        assert y_prefix_count(schedule_a, j, n) == len(extract_y_prefix(schedule_a, stream_a, j, n))
+
 
 class TestEnvelope:
     def test_sup_values(self, schedule_a):
@@ -309,6 +314,17 @@ class TestPrefixBoundCheck:
             assert row.dstar <= row.bound
             if row.envelope is not None:
                 assert row.bound <= row.envelope
+
+    def test_rows_equal_star_discrepancy_of_each_prefix(self, schedule_a, stream_a):
+        lengths = [600, 3, 1, 144, 3, 145, 600, 2]
+        rep = prefix_bound_check(schedule_a, stream_a, 1, lengths)
+        assert [row.n for row in rep.report.rows] == sorted(set(lengths))
+        for row in rep.report.rows:
+            assert row.dstar == star_discrepancy(y_prefix_points(schedule_a, stream_a, 1, row.n))
+
+    def test_prefix_beyond_the_samples_rejected(self, schedule_a, stream_a):
+        with pytest.raises(ScheduleError):
+            prefix_bound_check(schedule_a, stream_a, 3, [1, 10**6])
 
     def test_trend_reported(self, schedule_a, stream_a):
         rep = prefix_bound_check(schedule_a, stream_a, 1, [4])
