@@ -7,7 +7,8 @@ Commands:
   cnl repro-sec1       verify the bundled reference pair end to end
 
 Exit codes: 0 success, 1 invariant or verification failure, 2 invalid
-input.  Outputs are deterministic for a fixed config and seed: reports
+input, 3 internal error (any other exception, reported with its type).
+Outputs are deterministic for a fixed config and seed: reports
 carry no timestamps, and digit selection is a pure function of the
 policy, seed, and position.  CNL_PRECISION_BITS (default 64) sets the
 fractional bits used wherever logarithms enter.
@@ -30,9 +31,15 @@ from .expansion import (
     transcode,
     transcode_shifted,
 )
-from .numeric import format_decimal, fraction_text, int_text
+from .numeric import format_decimal, fraction_text, int_text, log_bits
 from .refpair import build_report
-from .sequences import ChainSpec, RuleError, rule_from_json
+from .sequences import (
+    ChainSpec,
+    OutOfDomainError,
+    RuleError,
+    growth_condition_trace,
+    rule_from_json,
+)
 from .theta import (
     ScheduleError,
     SelectionPolicy,
@@ -47,6 +54,7 @@ from .theta import (
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _write_json(path: Path, payload) -> None:
@@ -76,12 +84,17 @@ def _spec_from_config(config: dict, depth_override=None) -> ChainSpec:
 def _policy_from_args(config: dict, args) -> SelectionPolicy:
     kind = args.policy or config.get("policy", "min")
     seed = args.seed
-    if isinstance(kind, dict):
-        seed = int(kind.get("seed", 0)) if seed is None else seed
-        kind = kind.get("kind", "seeded")
-    if kind == "seeded" and seed is None:
-        seed = int(config.get("seed", 0))
-    return SelectionPolicy(kind=kind, seed=seed)
+    try:
+        if isinstance(kind, dict):
+            seed = int(kind.get("seed", 0)) if seed is None else seed
+            kind = kind.get("kind", "seeded")
+        if kind == "seeded" and seed is None:
+            seed = int(config.get("seed", 0))
+        return SelectionPolicy(kind=kind, seed=seed)
+    except ScheduleError as exc:
+        raise RuleError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise RuleError(f"policy seed must be an integer: {exc}") from exc
 
 
 def _int_list(raw: str) -> list[int]:
@@ -196,6 +209,8 @@ def cmd_analyze(args) -> int:
     except DigitError as exc:
         print(f"malformed digit file: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except OSError as exc:
+        raise RuleError(f"cannot read digit file: {exc}") from exc
     total = stream.limit
 
     schedule = None
@@ -280,6 +295,10 @@ def cmd_dim(args) -> int:
     if args.n is None or args.n < 2:
         raise RuleError("--n must be at least 2")
     try:
+        bits = log_bits()
+    except ValueError as exc:
+        raise RuleError(str(exc)) from exc
+    try:
         schedule = build_schedule(spec)
     except TailCertificateError:
         raise
@@ -287,7 +306,7 @@ def cmd_dim(args) -> int:
         print(f"schedule invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     try:
-        rows = theta_dimension_trace(schedule, args.n)
+        rows = theta_dimension_trace(schedule, args.n, bits)
     except GeometryError as exc:
         print(f"dimension trace rejected: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -295,10 +314,7 @@ def cmd_dim(args) -> int:
         fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
         for row in rows:
             fh.write(",".join(row.csv_fields()) + "\n")
-
-    from .sequences import growth_condition_trace
-
-    growth = growth_condition_trace(spec.base, args.n)
+    growth = growth_condition_trace(spec.base, args.n, bits)
     with open(out_dir / "growth_trace.csv", "w", encoding="utf-8") as fh:
         fh.write("k,ratio_num,ratio_den,ratio_decimal\n")
         for k, ratio in enumerate(growth.ratios, start=2):
@@ -389,9 +405,12 @@ def main(argv=None) -> int:
     except (RuleError, TailCertificateError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (DigitError, ScheduleError, GeometryError, ValueError) as exc:
+    except (DigitError, ScheduleError, GeometryError, OutOfDomainError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -75,7 +75,7 @@ def basic_intervals(
     for n in range(1, k):
         q_prod_prev *= schedule.q(n)
     info = schedule.phi_inv(k)
-    wlo, whi = info.window
+    wlo, whi = schedule.window(info.level, info.offset, k)
     if k == 1:
         return [(wlo, whi)]
     candidates = digit_candidates(schedule, k - 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .expansion import DigitStream
+from .expansion import DigitStream, count_block
 from .numeric import int_text, sqrt_lower
 from .sequences import BasicSequenceRule, partial_sum_qnk, window_reciprocal_sums
 
@@ -373,8 +373,6 @@ def normality_report(
     n: int,
     blocks: Sequence[Sequence[int]],
 ) -> NormalityReport:
-    from .expansion import count_block
-
     blocks = [tuple(int(b) for b in blk) for blk in blocks]
     for blk in blocks:
         if len(blk) != k:

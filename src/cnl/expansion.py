@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .sequences import BasicSequenceRule, ChainSpec, OutOfDomainError
+from .sequences import (
+    BasicSequenceRule,
+    ChainSpec,
+    ExplicitListRule,
+    OutOfDomainError,
+    block_positions,
+    shifted_rule,
+)
 
 __all__ = [
     "DigitError",
@@ -201,17 +208,25 @@ def transcode(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
     if j == 1:
         return stream
     big_s = spec.big_s(j)
-    base = spec.base
+    return _pack(stream, spec.base, spec.rule(j), big_s, big_s)
 
-    def coarse_digit(n: int) -> int:
-        start = big_s * (n - 1)
+
+def _pack(
+    stream: DigitStream, base: BasicSequenceRule, rule: BasicSequenceRule, s: int, k: int
+) -> DigitStream:
+    """Digit n in ``rule`` packs the source digits at
+    ``block_positions(n, s, k)`` with their mixed-radix weights."""
+
+    def packed_digit(n: int) -> int:
         value = 0
-        for v in range(1, big_s + 1):
-            value = value * base.q(start + v) + stream.digit(start + v)
+        for pos in block_positions(n, s, k):
+            value = value * base.q(pos) + stream.digit(pos)
         return value
 
-    limit = None if stream.limit is None else stream.limit // big_s
-    return DigitStream(spec.rule(j), coarse_digit, stream.provenance, limit=limit)
+    limit = None
+    if stream.limit is not None:
+        limit = max(0, (stream.limit - k) // s + 1)
+    return DigitStream(rule, packed_digit, stream.provenance, limit=limit)
 
 
 def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
@@ -230,10 +245,9 @@ def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStre
     def fine_digit(n: int) -> int:
         block, offset = divmod(n - 1, big_s)
         value = stream.digit(block + 1)
-        start = big_s * block
         digits = []
-        for v in range(big_s, 0, -1):
-            value, d = divmod(value, base.q(start + v))
+        for pos in reversed(block_positions(block + 1, big_s, big_s)):
+            value, d = divmod(value, base.q(pos))
             digits.append(d)
         if value:
             raise DigitError(f"coarse digit at block {block + 1} exceeds its base")
@@ -250,28 +264,10 @@ def transcode_shifted(stream: DigitStream, spec: ChainSpec, j: int, k: int) -> D
     The first shifted digit packs source positions 1..k; later digits
     pack the S_j-blocks that tile the source from position k+1 on.
     """
-    from .sequences import shifted_rule
-
     if k == 0:
         return transcode(stream, spec, j)
     rule = shifted_rule(spec, j, k)
-    big_s = spec.big_s(j)
-    base = spec.base
-
-    def shifted_digit(n: int) -> int:
-        if n == 1:
-            start, width = 0, k
-        else:
-            start, width = k + big_s * (n - 2), big_s
-        value = 0
-        for v in range(1, width + 1):
-            value = value * base.q(start + v) + stream.digit(start + v)
-        return value
-
-    limit = None
-    if stream.limit is not None:
-        limit = max(0, (stream.limit - k) // big_s + 1)
-    return DigitStream(rule, shifted_digit, stream.provenance, limit=limit)
+    return _pack(stream, spec.base, rule, spec.big_s(j), k)
 
 
 def mod_s_gap(stream: DigitStream, spec: ChainSpec, j: int, n: int) -> Fraction:
@@ -347,8 +343,6 @@ def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
     if not digits:
         raise DigitError("digit file is empty")
     if rule is None:
-        from .sequences import ExplicitListRule
-
         rule = ExplicitListRule(bases)
     stream = DigitStream.from_list(rule, digits, "file")
     return stream

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 
 from .equidist import dn_diagnostic
 from .expansion import DigitStream, t_enclosure, transcode, transcode_inverse
@@ -68,29 +67,15 @@ def coarse_base_rule():
     return contract(fine_base_rule(), 2)
 
 
-def _fine_block(n: int) -> tuple[int, int]:
-    # Block m covers fine positions m(m-1)+1 .. m(m+1).
-    m = max(1, (isqrt(4 * n + 1) - 1) // 2)
-    while m * (m + 1) < n:
-        m += 1
-    while m > 1 and (m - 1) * m >= n:
-        m -= 1
-    return m, n - m * (m - 1)
-
-
-def _coarse_block(n: int) -> tuple[int, int]:
-    # Block m covers coarse positions m(m-1)/2+1 .. m(m+1)/2.
-    m = max(1, (isqrt(8 * n + 1) - 1) // 2)
-    while m * (m + 1) // 2 < n:
-        m += 1
-    while m > 1 and (m - 1) * m // 2 >= n:
-        m -= 1
-    return m, n - m * (m - 1) // 2
+# Block m of the fine base has 2m positions and block m of the coarse
+# base m; only the block layout of _COARSE_BLOCKS is used.
+_FINE_BLOCKS = fine_base_rule()
+_COARSE_BLOCKS = BlockRepetitionRule(value_affine=(2, 0), repeat_affine=(1, 0))
 
 
 def fine_digit(n: int) -> int:
     """Interleaved low/high halves: block m runs 0, m, 1, m+1, ..."""
-    m, r = _fine_block(n)
+    m, r = _FINE_BLOCKS.block_of(n)
     if r % 2 == 1:
         return (r - 1) // 2
     return m + r // 2 - 1
@@ -98,7 +83,7 @@ def fine_digit(n: int) -> int:
 
 def coarse_digit(n: int) -> int:
     """Equal steps inside each block: ratios 0, 1/m, ..., (m-1)/m."""
-    m, t = _coarse_block(n)
+    m, t = _COARSE_BLOCKS.block_of(n)
     return (t - 1) * 4 * m
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "BlockRepetitionRule",
     "ContractionRule",
     "ShiftedContractionRule",
+    "block_positions",
     "ChainSpec",
     "qn",
     "window_reciprocal_sums",
@@ -218,22 +219,19 @@ class BlockRepetitionRule(BasicSequenceRule):
         return None
 
     def _affine_block_of(self, n: int) -> tuple[int, int]:
-        # Cumulative length through block m is ta*m(m+1)/2 + tb*m;
-        # invert with an isqrt seed and a linear fixup.
+        # Blocks 1..m cover cum(m) = ta*m(m+1)/2 + tb*m positions, and n
+        # lies in the least m with cum(m) >= n.  For ta > 0 that is the
+        # ceiling of the positive root of ta*m^2 + b*m = 2n, b = ta + 2tb;
+        # the isqrt floor of the root is off by at most one.
         ta, tb = self._repeat_affine
-
-        def cum(m: int) -> int:
-            return ta * m * (m + 1) // 2 + tb * m
-
         if ta == 0:
             m = (n + tb - 1) // tb
         else:
-            m = max(1, (isqrt(8 * n // ta + 1) - 1) // 2)
-            while cum(m) < n:
+            b = ta + 2 * tb
+            m = (isqrt(b * b + 8 * ta * n) - b) // (2 * ta)
+            if ta * m * m + b * m < 2 * n:
                 m += 1
-            while m > 1 and cum(m - 1) >= n:
-                m -= 1
-        return m, n - cum(m - 1)
+        return m, n - ta * m * (m - 1) // 2 - tb * (m - 1)
 
     def block_of(self, n: int) -> tuple[int, int]:
         """Block index m and 1-based offset inside it for position n."""
@@ -269,6 +267,25 @@ class BlockRepetitionRule(BasicSequenceRule):
         }
 
 
+def block_positions(n: int, s: int, k: int) -> range:
+    """Source positions packed into block n when block 1 has width k and
+    every later block width s: 1..k, then k+1..k+s, k+s+1..k+2s, ...
+
+    k = s is the plain s-contraction.
+    """
+    if n == 1:
+        return range(1, k + 1)
+    start = k + s * (n - 2)
+    return range(start + 1, start + s + 1)
+
+
+def _block_product(base: BasicSequenceRule, positions: range) -> int:
+    prod = 1
+    for pos in positions:
+        prod *= base.q(pos)
+    return prod
+
+
 class ContractionRule(BasicSequenceRule):
     """Groups s consecutive source values into their product."""
 
@@ -296,11 +313,7 @@ class ContractionRule(BasicSequenceRule):
 
     def q(self, n: int) -> int:
         self._check_position(n)
-        start = self.s * (n - 1)
-        prod = 1
-        for w in range(1, self.s + 1):
-            prod *= self.base.q(start + w)
-        return prod
+        return _block_product(self.base, block_positions(n, self.s, self.s))
 
     def params_json(self) -> dict:
         return {"base": rule_to_json(self.base), "s": str(self.s)}
@@ -340,16 +353,7 @@ class ShiftedContractionRule(BasicSequenceRule):
 
     def q(self, n: int) -> int:
         self._check_position(n)
-        if n == 1:
-            prod = 1
-            for i in range(1, self.k + 1):
-                prod *= self.base.q(i)
-            return prod
-        start = self.s * (n - 2) + self.k
-        prod = 1
-        for w in range(1, self.s + 1):
-            prod *= self.base.q(start + w)
-        return prod
+        return _block_product(self.base, block_positions(n, self.s, self.k))
 
     def params_json(self) -> dict:
         return {"base": rule_to_json(self.base), "s": str(self.s), "shift": str(self.k)}
@@ -390,11 +394,13 @@ class ChainSpec:
         return self._cache[key]
 
     def rules(self) -> list[BasicSequenceRule]:
+        # Each level-j block covers S_j base positions, so level j is one
+        # S_j-contraction of the base rather than j-1 nested contractions.
         key = ("chain",)
         if key not in self._cache:
             chain = [self.base]
-            for j in range(1, self.depth):
-                chain.append(ContractionRule(chain[-1], self.s_value(j)))
+            for j in range(2, self.depth + 1):
+                chain.append(ContractionRule(self.base, self.big_s(j)))
             self._cache[key] = chain
         return self._cache[key]
 
@@ -554,25 +560,6 @@ def growth_condition_trace(
     last = ratios[-1]
     flag = "decreasing at horizon" if last <= Fraction(3, 4) * mid else "not decreasing"
     return GrowthTrace(horizon=horizon, ratios=tuple(ratios), flag=flag)
-
-
-_RULE_KINDS = {}
-
-
-def _register(cls):
-    _RULE_KINDS[cls.kind] = cls
-    return cls
-
-
-for _cls in (
-    ExplicitListRule,
-    ConstantRule,
-    GeometricRule,
-    BlockRepetitionRule,
-    ContractionRule,
-    ShiftedContractionRule,
-):
-    _register(_cls)
 
 
 def rule_to_json(rule: BasicSequenceRule) -> dict:

@@ -10,12 +10,21 @@ blocks whose discrepancy envelopes shrink to zero, while every digit
 stays nonzero in every chain base.
 
 Window convention: the level-j window for offset c covers
-[(c-1)/a + 1/a^2, (c-1)/a + 2/a^2) with a = S_j, half open.  The
-(c-1) shift keeps the last offset's window inside [0, 1) and makes the
-sampled point blocks (taken at offsets 1, 1+S_j, ..., S_k - S_j + 1)
-satisfy the progression conditions exactly; half-openness drops the
-unreachable right-edge digit, changing candidate counts by at most one.
-Schedule dumps record both conventions.
+[(c-1)/a + 1/a^2, (c-1)/a + 2/a^2) with a = S_j, half open, and the
+level-1 window is [1/q_n, 2/q_n).  In integers (``window_bounds``) a
+window is [lo/den, hi/den) with
+
+    (lo, hi, den) = (1, 2, q_n)                         at level 1,
+    (lo, hi, den) = ((c-1)a + 1, (c-1)a + 2, a^2)        at level j >= 2,
+
+and the digits F of position n with F/q_n in it are
+ceil(q_n lo / den) <= F <= ceil(q_n hi / den) - 1, clamped to
+1 .. q_n - 1.  The (c-1) shift keeps the last offset's window inside
+[0, 1) and makes the sampled point blocks (taken at offsets 1, 1+S_j,
+..., S_k - S_j + 1) satisfy the progression conditions exactly;
+half-openness drops the unreachable right-edge digit, changing
+candidate counts by at most one.  Schedule dumps record both
+conventions.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ __all__ = [
     "generate_digits",
     "extract_y",
     "extract_y_prefix",
-    "y_prefix_points",
     "y_prefix_count",
     "envelope",
     "envelope_sup",
@@ -130,7 +138,6 @@ class PositionInfo:
     block: int
     offset: int
     a: int
-    window: tuple[Fraction, Fraction]
 
 
 class ThetaSchedule:
@@ -203,22 +210,19 @@ class ThetaSchedule:
         big_s = self.big_s(level)
         block = (offset_in_level - 1) // big_s + 1
         offset = offset_in_level - (block - 1) * big_s
-        return PositionInfo(
-            n=n,
-            level=level,
-            block=block,
-            offset=offset,
-            a=big_s,
-            window=self.window(level, offset, n),
-        )
+        return PositionInfo(n=n, level=level, block=block, offset=offset, a=big_s)
+
+    def window_bounds(self, level: int, offset: int, n: int) -> tuple[int, int, int]:
+        """(lo, hi, den): position n's window is [lo/den, hi/den)."""
+        if level == 1:
+            return 1, 2, self.q(n)
+        a = self.big_s(level)
+        lo = (offset - 1) * a + 1
+        return lo, lo + 1, a * a
 
     def window(self, level: int, offset: int, n: int) -> tuple[Fraction, Fraction]:
-        if level == 1:
-            q = self.q(n)
-            return Fraction(1, q), Fraction(2, q)
-        a = self.big_s(level)
-        lo = Fraction(offset - 1, a) + Fraction(1, a * a)
-        return lo, lo + Fraction(1, a * a)
+        lo, hi, den = self.window_bounds(level, offset, n)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def dump_json(self) -> dict:
         return {
@@ -342,21 +346,18 @@ def _ceil_div(num: int, den: int) -> int:
 def digit_candidates(schedule: ThetaSchedule, n: int) -> CandidateSet:
     """All digits whose ratio falls in the position window.
 
-    Level-1 positions admit exactly the digit 1.  Deeper positions
-    admit every integer in a half-open window of width q_n / a^2, so
-    the count is at least floor(q_n / a^2) >= 1 and every candidate is
-    nonzero.  The set is returned as a range; materializing it is
-    guarded because counts grow with q_n.
+    The integer bounds are given in the module docstring.  Level-1
+    positions admit exactly the digit 1.  Deeper positions admit every
+    integer in a half-open window of width q_n / a^2, so the count is
+    at least floor(q_n / a^2) >= 1 and every candidate is nonzero.  The
+    set is returned as a range; materializing it is guarded because
+    counts grow with q_n.
     """
     info = schedule.phi_inv(n)
     q = schedule.q(n)
-    if info.level == 1:
-        return CandidateSet(1, 1)
-    lo, hi = info.window
-    f_min = _ceil_div(q * lo.numerator, lo.denominator)
-    f_max = _ceil_div(q * hi.numerator, hi.denominator) - 1
-    f_min = max(f_min, 1)
-    f_max = min(f_max, q - 1)
+    lo, hi, den = schedule.window_bounds(info.level, info.offset, n)
+    f_min = max(_ceil_div(q * lo, den), 1)
+    f_max = min(_ceil_div(q * hi, den) - 1, q - 1)
     if f_min > f_max:
         raise ScheduleError(f"empty candidate window at position {n}")
     return CandidateSet(f_min, f_max)
@@ -442,16 +443,6 @@ def _first_y_positions(schedule: ThetaSchedule, j: int, count: int) -> list[int]
             f"only {len(positions)} sampled points exist within coverage, need {count}"
         )
     return positions
-
-
-def y_prefix_points(
-    schedule: ThetaSchedule, stream: DigitStream, j: int, count: int
-) -> list[Fraction]:
-    """The first ``count`` sampled points for chain level j."""
-    return [
-        Fraction(stream.digit(pos), schedule.q(pos))
-        for pos in _first_y_positions(schedule, j, count)
-    ]
 
 
 def y_prefix_count(schedule: ThetaSchedule, j: int, n: int) -> int:

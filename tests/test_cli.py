@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cnl import cli
 from cnl.cli import main
 from cnl.sequences import rule_to_json, ConstantRule, GeometricRule
 
@@ -329,3 +330,42 @@ class TestRepro:
         assert "[PASS]" in report and "[FAIL]" not in report
         summary = json.loads((out / "repro_summary.json").read_text())
         assert summary["all_pass"] is True
+
+
+class TestExitCodes:
+    def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "cmd_repro", broken)
+        assert main(["repro-sec1", "--out", str(tmp_path / "r")]) == 3
+        assert "internal error: ValueError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "4"])
+    def test_bad_precision_bits_exits_two(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("CNL_PRECISION_BITS", raw)
+        config = write_config(tmp_path)
+        assert main(["dim", "--config", str(config), "--out", str(tmp_path / "d"), "--n", "10"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"policy": {"kind": "seeded", "seed": "x"}},
+            {"policy": "seeded", "seed": [1]},
+            {"policy": "seeded", "seed": -1},
+            {"policy": "bogus"},
+        ],
+    )
+    def test_bad_policy_exits_two(self, tmp_path, extra):
+        config = write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
+        code = main(["theta", "generate", "--config", str(config), "--out", str(tmp_path / "o"), "--n", "5"])
+        assert code == 2
+
+    def test_missing_digit_file_exits_two(self, tmp_path):
+        config = write_config(tmp_path)
+        code = main(
+            ["analyze", "--config", str(config), "--digits", str(tmp_path / "none.jsonl"),
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +222,18 @@ class TestChain:
                     prod *= spec.base.q(big_s * (n - 1) + w)
                 assert chain[j - 1].q(n) == prod
 
+    def test_flat_levels_match_nested_contractions(self):
+        values = [2 + (n * n) % 7 for n in range(1, 40)] + list(range(3, 53))
+        base = ExplicitListRule(values, monotone_tail_from=40)
+        spec = ChainSpec(base=base, s=ExplicitListRule([2, 3, 2]), depth=4)
+        nested = [base]
+        for j in range(1, 4):
+            nested.append(contract(nested[-1], spec.s_value(j)))
+        for flat, ref in zip(derive_chain(spec), nested):
+            assert flat.domain_max == ref.domain_max
+            assert flat.monotone_tail_from == ref.monotone_tail_from
+            assert flat.values(ref.domain_max) == ref.values(ref.domain_max)
+
 
 class TestShiftedRule:
     def test_zero_shift_is_level(self):
@@ -287,3 +300,24 @@ class TestJsonRoundtrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuleError):
             rule_from_json({"kind": "fibonacci", "params": {}})
+
+
+class TestBlockOf:
+    @pytest.mark.parametrize("ta, tb", [(0, 1), (0, 3), (1, 0), (2, 0), (2, -1), (3, -2), (4, 5)])
+    def test_matches_a_cumulative_walk(self, ta, tb):
+        rule = BlockRepetitionRule(value_affine=(1, 1), repeat_affine=(ta, tb))
+        n = 0
+        for m in count(1):
+            for offset in range(1, ta * m + tb + 1):
+                n += 1
+                assert rule.block_of(n) == (m, offset)
+            if n > 3000:
+                break
+
+    @pytest.mark.parametrize("ta, tb", [(0, 7), (1, 0), (2, -1), (3, 5)])
+    def test_huge_position(self, ta, tb):
+        rule = BlockRepetitionRule(value_affine=(1, 1), repeat_affine=(ta, tb))
+        n = 10**40
+        m, offset = rule.block_of(n)
+        assert 1 <= offset <= ta * m + tb
+        assert ta * (m - 1) * m // 2 + tb * (m - 1) + offset == n

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from cnl.theta import (
     position_decomposition,
     prefix_bound_check,
     y_prefix_count,
-    y_prefix_points,
 )
 
 from .conftest import doubling_spec
@@ -122,7 +122,26 @@ class TestCandidates:
         cand = digit_candidates(schedule_a, 3)
         assert (cand.f_min, cand.f_max, cand.count) == (16, 31, 16)
         info = schedule_a.phi_inv(3)
-        assert info.window == (Fraction(1, 4), Fraction(1, 2))
+        assert schedule_a.window(info.level, info.offset, 3) == (Fraction(1, 4), Fraction(1, 2))
+
+    def test_integer_bounds_match_the_fraction_window(self, schedule_a):
+        ends = []
+        for j in range(1, schedule_a.levels + 1):
+            ends += [schedule_a.big_l(j - 1) + 1, schedule_a.big_l(j)]
+        assert ends[-1] == schedule_a.coverage == 36288
+        for n in sorted(set(range(1, 5001)) | set(ends)):
+            info = schedule_a.phi_inv(n)
+            q = schedule_a.q(n)
+            if info.level == 1:
+                lo, hi = Fraction(1, q), Fraction(2, q)
+            else:
+                a = info.a
+                lo = Fraction(info.offset - 1, a) + Fraction(1, a * a)
+                hi = lo + Fraction(1, a * a)
+            assert schedule_a.window(info.level, info.offset, n) == (lo, hi)
+            cand = digit_candidates(schedule_a, n)
+            assert cand.f_min == max(math.ceil(q * lo), 1)
+            assert cand.f_max == min(math.ceil(q * hi) - 1, q - 1)
 
     def test_position_four_window(self, schedule_a):
         cand = digit_candidates(schedule_a, 4)
@@ -222,7 +241,7 @@ class TestExtractY:
         assert len(points) == 4
 
     def test_y_prefix_points_count(self, schedule_a, stream_a):
-        assert len(y_prefix_points(schedule_a, stream_a, 1, 10)) == 10
+        assert len(extract_y_prefix(schedule_a, stream_a, 1, 5000)[:10]) == 10
 
     @pytest.mark.parametrize("j, n", [(1, 146), (2, 152), (1, 5000), (2, 5000), (3, 5000)])
     def test_prefix_count_matches_extraction(self, schedule_a, stream_a, j, n):
@@ -319,8 +338,9 @@ class TestPrefixBoundCheck:
         lengths = [600, 3, 1, 144, 3, 145, 600, 2]
         rep = prefix_bound_check(schedule_a, stream_a, 1, lengths)
         assert [row.n for row in rep.report.rows] == sorted(set(lengths))
+        points = extract_y_prefix(schedule_a, stream_a, 1, 5000)
         for row in rep.report.rows:
-            assert row.dstar == star_discrepancy(y_prefix_points(schedule_a, stream_a, 1, row.n))
+            assert row.dstar == star_discrepancy(points[: row.n])
 
     def test_prefix_beyond_the_samples_rejected(self, schedule_a, stream_a):
         with pytest.raises(ScheduleError):
