@@ -97,6 +97,15 @@ def _policy_from_args(config: dict, args) -> SelectionPolicy:
         raise RuleError(f"policy seed must be an integer: {exc}") from exc
 
 
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuleError(f"cannot use --out {args.out}: {exc}") from exc
+    return out_dir
+
+
 def _int_list(raw: str) -> list[int]:
     try:
         return [int(part) for part in raw.split(",") if part != ""]
@@ -123,8 +132,7 @@ def cmd_theta_generate(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
     policy = _policy_from_args(config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     if args.n is None or args.n < 1:
         raise RuleError("--n must be a positive digit count")
 
@@ -190,8 +198,7 @@ def cmd_theta_generate(args) -> int:
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     levels = _int_list(args.levels) if args.levels else [1]
     shifts = _int_list(args.shifts) if args.shifts else [0]
     for j in levels:
@@ -290,8 +297,7 @@ def cmd_analyze(args) -> int:
 def cmd_dim(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     if args.n is None or args.n < 2:
         raise RuleError("--n must be at least 2")
     try:
@@ -339,8 +345,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     horizon = args.n if args.n else 5000
     report = build_report(orbit_horizon=horizon)
     (out_dir / "report.txt").write_text(report.render(), encoding="utf-8")
@@ -367,18 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     theta = sub.add_parser("theta", help="schedule-driven digit generation")
     theta_sub = theta.add_subparsers(dest="subcommand", required=True)
     gen = theta_sub.add_parser("generate", help="write digits.jsonl, schedule.json, summary.json")
-    _common_flags(gen)
+    _config_flags(gen)
+    gen.add_argument("--n", type=int, default=None, help="digit count")
+    gen.add_argument("--policy", default=None, help="min, max, mid, or seeded")
+    gen.add_argument("--seed", type=int, default=None, help="seed for the seeded policy")
     gen.set_defaults(handler=cmd_theta_generate)
 
     analyze = sub.add_parser("analyze", help="per-level reports for a digit file")
-    _common_flags(analyze)
+    _config_flags(analyze)
     analyze.add_argument("--digits", required=True, help="digit file (JSONL)")
     analyze.add_argument("--levels", default="1", help="comma-separated chain levels")
     analyze.add_argument("--shifts", default="0", help="comma-separated shifts")
     analyze.set_defaults(handler=cmd_analyze)
 
     dim = sub.add_parser("dim", help="dimension trace and growth trace")
-    _common_flags(dim)
+    _config_flags(dim)
+    dim.add_argument("--n", type=int, default=None, help="horizon")
     dim.set_defaults(handler=cmd_dim)
 
     repro = sub.add_parser("repro-sec1", help="verify the bundled reference pair")
@@ -388,13 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common_flags(cmd: argparse.ArgumentParser) -> None:
+def _config_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--config", required=True, help="chain config JSON")
     cmd.add_argument("--out", required=True, help="output directory")
-    cmd.add_argument("--n", type=int, default=None, help="digit count / horizon")
     cmd.add_argument("--depth", type=int, default=None, help="chain depth override")
-    cmd.add_argument("--policy", default=None, help="min, max, mid, or seeded")
-    cmd.add_argument("--seed", type=int, default=None, help="seed for the seeded policy")
 
 
 def main(argv=None) -> int:

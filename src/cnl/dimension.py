@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .expansion import DigitStream
+from .expansion import DigitStream, mixed_radix
 from .numeric import format_decimal, hp_ln
 from .theta import ThetaSchedule, digit_candidates
 
@@ -71,9 +71,6 @@ def basic_intervals(
     """
     if k < 1 or k > schedule.coverage:
         raise GeometryError(f"level index {k} outside 1..{schedule.coverage}")
-    q_prod_prev = 1
-    for n in range(1, k):
-        q_prod_prev *= schedule.q(n)
     info = schedule.phi_inv(k)
     wlo, whi = schedule.window(info.level, info.offset, k)
     if k == 1:
@@ -83,11 +80,9 @@ def basic_intervals(
         raise GeometryError(
             f"{candidates.count} intervals at level {k} exceed the guard {INTERVAL_GUARD}"
         )
-    prefix_value = Fraction(0)
-    scale = 1
-    for n in range(1, k - 1):
-        scale *= schedule.q(n)
-        prefix_value += Fraction(stream.digit(n), scale)
+    num, den = mixed_radix(stream, schedule.spec.base, range(1, k - 1))
+    prefix_value = Fraction(num, den)
+    q_prod_prev = den * schedule.q(k - 1)
     intervals = []
     for digit in range(candidates.f_min, candidates.f_max + 1):
         lo = prefix_value + (digit + wlo) / q_prod_prev

@@ -16,16 +16,19 @@ the threshold.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Optional, Sequence
 
 from .sequences import (
     BasicSequenceRule,
     ChainSpec,
-    ExplicitListRule,
     OutOfDomainError,
     block_positions,
+    rule_from_json,
+    rule_to_json,
     shifted_rule,
 )
 
@@ -33,6 +36,7 @@ __all__ = [
     "DigitError",
     "DigitStream",
     "expand",
+    "mixed_radix",
     "evaluate",
     "t_enclosure",
     "count_block",
@@ -138,27 +142,34 @@ def expand(x: Fraction, rule: BasicSequenceRule, n_digits: int) -> DigitStream:
     if n_digits < 1:
         raise DigitError("need at least one digit")
     digits: list[int] = []
-    rem = x
+    num, den = x.numerator, x.denominator
     for n in range(1, n_digits + 1):
-        rem *= rule.q(n)
-        digit = rem.numerator // rem.denominator
+        digit, num = divmod(num * rule.q(n), den)
         digits.append(digit)
-        rem -= digit
     return DigitStream.from_list(rule, digits, "expanded-from-rational")
+
+
+def mixed_radix(
+    stream: DigitStream, rule: BasicSequenceRule, positions: Iterable[int]
+) -> tuple[int, int]:
+    """The digits at ``positions`` read as one mixed-radix fraction.
+
+    Returns (num, den): den is the product of the bases q_p of ``rule``
+    and num / den = sum of E_p over the running base products.
+    """
+    num, den = 0, 1
+    for pos in positions:
+        q = rule.q(pos)
+        num = num * q + stream.digit(pos)
+        den *= q
+    return num, den
 
 
 def evaluate(stream: DigitStream, rule: BasicSequenceRule, n: int) -> Fraction:
     """Exact value of the n-digit prefix, in [0, 1)."""
     if n < 0:
         raise DigitError("prefix length must be >= 0")
-    value = Fraction(0)
-    for pos in range(n, 0, -1):
-        digit = stream.digit(pos)
-        q = rule.q(pos)
-        if not 0 <= digit <= q - 1:
-            raise DigitError(f"digit {digit} out of range at position {pos}")
-        value = (digit + value) / q
-    return value
+    return Fraction(*mixed_radix(stream, rule, range(1, n + 1)))
 
 
 def t_enclosure(
@@ -171,13 +182,8 @@ def t_enclosure(
     """
     if depth < 1:
         raise DigitError("enclosure depth must be >= 1")
-    lo = Fraction(0)
-    scale = 1
-    for m in range(1, depth + 1):
-        q = rule.q(n + m)
-        scale *= q
-        lo += Fraction(stream.digit(n + m), scale)
-    return lo, lo + Fraction(1, scale)
+    num, den = mixed_radix(stream, rule, range(n + 1, n + depth + 1))
+    return Fraction(num, den), Fraction(num + 1, den)
 
 
 def count_block(stream: DigitStream, block: Sequence[int], n: int) -> int:
@@ -218,10 +224,7 @@ def _pack(
     ``block_positions(n, s, k)`` with their mixed-radix weights."""
 
     def packed_digit(n: int) -> int:
-        value = 0
-        for pos in block_positions(n, s, k):
-            value = value * base.q(pos) + stream.digit(pos)
-        return value
+        return mixed_radix(stream, base, block_positions(n, s, k))[0]
 
     limit = None
     if stream.limit is not None:
@@ -300,49 +303,43 @@ def digit_census(stream: DigitStream, n: int) -> Census:
 
 
 def save_jsonl(stream: DigitStream, n: int, path) -> None:
-    """One record per line: {"n": int, "q": "decimal", "E": "decimal"}.
-
-    The base value rides along so files are self-validating.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for pos in range(1, n + 1):
-            fh.write(
-                '{"n": %d, "q": "%d", "E": "%d"}\n'
-                % (pos, stream.rule.q(pos), stream.digit(pos))
-            )
+    """Header {"format": 2, "ints": "hex", "rule": <stream.rule>}, then one
+    {"n": pos, "E": "<hex>"} per line; written beside ``path``, then renamed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    header = {"format": 2, "ints": "hex", "rule": rule_to_json(stream.rule)}
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for pos in range(1, n + 1):
+                fh.write('{"n": %d, "E": "%x"}\n' % (pos, stream.digit(pos)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
-    """Load and validate a digit file; positions must run 1, 2, ... in order."""
+    """Read a digit file written by ``save_jsonl``.  A given ``rule`` must
+    serialize to the header's; each digit is checked against its base."""
     digits: list[int] = []
-    bases: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+        try:
+            header = json.loads(fh.readline())
+            if (header["format"], header["ints"]) != (2, "hex"):
+                raise DigitError(f"format {header['format']!r} is not 2 with hex digits")
+            file_rule = rule_from_json(header["rule"])
+            if rule is not None and rule_to_json(rule) != rule_to_json(file_rule):
+                raise DigitError("written for a different base rule")
+            for pos, line in enumerate(fh, start=1):
                 record = json.loads(line)
-                pos = record["n"]
-                q = int(record["q"])
-                digit = int(record["E"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DigitError(f"malformed digit record on line {lineno}: {exc}") from exc
-            if pos != lineno:
-                raise DigitError(f"line {lineno} carries position {pos}; expected {lineno}")
-            if q < 2:
-                raise DigitError(f"base {q} < 2 on line {lineno}")
-            if not 0 <= digit <= q - 1:
-                raise DigitError(f"digit {digit} out of range [0, {q - 1}] on line {lineno}")
-            if rule is not None and rule.q(pos) != q:
-                raise DigitError(
-                    f"base mismatch on line {lineno}: file says {q}, rule says {rule.q(pos)}"
-                )
-            digits.append(digit)
-            bases.append(q)
+                if record["n"] != pos:
+                    raise DigitError(f"record {pos} carries position {record['n']!r}")
+                digits.append(int(record["E"], 16))
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DigitError(f"bad digit file {path}: {exc!r}") from exc
     if not digits:
-        raise DigitError("digit file is empty")
-    if rule is None:
-        rule = ExplicitListRule(bases)
-    stream = DigitStream.from_list(rule, digits, "file")
+        raise DigitError(f"digit file {path} holds no digits")
+    stream = DigitStream.from_list(rule or file_rule, digits, "file")
+    stream.prefix(len(digits))
     return stream

@@ -4,7 +4,7 @@ import pytest
 
 from cnl import cli
 from cnl.cli import main
-from cnl.sequences import rule_to_json, ConstantRule, GeometricRule
+from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
 
 def write_config(tmp_path, depth=4, policy="min", name="config.json"):
@@ -27,12 +27,15 @@ class TestThetaGenerate:
             ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "100"]
         )
         assert code == 0
-        digits = (out / "digits.jsonl").read_text().splitlines()
+        header, *digits = (out / "digits.jsonl").read_text().splitlines()
+        header = json.loads(header)
+        assert header == {"format": 2, "ints": "hex", "rule": rule_to_json(GeometricRule(8, 2))}
+        assert rule_from_json(header["rule"]).q(1) == 16
         assert len(digits) == 100
         first = json.loads(digits[0])
-        assert first == {"n": 1, "q": "16", "E": "1"}
+        assert first == {"n": 1, "E": "1"}
         fourth = json.loads(digits[3])
-        assert fourth["E"] == "96"
+        assert fourth["E"] == "60"  # 96
         schedule = json.loads((out / "schedule.json").read_text())
         assert schedule["l"] == [2, 71, 9036]
         summary = json.loads((out / "summary.json").read_text())
@@ -45,7 +48,7 @@ class TestThetaGenerate:
             ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "2"]
         )
         assert code == 0
-        lines = (out / "digits.jsonl").read_text().splitlines()
+        lines = (out / "digits.jsonl").read_text().splitlines()[1:]
         assert [json.loads(l)["E"] for l in lines] == ["1", "1"]
 
     def test_uncertified_rule_exits_two(self, tmp_path):
@@ -72,6 +75,21 @@ class TestThetaGenerate:
              "--n", "999999"]
         )
         assert code == 2
+
+    def test_past_4300_decimal_digits(self, tmp_path, spec_a):
+        """q_n passes 4300 decimal digits at n = 14282."""
+        from cnl.expansion import load_jsonl
+        from cnl.theta import SelectionPolicy, build_schedule, generate_digits
+
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "14300"]
+        ) == 0
+        assert json.loads((out / "summary.json").read_text())["all_pass"] is True
+        loaded = load_jsonl(out / "digits.jsonl", rule=spec_a.base)
+        want = generate_digits(build_schedule(spec_a), SelectionPolicy("min"), 14300)
+        assert loaded.digit(14300) == want.digit(14300)
 
     def test_byte_identical_runs(self, tmp_path):
         config = write_config(tmp_path)
@@ -185,15 +203,17 @@ class TestAnalyze:
             assert Fraction(int(num), int(den)) == row.expected
             assert Fraction(ratio) == row.ratio
 
-    def test_malformed_digit_file_exits_one(self, tmp_path, generated):
+    def test_malformed_digit_file_exits_one(self, tmp_path, generated, capsys):
         config, _ = generated
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"n": 1, "q": "16", "E": "99"}\n')
+        header = {"format": 2, "ints": "hex", "rule": rule_to_json(GeometricRule(8, 2))}
+        bad.write_text(json.dumps(header) + '\n{"n": 1, "E": "99"}\n')  # 153 >= q_1 = 16
         code = main(
             ["analyze", "--config", str(config), "--digits", str(bad),
              "--out", str(tmp_path / "x")]
         )
         assert code == 1
+        assert "out of range" in capsys.readouterr().err
 
     def test_zero_digits_flagged_for_expanded_rational(self, tmp_path):
         from fractions import Fraction
@@ -361,6 +381,31 @@ class TestExitCodes:
         config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
         code = main(["theta", "generate", "--config", str(config), "--out", str(tmp_path / "o"), "--n", "5"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "generate", "--n", "5"],
+            ["analyze", "--digits", "none.jsonl"],
+            ["dim", "--n", "10"],
+            ["repro-sec1", "--n", "10"],
+        ],
+    )
+    def test_unusable_out_exits_two(self, tmp_path, argv, capsys):
+        config = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file\n")
+        if argv[0] != "repro-sec1":
+            argv = argv + ["--config", str(config)]
+        assert main(argv + ["--out", str(taken)]) == 2
+        assert "cannot use --out" in capsys.readouterr().err
+
+    def test_analyze_rejects_generate_flags(self, tmp_path):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--config", str(config), "--digits", "d.jsonl",
+                  "--out", str(tmp_path / "x"), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_missing_digit_file_exits_two(self, tmp_path):
         config = write_config(tmp_path)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from cnl.expansion import (
     transcode_inverse,
     transcode_shifted,
 )
-from cnl.sequences import ChainSpec, ConstantRule, ExplicitListRule
+from cnl.sequences import ChainSpec, ConstantRule, ExplicitListRule, rule_to_json
 
 from .conftest import doubling_spec
 
@@ -257,27 +258,47 @@ class TestJsonl:
         assert loaded.prefix(50) == stream_a.prefix(50)
         assert loaded.provenance == "file"
 
-    def test_rejects_bad_position_order(self, tmp_path):
+    @staticmethod
+    def write(tmp_path, rule, *records):
         path = tmp_path / "digits.jsonl"
-        path.write_text('{"n": 2, "q": "4", "E": "1"}\n')
-        with pytest.raises(DigitError):
+        header = {"format": 2, "ints": "hex", "rule": rule_to_json(rule)}
+        path.write_text("".join(line + "\n" for line in (json.dumps(header), *records)))
+        return path
+
+    def test_rejects_bad_position_order(self, tmp_path):
+        path = self.write(tmp_path, ConstantRule(4), '{"n": 2, "E": "1"}')
+        with pytest.raises(DigitError, match="position"):
             load_jsonl(path)
 
     def test_rejects_digit_out_of_range(self, tmp_path):
-        path = tmp_path / "digits.jsonl"
-        path.write_text('{"n": 1, "q": "4", "E": "4"}\n')
-        with pytest.raises(DigitError):
+        path = self.write(tmp_path, ConstantRule(4), '{"n": 1, "E": "4"}')
+        with pytest.raises(DigitError, match="out of range"):
             load_jsonl(path)
 
     def test_rejects_rule_mismatch(self, tmp_path):
-        path = tmp_path / "digits.jsonl"
-        path.write_text('{"n": 1, "q": "4", "E": "1"}\n')
-        with pytest.raises(DigitError):
+        path = self.write(tmp_path, ConstantRule(4), '{"n": 1, "E": "1"}')
+        with pytest.raises(DigitError, match="different base rule"):
             load_jsonl(path, rule=ConstantRule(8))
 
     def test_self_validating_without_rule(self, tmp_path):
-        path = tmp_path / "digits.jsonl"
-        path.write_text('{"n": 1, "q": "4", "E": "3"}\n{"n": 2, "q": "5", "E": "0"}\n')
+        path = self.write(tmp_path, ExplicitListRule([4, 5]), '{"n": 1, "E": "3"}', '{"n": 2, "E": "0"}')
         stream = load_jsonl(path)
         assert stream.prefix(2) == [3, 0]
         assert stream.rule.q(2) == 5
+
+    def test_rejects_v1_file(self, tmp_path):
+        path = tmp_path / "digits.jsonl"
+        path.write_text('{"n": 1, "q": "4", "E": "1"}\n')
+        with pytest.raises(DigitError, match="format"):
+            load_jsonl(path, rule=ConstantRule(4))
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        def digit(n):
+            if n == 5:
+                raise DigitError("no digit at 5")
+            return 1
+
+        stream = DigitStream(ConstantRule(4), digit, "pattern")
+        with pytest.raises(DigitError, match="no digit at 5"):
+            save_jsonl(stream, 10, tmp_path / "digits.jsonl")
+        assert list(tmp_path.iterdir()) == []
