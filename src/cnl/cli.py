@@ -25,6 +25,7 @@ from .dimension import GeometryError, theta_dimension_trace
 from .equidist import dn_diagnostic
 from .expansion import (
     DigitError,
+    atomic_write,
     digit_census,
     load_jsonl,
     save_jsonl,
@@ -58,7 +59,8 @@ EXIT_INTERNAL = 3
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_config(path: str) -> dict:
@@ -132,9 +134,9 @@ def cmd_theta_generate(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
     policy = _policy_from_args(config, args)
-    out_dir = _out_dir(args)
     if args.n is None or args.n < 1:
         raise RuleError("--n must be a positive digit count")
+    out_dir = _out_dir(args)
 
     try:
         schedule = build_schedule(spec)
@@ -254,7 +256,7 @@ def cmd_analyze(args) -> int:
 
             # Zero-block ratios; expected = proxy * n = sum_{i <= n} 1/q_i.
             digits = coarse.prefix(coarse_len)
-            with open(out_dir / f"rn_j{j}.csv", "w", encoding="utf-8") as fh:
+            with atomic_write(out_dir / f"rn_j{j}.csv") as fh:
                 fh.write("n,block,count,expected_num,expected_den,ratio\n")
                 for row in dn.rows:
                     count = digits[: row.n].count(0)
@@ -297,13 +299,13 @@ def cmd_analyze(args) -> int:
 def cmd_dim(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
-    out_dir = _out_dir(args)
     if args.n is None or args.n < 2:
         raise RuleError("--n must be at least 2")
     try:
         bits = log_bits()
     except ValueError as exc:
         raise RuleError(str(exc)) from exc
+    out_dir = _out_dir(args)
     try:
         schedule = build_schedule(spec)
     except TailCertificateError:
@@ -316,12 +318,12 @@ def cmd_dim(args) -> int:
     except GeometryError as exc:
         print(f"dimension trace rejected: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    with open(out_dir / "dim_trace.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "dim_trace.csv") as fh:
         fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
         for row in rows:
             fh.write(",".join(row.csv_fields()) + "\n")
     growth = growth_condition_trace(spec.base, args.n, bits)
-    with open(out_dir / "growth_trace.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "growth_trace.csv") as fh:
         fh.write("k,ratio_num,ratio_den,ratio_decimal\n")
         for k, ratio in enumerate(growth.ratios, start=2):
             fh.write(
@@ -339,6 +341,8 @@ def cmd_dim(args) -> int:
         "final_d_exact": format_decimal(rows[-1].d_exact),
         "final_d_bound": format_decimal(rows[-1].d_bound),
         "growth_flag": growth.flag,
+        "log_rounding": "directed",
+        "precision_bits": bits,
     }
     _write_json(out_dir / "dim_summary.json", summary)
     return EXIT_OK
@@ -348,7 +352,8 @@ def cmd_repro(args) -> int:
     out_dir = _out_dir(args)
     horizon = args.n if args.n else 5000
     report = build_report(orbit_horizon=horizon)
-    (out_dir / "report.txt").write_text(report.render(), encoding="utf-8")
+    with atomic_write(out_dir / "report.txt") as fh:
+        fh.write(report.render())
     _write_json(
         out_dir / "repro_summary.json",
         {

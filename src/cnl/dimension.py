@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .expansion import DigitStream, mixed_radix
-from .numeric import format_decimal, hp_ln
+from .numeric import format_decimal, hp_ln, int_text
 from .theta import ThetaSchedule, digit_candidates
 
 __all__ = [
@@ -141,18 +141,19 @@ def falconer_lower_bound(
 ) -> FalconerTrace:
     """The lower-bound sequence d_k for an explicit geometry list.
 
-    d_k = log(m_1 ... m_{k-1}) / -log(m_k eps_k), for k = 2 .. K.  The
-    logs are fixed-point with the configured precision.  A level with
-    m_k * eps_k >= 1 has no contracting geometry and is rejected.
+    d_k = log(m_1 ... m_{k-1}) / -log(m_k eps_k), for k = 2 .. K, from
+    the lower ends of the ``hp_ln`` enclosures, so d_k is a lower bound.
+    A level with m_k * eps_k >= 1 has no contracting geometry and is
+    rejected.
     """
     if len(geometry) < 2:
         raise GeometryError("need at least two levels")
     for a, b in zip(geometry, geometry[1:]):
         if not b.eps < a.eps:
             raise GeometryError(f"gaps must strictly decrease (level {b.k})")
-    log_m = [hp_ln(g.m, bits=bits) if g.m > 1 else Fraction(0) for g in geometry]
+    log_m = [hp_ln(g.m, bits)[0] for g in geometry]
     ds = []
-    numer = Fraction(0)
+    numer = 0
     for idx in range(1, len(geometry)):
         numer += log_m[idx - 1]
         g = geometry[idx]
@@ -160,8 +161,8 @@ def falconer_lower_bound(
             raise GeometryError(
                 f"level {g.k}: m*eps = {g.m * g.eps} >= 1, no contraction to measure"
             )
-        denom = -(log_m[idx] + hp_ln(g.eps, bits=bits))
-        ds.append(numer / denom)
+        denom = -(log_m[idx] + hp_ln(g.eps, bits)[0])
+        ds.append(Fraction(numer, denom))
     window = max(1, len(ds) // 10) if window is None else window
     trailing = ds[-window:]
     return FalconerTrace(ds=tuple(ds), trailing_min=min(trailing), window=window)
@@ -180,7 +181,7 @@ class DimensionTraceRow:
         return [
             str(self.k),
             str(self.level),
-            str(self.omega),
+            int_text(self.omega),
             format_decimal(self.log2_eps),
             format_decimal(self.d_exact),
             format_decimal(self.d_bound),
@@ -195,35 +196,27 @@ def theta_dimension_trace(
     Everything streams in log space so gap denominators (products of
     all earlier bases) never materialize.  Row k reports the level i(k),
     the exact candidate count, log2 of the exact gap, and both d_k
-    variants; rows start at k = 2.
+    variants; rows start at k = 2.  Every sum of ``hp_ln`` enclosure
+    ends rounds in the direction that keeps each d_k a lower bound.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
-    ln2 = hp_ln(2, bits=bits)
+    ln2_lo = hp_ln(2, bits)[0]
     rows: list[DimensionTraceRow] = []
-    sum_log_q = Fraction(0)  # sum of ln q_n for n < k
-    sum_log_omega = Fraction(0)  # exact-count numerator
-    sum_log_bound = Fraction(0)  # bound-substituted numerator
-    prev: Optional[dict] = None
+    sum_log_q = 0  # sum of hi(ln q_n) for n < k
+    sum_log_omega = 0  # exact-count numerator
+    sum_log_bound = 0  # bound-substituted numerator
     for k in range(1, horizon + 1):
         info = schedule.phi_inv(k)
         omega = digit_candidates(schedule, k).count
-        log_q = hp_ln(schedule.q(k), bits=bits)
-        log_omega = hp_ln(omega, bits=bits) if omega > 1 else Fraction(0)
-        weight = Fraction(info.level - 1, info.level)
-        if prev is not None:
-            sum_log_q += prev["log_q"]
-            sum_log_omega += prev["log_omega"]
-            sum_log_bound += prev["weight"] * prev["log_q"]
+        q_lo, q_hi = hp_ln(schedule.q(k), bits)
+        log_omega = hp_ln(omega, bits)[0]
+        weighted = (info.level - 1) * q_lo // info.level  # rounded down
         if k >= 2:
-            if info.a == 1:
-                log_gap_factor = Fraction(0)
-            else:
-                log_gap_factor = hp_ln(
-                    Fraction(info.a * info.a - 1, info.a * info.a), bits=bits
-                )
+            a2 = info.a * info.a
+            log_gap_factor = 0 if a2 == 1 else hp_ln(Fraction(a2 - 1, a2), bits)[0]
             denom_exact = sum_log_q - log_omega - log_gap_factor
-            denom_bound = sum_log_q - weight * log_q
+            denom_bound = sum_log_q - weighted
             if denom_exact <= 0 or denom_bound <= 0:
                 raise GeometryError(f"no contraction to measure at k = {k}")
             rows.append(
@@ -231,10 +224,12 @@ def theta_dimension_trace(
                     k=k,
                     level=info.level,
                     omega=omega,
-                    log2_eps=(log_gap_factor - sum_log_q) / ln2,
-                    d_exact=sum_log_omega / denom_exact,
-                    d_bound=sum_log_bound / denom_bound,
+                    log2_eps=Fraction(log_gap_factor - sum_log_q, ln2_lo),
+                    d_exact=Fraction(sum_log_omega, denom_exact),
+                    d_bound=Fraction(sum_log_bound, denom_bound),
                 )
             )
-        prev = {"log_q": log_q, "log_omega": log_omega, "weight": weight}
+        sum_log_q += q_hi
+        sum_log_omega += log_omega
+        sum_log_bound += weighted
     return rows

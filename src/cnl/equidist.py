@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .expansion import DigitStream, count_block
+from .expansion import DigitStream, atomic_write, count_block
 from .numeric import int_text, sqrt_lower
 from .sequences import BasicSequenceRule, partial_sum_qnk, window_reciprocal_sums
 
@@ -427,7 +427,7 @@ class DiscrepancyReport:
             columns += ["proxy_num", "proxy_den"]
         if with_env:
             columns += ["ebar_num", "ebar_den"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             if self.header_note:
                 fh.write(f"# {self.header_note}\n")

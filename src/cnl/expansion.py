@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .sequences import (
     BasicSequenceRule,
@@ -46,6 +47,7 @@ __all__ = [
     "mod_s_gap",
     "Census",
     "digit_census",
+    "atomic_write",
     "save_jsonl",
     "load_jsonl",
 ]
@@ -302,21 +304,29 @@ def digit_census(stream: DigitStream, n: int) -> Census:
     return Census(zero_count=zeros, value_set=frozenset(d for d in digits if d > 0))
 
 
-def save_jsonl(stream: DigitStream, n: int, path) -> None:
-    """Header {"format": 2, "ints": "hex", "rule": <stream.rule>}, then one
-    {"n": pos, "E": "<hex>"} per line; written beside ``path``, then renamed."""
+@contextmanager
+def atomic_write(path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """A text file opened beside ``path`` and renamed into place when the
+    block ends; on any exception it is removed, so no partial file shows."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    header = {"format": 2, "ints": "hex", "rule": rule_to_json(stream.rule)}
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for pos in range(1, n + 1):
-                fh.write('{"n": %d, "E": "%x"}\n' % (pos, stream.digit(pos)))
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_jsonl(stream: DigitStream, n: int, path) -> None:
+    """Header {"format": 2, "ints": "hex", "rule": <stream.rule>}, then one
+    {"n": pos, "E": "<hex>"} per line, written through ``atomic_write``."""
+    header = {"format": 2, "ints": "hex", "rule": rule_to_json(stream.rule)}
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for pos in range(1, n + 1):
+            fh.write('{"n": %d, "E": "%x"}\n' % (pos, stream.digit(pos)))
 
 
 def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:

@@ -3,16 +3,17 @@
 Everything else in the package computes with exact rationals.  The two
 quantities that cannot be exact are natural logarithms (growth traces,
 dimension traces) and the square root inside the refined discrepancy
-bound.  Logarithms are returned as fractions with a power-of-two
-denominator carrying a configurable number of fractional bits; the
-square root is rounded downward so bounds built from it stay valid.
+bound.  A logarithm is an enclosure of two integers over 2**bits, for a
+configurable number of fractional bits; the square root is rounded
+downward.  Either way, bounds built from them stay valid.
 """
 
 from __future__ import annotations
 
 import os
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 _ENV_BITS = "CNL_PRECISION_BITS"
@@ -31,34 +32,58 @@ def log_bits() -> int:
     return bits
 
 
-def hp_ln(x: int | Fraction, bits: int | None = None) -> Fraction:
-    """Natural log of a positive integer or fraction, as a dyadic fraction.
+def hp_ln(x: int | Fraction, bits: int | None = None) -> tuple[int, int]:
+    """Integers ``(lo, hi)`` with lo <= 2**bits * ln(x) <= hi <= lo + 2, for a
+    positive integer or fraction x.
 
-    The result has denominator 2**bits and is correctly rounded to that
-    grid, so the absolute error is at most 2**-(bits+1).
+    Numerator and denominator are each n = 2**e * y with y in [1, 2), and
+    ln y = 2 atanh((y - 1)/(y + 1)) is summed in integers with guard bits.
     """
     if bits is None:
         bits = log_bits()
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    else:
-        num, den = int(x), 1
+    num, den = x.numerator, x.denominator  # an int is num / 1
     if num <= 0:
         raise ValueError("hp_ln requires a positive argument")
-    if num == den:
-        return Fraction(0)
-    # Integer part of ln never exceeds 0.694 * bit length; size the
-    # working precision from that plus the requested fractional digits.
-    mag = max(num.bit_length(), den.bit_length())
-    prec = len(str(mag)) + 1 + (bits * 302) // 1000 + 25
-    scale = 1 << bits
-    with localcontext() as ctx:
-        ctx.prec = prec
-        val = Decimal(num).ln()
-        if den != 1:
-            val -= Decimal(den).ln()
-        scaled = (val * scale).to_integral_value(rounding=ROUND_HALF_EVEN)
-    return Fraction(int(scaled), scale)
+    # Extra guard bits absorb e * (error of ln 2) for exponents e < 2**mag.
+    mag = max(num.bit_length(), den.bit_length()).bit_length()
+    work = bits + 20 + mag + bits.bit_length()
+    num_lo, num_hi = _ln_int(num, work)
+    den_lo, den_hi = _ln_int(den, work)
+    shift = work - bits
+    return (num_lo - den_hi) >> shift, -((den_lo - num_hi) >> shift)
+
+
+def _ln_int(n: int, work: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2**work * ln(n) <= hi, for an integer n >= 1."""
+    e = n.bit_length() - 1
+    if e == 0:
+        return 0, 0
+    # y as Y / 2**work, cut down by less than 2**-work: ln y rises by less
+    # than one unit between the two, hence the + 1.
+    y = n >> (e - work) if e > work else n << (work - e)
+    y_lo, y_err = _atanh_series(y - (1 << work), y + (1 << work), work)
+    two_lo, two_err = _ln2(work)
+    return e * two_lo + y_lo, e * (two_lo + two_err) + y_lo + y_err + 1
+
+
+@lru_cache(maxsize=None)
+def _ln2(work: int) -> tuple[int, int]:
+    return _atanh_series(1, 3, work)
+
+
+def _atanh_series(num: int, den: int, work: int) -> tuple[int, int]:
+    """A lower bound of 2**work * 2 atanh(num/den), for 0 <= num/den <= 1/3,
+    and the most it can fall short by: every step truncates down, cutting z
+    costs under 9/4 units, each term under 3 and the tail under 4.
+    """
+    z = (num << work) // den
+    z2 = (z * z) >> work
+    total, power, k = 0, z, 1
+    while power:
+        total += power // k
+        power = (power * z2) >> work
+        k += 2
+    return 2 * total, 3 * (k // 2) + 7
 
 
 def sqrt_lower(x: Fraction, bits: int | None = None) -> Fraction:

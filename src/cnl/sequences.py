@@ -542,7 +542,7 @@ def growth_condition_trace(
 ) -> GrowthTrace:
     """Evidence for the slow-growth hypothesis log q_k = o(sum log q_n).
 
-    Ratios are fixed-point quotients of high-precision logarithms.  The
+    Each ratio is an upper bound, hi(ln q_k) over the sum of lo(ln q_n).  The
     flag reads "decreasing at horizon" when the final ratio has dropped
     below three quarters of the mid-horizon ratio, which is what a
     ratio tending to zero looks like at any finite horizon, and "not
@@ -552,10 +552,10 @@ def growth_condition_trace(
         raise OutOfDomainError("growth trace needs horizon >= 2")
     logs = [hp_ln(rule.q(n), bits=bits) for n in range(1, horizon + 1)]
     ratios: list[Fraction] = []
-    running = logs[0]
-    for k in range(2, horizon + 1):
-        ratios.append(Fraction(logs[k - 1]) / running)
-        running += logs[k - 1]
+    running = logs[0][0]
+    for lo, hi in logs[1:]:
+        ratios.append(Fraction(hi, running))
+        running += lo
     mid = ratios[max(0, (len(ratios) - 1) // 2)]
     last = ratios[-1]
     flag = "decreasing at horizon" if last <= Fraction(3, 4) * mid else "not decreasing"

@@ -188,6 +188,7 @@ def test_criterion_6_dimension_trace(schedule_a, stream_a):
 
     for row in rows[::97] + [rows[-1]]:
         assert abs(row.d_bound - closed_form(row.k)) <= TOL
+        assert row.d_bound <= closed_form(row.k)
         assert row.d_exact >= row.d_bound - TOL
 
     geoms = theta_geometry(schedule_a, 14)

@@ -1,9 +1,12 @@
 import json
+from decimal import Decimal
 
 import pytest
 
 from cnl import cli
 from cnl.cli import main
+from cnl.dimension import DimensionTraceRow
+from cnl.theta import digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
 
@@ -341,6 +344,37 @@ class TestDim:
         assert summary["growth_flag"] == "not decreasing"
 
 
+    def test_past_4300_decimal_digits(self, tmp_path, schedule_a):
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        assert main(["dim", "--config", str(config), "--out", str(out), "--n", "14300"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dim_summary.json", "dim_trace.csv", "growth_trace.csv"
+        ]
+        rows = (out / "dim_trace.csv").read_text().splitlines()[1:]
+        for k in (14286, 14287, 14293, 14300):
+            cells = rows[k - 2].split(",")
+            assert cells[0] == str(k)
+            assert len(cells[2]) > 4300
+            assert int(Decimal(cells[2])) == digit_candidates(schedule_a, k).count
+        summary = json.loads((out / "dim_summary.json").read_text())
+        assert (summary["log_rounding"], summary["precision_bits"]) == ("directed", 64)
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        fields = DimensionTraceRow.csv_fields
+
+        def failing(row):
+            if row.k == 50:
+                raise RuntimeError("disk full")
+            return fields(row)
+
+        monkeypatch.setattr(DimensionTraceRow, "csv_fields", failing)
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        assert main(["dim", "--config", str(config), "--out", str(out), "--n", "100"]) == 3
+        assert list(out.iterdir()) == []
+
+
 class TestRepro:
     def test_short_horizon_passes(self, tmp_path):
         out = tmp_path / "repro"
@@ -399,6 +433,13 @@ class TestExitCodes:
             argv = argv + ["--config", str(config)]
         assert main(argv + ["--out", str(taken)]) == 2
         assert "cannot use --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["theta", "generate"], ["dim"]])
+    def test_bad_n_creates_no_output(self, tmp_path, command):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(config), "--out", str(out), "--n", "0"]) == 2
+        assert not out.exists()
 
     def test_analyze_rejects_generate_flags(self, tmp_path):
         config = write_config(tmp_path)

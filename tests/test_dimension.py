@@ -81,6 +81,7 @@ class TestFalconer:
         geoms = [LevelGeometry(k=k, m=2, eps=Fraction(1, 4**k)) for k in range(1, 11)]
         trace = falconer_lower_bound(geoms)
         assert abs(trace.ds[-1] - Fraction(9, 19)) <= TOL
+        assert trace.ds[-1] <= Fraction(9, 19)
 
     def test_single_child_everywhere(self):
         geoms = [LevelGeometry(k=k, m=1, eps=Fraction(1, 3**k)) for k in range(1, 6)]
@@ -129,6 +130,7 @@ class TestDimensionTrace:
         for row in rows[::37] + [rows[-1]]:
             oracle = closed_form_doubling(row.k, schedule_a)
             assert abs(row.d_bound - oracle) <= TOL
+            assert row.d_bound <= oracle
 
     def test_exact_trace_dominates_bound_trace(self, schedule_a):
         rows = theta_dimension_trace(schedule_a, 300)

@@ -1,40 +1,113 @@
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from cnl.numeric import format_decimal, fraction_text, hp_ln, int_text, log_bits, sqrt_lower
+from cnl.numeric import (
+    _ln_int,
+    format_decimal,
+    fraction_text,
+    hp_ln,
+    int_text,
+    log_bits,
+    sqrt_lower,
+)
 
 LN2_NUM = 12786308645202655659  # floor(2**64 * ln 2) is this or this + 1
 
 
+def reference_ln(num: int, den: int, bits: int) -> tuple[Decimal, Decimal]:
+    """2**bits * ln(num/den) by ``Decimal.ln``, about 100 digits past the
+    unit of the result and widened by 10**-30 for its own rounding; an
+    interval independent of the integer kernel."""
+    mag = max(num.bit_length(), den.bit_length())
+    with localcontext() as ctx:
+        ctx.prec = len(str(mag)) + (bits * 302) // 1000 + 100
+        truth = (Decimal(num).ln() - Decimal(den).ln()) * (Decimal(2) ** bits)
+        slack = Decimal(10) ** -30
+        return truth - slack, truth + slack
+
+
+def assert_encloses(x, bits: int) -> None:
+    x = Fraction(x)
+    lo, hi = hp_ln(x, bits)
+    below, above = reference_ln(x.numerator, x.denominator, bits)
+    assert lo <= above and below <= hi, (x, bits, lo, hi, below)
+    assert hi - lo <= 2
+
+
 class TestHpLn:
     def test_ln_one_is_zero(self):
-        assert hp_ln(1) == 0
-        assert hp_ln(Fraction(7, 7)) == 0
+        assert hp_ln(1) == (0, 0)
+        assert hp_ln(Fraction(7, 7)) == (0, 0)
 
     def test_ln_two_fixed_point(self):
-        value = hp_ln(2, bits=64)
-        assert (1 << 64) % value.denominator == 0
-        assert abs(value * (1 << 64) - LN2_NUM) <= 1
+        for end in hp_ln(2, bits=64):
+            assert abs(end - LN2_NUM) <= 1
 
     def test_additivity_within_grid(self):
         lhs = hp_ln(6, bits=80)
-        rhs = hp_ln(2, bits=80) + hp_ln(3, bits=80)
-        assert abs(lhs - rhs) <= Fraction(3, 1 << 80)
+        two, three = hp_ln(2, bits=80), hp_ln(3, bits=80)
+        for end in (0, 1):
+            assert abs(lhs[end] - (two[end] + three[end])) <= 3
 
     def test_fraction_argument(self):
         val = hp_ln(Fraction(3, 4), bits=64)
-        assert val < 0
-        assert abs(val + hp_ln(Fraction(4, 3), bits=64)) <= Fraction(2, 1 << 64)
+        inverse = hp_ln(Fraction(4, 3), bits=64)
+        assert val[1] < 0
+        for end in (0, 1):
+            assert abs(val[end] + inverse[1 - end]) <= 2
 
     def test_huge_integer(self):
         val = hp_ln(1 << 40_000, bits=64)
-        expected = 40_000 * hp_ln(2, bits=64)
-        assert abs(val - expected) <= Fraction(40_001, 1 << 64)
+        two = hp_ln(2, bits=64)
+        for end in (0, 1):
+            assert abs(val[end] - 40_000 * two[end]) <= 40_001
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             hp_ln(0)
+
+    @pytest.mark.parametrize("bits", [8, 64, 200])
+    def test_encloses_random_integers(self, bits):
+        rng = random.Random(bits)
+        for _ in range(25):
+            assert_encloses(rng.getrandbits(rng.randrange(1, 40_001)) | 1, bits)
+            assert_encloses(rng.randrange(2, 1 << 20), bits)
+
+    @pytest.mark.parametrize("bits", [8, 64, 200])
+    def test_encloses_powers_of_two(self, bits):
+        for e in (1, 2, 63, 64, 65, bits, bits + 21, 1000, 40_000):
+            assert_encloses(1 << e, bits)
+            assert_encloses(Fraction(1, 1 << e), bits)
+
+    @pytest.mark.parametrize("work", [28, 84, 250])
+    def test_working_precision_enclosure(self, work):
+        # The output rounds outward from this enclosure with 20 guard
+        # bits to spare, so only here does an understated error show.
+        rng = random.Random(work)
+        sizes = [rng.getrandbits(rng.randrange(2, 40_001)) | 1 for _ in range(25)]
+        for n in [2, 3, (1 << 40) + 1] + sizes:
+            lo, hi = _ln_int(n, work)
+            below, above = reference_ln(n, 1, work)
+            assert lo <= above and below <= hi, (n, work, lo, hi, below)
+
+    @pytest.mark.parametrize("bits", [8, 64, 200])
+    def test_encloses_gap_factors(self, bits):
+        rng = random.Random(bits + 1)
+        sizes = [2, 3, 5, 1 << 10, (1 << 64) - 1, 1 << 5000]
+        sizes += [rng.getrandbits(rng.randrange(2, 5001)) | 2 for _ in range(10)]
+        for a in sizes:
+            assert_encloses(Fraction(a * a - 1, a * a), bits)
+
+    @pytest.mark.parametrize("bits", [8, 64, 200])
+    def test_encloses_random_fractions(self, bits):
+        rng = random.Random(bits + 2)
+        for _ in range(25):
+            num = rng.getrandbits(rng.randrange(1, 4001)) | 1
+            den = rng.getrandbits(rng.randrange(1, 4001)) | 1
+            assert_encloses(Fraction(num, den), bits)
 
 
 class TestSqrtLower:
@@ -77,8 +150,10 @@ class TestEnvPrecision:
     def test_override_flows_into_logs(self, monkeypatch):
         monkeypatch.setenv("CNL_PRECISION_BITS", "32")
         assert log_bits() == 32
-        assert (1 << 32) % hp_ln(2).denominator == 0
-        assert (1 << 32) % hp_ln(3).denominator == 0
+        assert hp_ln(2) == hp_ln(2, bits=32)
+        assert hp_ln(3) == hp_ln(3, bits=32)
+        for end in hp_ln(2):
+            assert abs(end - (LN2_NUM >> 32)) <= 1
 
     def test_rejects_tiny(self, monkeypatch):
         monkeypatch.setenv("CNL_PRECISION_BITS", "4")
