@@ -30,13 +30,13 @@ from .expansion import (
     digit_census,
     evaluate,
     expand,
+    level_points,
     load_jsonl,
     mod_s_gap,
     save_jsonl,
     t_enclosure,
     transcode,
     transcode_inverse,
-    transcode_shifted,
 )
 from .equidist import (
     AAPCertificate,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from .dimension import GeometryError, theta_dimension_trace
@@ -27,10 +28,9 @@ from .expansion import (
     DigitError,
     atomic_write,
     digit_census,
+    level_points,
     load_jsonl,
     save_jsonl,
-    transcode,
-    transcode_shifted,
 )
 from .numeric import format_decimal, fraction_text, int_text, log_bits
 from .refpair import build_report
@@ -130,26 +130,22 @@ def _sample_prefixes(limit: int) -> list[int]:
     return out
 
 
+def _covering_schedule(spec: ChainSpec, n: int):
+    """The schedule of ``spec``; --n past its coverage is bad input."""
+    schedule = build_schedule(spec)
+    if n > schedule.coverage:
+        raise RuleError(f"--n {n} exceeds schedule coverage {schedule.coverage}")
+    return schedule
+
+
 def cmd_theta_generate(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
     policy = _policy_from_args(config, args)
     if args.n is None or args.n < 1:
         raise RuleError("--n must be a positive digit count")
+    schedule = _covering_schedule(spec, args.n)
     out_dir = _out_dir(args)
-
-    try:
-        schedule = build_schedule(spec)
-    except TailCertificateError:
-        raise
-    except ScheduleError as exc:
-        print(f"schedule invariant violated: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-
-    if args.n > schedule.coverage:
-        raise RuleError(
-            f"--n {args.n} exceeds schedule coverage {schedule.coverage}"
-        )
     stream = generate_digits(schedule, policy, args.n)
     save_jsonl(stream, args.n, out_dir / "digits.jsonl")
     _write_json(out_dir / "schedule.json", schedule.dump_json())
@@ -197,6 +193,35 @@ def cmd_theta_generate(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFICATION
 
 
+def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> int | None:
+    """Write level j's discrepancy report at shift k, and at k = 0 its
+    zero-block ratios; return the zero-digit count, or None when the
+    stream holds no complete level-j point.  The points are built once
+    and dropped on return, since the discrepancy sweep rewrites them."""
+    nums, dens = level_points(stream, spec, j, k)
+    if not nums:
+        return None
+    zero_count = digit_census(nums).zero_count
+    samples = _sample_prefixes(len(nums))
+    if k:
+        dn_diagnostic(nums, dens, samples).write_csv(out_dir / f"dn_j{j}_k{k}.csv")
+        return zero_count
+    windows = zip([0, *samples], samples)
+    zero_counts = list(accumulate(nums[lo:hi].count(0) for lo, hi in windows))
+    dn = dn_diagnostic(nums, dens, samples)
+    dn.write_csv(out_dir / f"dn_j{j}.csv")
+    # Zero-block ratios; expected = proxy * n = sum_{i <= n} 1/q_i.
+    with atomic_write(out_dir / f"rn_j{j}.csv") as fh:
+        fh.write("n,block,count,expected_num,expected_den,ratio\n")
+        for row, count in zip(dn.rows, zero_counts):
+            expected = row.proxy * row.n
+            fh.write(
+                f"{row.n},0,{count},{int_text(expected.numerator)},"
+                f"{int_text(expected.denominator)},{fraction_text(count / expected)}\n"
+            )
+    return zero_count
+
+
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
@@ -241,30 +266,11 @@ def cmd_analyze(args) -> int:
     }
     envelope_violations = 0
     for j in levels:
-        level_rule = spec.rule(j)
-        coarse = transcode(stream, spec, j)
-        coarse_len = total // spec.big_s(j)
         level_info = {}
-        if coarse_len >= 1:
-            census = digit_census(coarse, coarse_len)
-            level_info["zero_count"] = census.zero_count
-            level_info["zero_digit_found"] = census.zero_count > 0
-
-            samples = _sample_prefixes(coarse_len)
-            dn = dn_diagnostic(coarse, level_rule, samples)
-            dn.write_csv(out_dir / f"dn_j{j}.csv")
-
-            # Zero-block ratios; expected = proxy * n = sum_{i <= n} 1/q_i.
-            digits = coarse.prefix(coarse_len)
-            with atomic_write(out_dir / f"rn_j{j}.csv") as fh:
-                fh.write("n,block,count,expected_num,expected_den,ratio\n")
-                for row in dn.rows:
-                    count = digits[: row.n].count(0)
-                    expected = row.proxy * row.n
-                    fh.write(
-                        f"{row.n},0,{count},{int_text(expected.numerator)},"
-                        f"{int_text(expected.denominator)},{fraction_text(count / expected)}\n"
-                    )
+        zeros = _level_reports(stream, spec, j, 0, out_dir)
+        if zeros is not None:
+            level_info["zero_count"] = zeros
+            level_info["zero_digit_found"] = zeros > 0
         if conformant and schedule is not None and j <= schedule.levels:
             max_points = y_prefix_count(schedule, j, min(total, schedule.coverage))
             if max_points >= 1:
@@ -282,14 +288,9 @@ def cmd_analyze(args) -> int:
             if k >= spec.big_s(j):
                 level_info[f"shift_{k}_skipped"] = f"needs S_{j} > {k}"
                 continue
-            shifted = transcode_shifted(stream, spec, j, k)
-            shifted_len = shifted.limit
-            if shifted_len and shifted_len >= 1:
-                census = digit_census(shifted, shifted_len)
-                sam = _sample_prefixes(shifted_len)
-                dn = dn_diagnostic(shifted, shifted.rule, sam)
-                dn.write_csv(out_dir / f"dn_j{j}_k{k}.csv")
-                level_info[f"shift_{k}_zero_count"] = census.zero_count
+            zeros = _level_reports(stream, spec, j, k, out_dir)
+            if zeros is not None:
+                level_info[f"shift_{k}_zero_count"] = zeros
         summary["levels"][str(j)] = level_info
     summary["envelope_violations"] = envelope_violations
     _write_json(out_dir / "analyze_summary.json", summary)
@@ -305,14 +306,8 @@ def cmd_dim(args) -> int:
         bits = log_bits()
     except ValueError as exc:
         raise RuleError(str(exc)) from exc
+    schedule = _covering_schedule(spec, args.n)
     out_dir = _out_dir(args)
-    try:
-        schedule = build_schedule(spec)
-    except TailCertificateError:
-        raise
-    except ScheduleError as exc:
-        print(f"schedule invariant violated: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     try:
         rows = theta_dimension_trace(schedule, args.n, bits)
     except GeometryError as exc:
@@ -349,16 +344,17 @@ def cmd_dim(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    if args.n < 1:
+        raise RuleError("--n must be a positive orbit horizon")
     out_dir = _out_dir(args)
-    horizon = args.n if args.n else 5000
-    report = build_report(orbit_horizon=horizon)
+    report = build_report(orbit_horizon=args.n)
     with atomic_write(out_dir / "report.txt") as fh:
         fh.write(report.render())
     _write_json(
         out_dir / "repro_summary.json",
         {
             "command": "repro-sec1",
-            "orbit_horizon": horizon,
+            "orbit_horizon": args.n,
             "checks": [{"name": name, "ok": ok} for name, ok in report.checks],
             "all_pass": report.ok,
         },

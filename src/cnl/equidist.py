@@ -449,15 +449,17 @@ def _cells(value: Optional[Fraction]) -> list[str]:
 
 
 def dn_diagnostic(
-    stream: DigitStream, rule: BasicSequenceRule, prefix_lengths: Sequence[int]
+    nums: list[int], dens: list[int], prefix_lengths: Sequence[int]
 ) -> DiscrepancyReport:
     """Star discrepancy of the digit ratios E_n / q_n at each prefix.
 
-    The whole ladder is one exact integer sweep
-    (``star_discrepancy_ladder``), and the proxies come from one running
-    sum.  Power-of-two bases put every ratio over one common
-    denominator, the largest base, by a shift; other bases keep each
-    ratio over its own base and never form an lcm.
+    ``nums`` holds the digits E_n and ``dens`` their bases q_n, as from
+    ``expansion.level_points``; both lists are consumed, as by
+    ``star_discrepancy_ladder``.  The whole ladder is one exact integer
+    sweep, and the proxies come from one running sum.  Power-of-two
+    bases put every ratio over one common denominator, the largest
+    base, by a shift; other bases keep each ratio over its own base and
+    never form an lcm.
 
     Each row carries the averaged-reciprocal proxy (1/N) sum 1/q_n: the
     equivalence between digit-ratio equidistribution and orbit
@@ -467,12 +469,10 @@ def dn_diagnostic(
     """
     report = DiscrepancyReport(header_note="dn diagnostic over digit ratios E_n/q_n")
     lengths = sorted(set(int(p) for p in prefix_lengths))
-    if lengths and lengths[0] < 1:
-        raise ValueError("prefix lengths must be positive")
-    top = max(lengths, default=0)
-    bases = rule.values(top)
-    sums = window_reciprocal_sums(bases, 1, lengths)
-    dstars = star_discrepancy_ladder(stream.prefix(top), bases, lengths)
+    if lengths and not 1 <= lengths[0] <= lengths[-1] <= len(dens):
+        raise ValueError(f"prefix lengths must lie in 1..{len(dens)}")
+    sums = window_reciprocal_sums(dens, 1, lengths)
+    dstars = star_discrepancy_ladder(nums, dens, lengths)
     for n, dstar, running_recip in zip(lengths, dstars, sums):
         report.rows.append(
             DiscrepancyRow(

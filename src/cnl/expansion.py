@@ -11,6 +11,10 @@ is not finitely computable for an infinitely specified number, so
 ``t_enclosure`` returns an interval certified to contain it; claims
 like "T_n(x) < 1/2" become decidable whenever the upper edge clears
 the threshold.
+
+``level_points`` is the one way to get packed points with their bases:
+a finite stream's digits at a chain level and shift, each packed
+position's base computed once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .sequences import (
     block_positions,
     rule_from_json,
     rule_to_json,
-    shifted_rule,
 )
 
 __all__ = [
@@ -43,7 +46,7 @@ __all__ = [
     "count_block",
     "transcode",
     "transcode_inverse",
-    "transcode_shifted",
+    "level_points",
     "mod_s_gap",
     "Census",
     "digit_census",
@@ -51,9 +54,6 @@ __all__ = [
     "save_jsonl",
     "load_jsonl",
 ]
-
-PROVENANCES = ("expanded-from-rational", "pattern", "theta-generated", "file")
-
 
 class DigitError(ValueError):
     """Digit out of range, missing, or otherwise invalid."""
@@ -72,15 +72,9 @@ class DigitStream:
         self,
         rule: BasicSequenceRule,
         digit_fn: Callable[[int], int],
-        provenance: str,
         limit: Optional[int] = None,
-        meta: Optional[dict] = None,
     ):
-        if provenance not in PROVENANCES:
-            raise DigitError(f"unknown provenance {provenance!r}")
         self.rule = rule
-        self.provenance = provenance
-        self.meta = dict(meta or {})
         self._fn = digit_fn
         self._limit = limit
         self._cache: list[int] = []
@@ -125,11 +119,9 @@ class DigitStream:
         return {"prefix": n, "trailing_max_run": run, "witnessed": run == 0}
 
     @staticmethod
-    def from_list(
-        rule: BasicSequenceRule, digits: Sequence[int], provenance: str
-    ) -> "DigitStream":
+    def from_list(rule: BasicSequenceRule, digits: Sequence[int]) -> "DigitStream":
         values = [int(d) for d in digits]
-        return DigitStream(rule, lambda n: values[n - 1], provenance, limit=len(values))
+        return DigitStream(rule, lambda n: values[n - 1], limit=len(values))
 
 
 def expand(x: Fraction, rule: BasicSequenceRule, n_digits: int) -> DigitStream:
@@ -148,7 +140,7 @@ def expand(x: Fraction, rule: BasicSequenceRule, n_digits: int) -> DigitStream:
     for n in range(1, n_digits + 1):
         digit, num = divmod(num * rule.q(n), den)
         digits.append(digit)
-    return DigitStream.from_list(rule, digits, "expanded-from-rational")
+    return DigitStream.from_list(rule, digits)
 
 
 def mixed_radix(
@@ -209,29 +201,21 @@ def transcode(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
     """Digits of the same number in chain base j.
 
     Each coarse digit packs a block of S_j source digits with their
-    mixed-radix weights, so prefix values are preserved exactly.
+    mixed-radix weights, so prefix values are preserved exactly.  Lazy,
+    so unlimited sources transcode too; ``level_points`` serves finite ones.
     """
     if not 1 <= j <= spec.depth:
         raise OutOfDomainError(f"chain level {j} outside 1..{spec.depth}")
     if j == 1:
         return stream
     big_s = spec.big_s(j)
-    return _pack(stream, spec.base, spec.rule(j), big_s, big_s)
-
-
-def _pack(
-    stream: DigitStream, base: BasicSequenceRule, rule: BasicSequenceRule, s: int, k: int
-) -> DigitStream:
-    """Digit n in ``rule`` packs the source digits at
-    ``block_positions(n, s, k)`` with their mixed-radix weights."""
+    base = spec.base
 
     def packed_digit(n: int) -> int:
-        return mixed_radix(stream, base, block_positions(n, s, k))[0]
+        return mixed_radix(stream, base, block_positions(n, big_s, big_s))[0]
 
-    limit = None
-    if stream.limit is not None:
-        limit = max(0, (stream.limit - k) // s + 1)
-    return DigitStream(rule, packed_digit, stream.provenance, limit=limit)
+    limit = None if stream.limit is None else stream.limit // big_s
+    return DigitStream(spec.rule(j), packed_digit, limit=limit)
 
 
 def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
@@ -260,19 +244,38 @@ def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStre
         return digits[offset]
 
     limit = None if stream.limit is None else stream.limit * big_s
-    return DigitStream(base, fine_digit, stream.provenance, limit=limit)
+    return DigitStream(base, fine_digit, limit=limit)
 
 
-def transcode_shifted(stream: DigitStream, spec: ChainSpec, j: int, k: int) -> DigitStream:
-    """Digits of the same number in the k-shifted level-j base.
+def level_points(
+    stream: DigitStream, spec: ChainSpec, j: int, k: int = 0
+) -> tuple[list[int], list[int]]:
+    """A finite stream's digits at chain level j and shift k, with their bases.
 
-    The first shifted digit packs source positions 1..k; later digits
-    pack the S_j-blocks that tile the source from position k+1 on.
+    Point n is nums[n-1] / dens[n-1], the source digits at
+    ``block_positions(n, S_j, k or S_j)`` read as one mixed-radix
+    fraction; only complete blocks count.  dens equals
+    ``shifted_rule(spec, j, k).values(len(dens))``, but each base q_p is
+    computed once, in the Horner pass that packs its digit.  At level 1
+    the points are the digits themselves.
     """
-    if k == 0:
-        return transcode(stream, spec, j)
-    rule = shifted_rule(spec, j, k)
-    return _pack(stream, spec.base, rule, spec.big_s(j), k)
+    if not 1 <= j <= spec.depth:
+        raise OutOfDomainError(f"chain level {j} outside 1..{spec.depth}")
+    big_s = spec.big_s(j)
+    if not 0 <= k < big_s:
+        raise OutOfDomainError(f"shift {k} outside 0..{big_s - 1} at level {j}")
+    total = stream.limit
+    if total is None:
+        raise DigitError("level points need a finite stream")
+    if big_s == 1:
+        return stream.prefix(total), spec.base.values(total)
+    first = k or big_s
+    nums, dens = [], []
+    for n in range(1, (total - first) // big_s + 2):
+        num, den = mixed_radix(stream, spec.base, block_positions(n, big_s, first))
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
 
 
 def mod_s_gap(stream: DigitStream, spec: ChainSpec, j: int, n: int) -> Fraction:
@@ -297,9 +300,8 @@ class Census:
     value_set: frozenset[int]
 
 
-def digit_census(stream: DigitStream, n: int) -> Census:
-    """Zero count and the set of positive values over the n-prefix."""
-    digits = stream.prefix(n)
+def digit_census(digits: Sequence[int]) -> Census:
+    """Zero count and the set of positive values among ``digits``."""
     zeros = sum(1 for d in digits if d == 0)
     return Census(zero_count=zeros, value_set=frozenset(d for d in digits if d > 0))
 
@@ -350,6 +352,6 @@ def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
             raise DigitError(f"bad digit file {path}: {exc!r}") from exc
     if not digits:
         raise DigitError(f"digit file {path} holds no digits")
-    stream = DigitStream.from_list(rule or file_rule, digits, "file")
+    stream = DigitStream.from_list(rule or file_rule, digits)
     stream.prefix(len(digits))
     return stream

@@ -88,11 +88,11 @@ def coarse_digit(n: int) -> int:
 
 
 def fine_stream() -> DigitStream:
-    return DigitStream(fine_base_rule(), fine_digit, "pattern")
+    return DigitStream(fine_base_rule(), fine_digit)
 
 
 def coarse_stream() -> DigitStream:
-    return DigitStream(coarse_base_rule(), coarse_digit, "pattern")
+    return DigitStream(coarse_base_rule(), coarse_digit)
 
 
 @dataclass
@@ -213,9 +213,12 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     # (e) digit-ratio discrepancy trends.
     samples = [10, 100, 1000, orbit_horizon]
     samples = sorted(set(s for s in samples if s <= orbit_horizon))
-    x_dn = dn_diagnostic(x_fine, fine_rule, samples)
-    y_dn = dn_diagnostic(y_coarse, coarse_rule, samples)
-    for label, rep in (("x in fine base", x_dn), ("y in coarse base", y_dn)):
+    for label, stream, rule in (
+        ("x in fine base", x_fine, fine_rule),
+        ("y in coarse base", y_coarse, coarse_rule),
+    ):
+        bases = rule.values(orbit_horizon)
+        rep = dn_diagnostic(stream.prefix(orbit_horizon), bases, samples)
         first, last = rep.rows[0], rep.rows[-1]
         trend_ok = last.dstar < first.dstar and last.dstar <= Fraction(1, 10)
         detail = ", ".join(

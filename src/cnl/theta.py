@@ -374,9 +374,7 @@ def generate_digits(
     stream = DigitStream(
         schedule.spec.base,
         lambda pos: policy.pick(digit_candidates(schedule, pos), pos),
-        "theta-generated",
         limit=schedule.coverage,
-        meta={"policy": policy.describe()},
     )
     stream.prefix(n)
     return stream

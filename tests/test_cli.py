@@ -289,7 +289,7 @@ class TestBigIntegerReports:
         assert n == 5000 // 8
         assert len(cells[7]) > 4300  # proxy_den
         stream = transcode(load_jsonl(gen / "digits.jsonl", rule=spec_a.base), spec_a, 4)
-        want = dn_diagnostic(stream, spec_a.rule(4), [n]).rows[0]
+        want = dn_diagnostic(stream.prefix(n), spec_a.rule(4).values(n), [n]).rows[0]
         assert exact(cells[1], cells[2]) == want.dstar
         assert exact(cells[6], cells[7]) == want.proxy
         rn_cells = (out / "rn_j4.csv").read_text().splitlines()[-1].split(",")
@@ -434,11 +434,22 @@ class TestExitCodes:
         assert main(argv + ["--out", str(taken)]) == 2
         assert "cannot use --out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["theta", "generate"], ["dim"]])
+    @pytest.mark.parametrize("command", [["theta", "generate"], ["dim"], ["repro-sec1"]])
     def test_bad_n_creates_no_output(self, tmp_path, command):
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(command + ["--config", str(config), "--out", str(out), "--n", "0"]) == 2
+        if command[0] != "repro-sec1":
+            command = command + ["--config", str(config)]
+        for n in ("0", "-5"):
+            assert main(command + ["--out", str(out), "--n", n]) == 2
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["theta", "generate"], ["dim"]])
+    def test_n_past_coverage_creates_no_output(self, tmp_path, command, capsys):
+        config = write_config(tmp_path)  # coverage 36288
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(config), "--out", str(out), "--n", "36289"]) == 2
+        assert "exceeds schedule coverage 36288" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_rejects_generate_flags(self, tmp_path):

@@ -284,7 +284,7 @@ class TestConcatBound:
 class TestNormalityReport:
     def test_alternating_stream(self):
         rule = ConstantRule(2)
-        stream = DigitStream(rule, lambda n: (n + 1) % 2, "pattern")
+        stream = DigitStream(rule, lambda n: (n + 1) % 2)
         rep = normality_report(stream, rule, 1, 100, [(0,), (1,)])
         row = rep.rows[0]
         assert row.count == 50
@@ -293,7 +293,7 @@ class TestNormalityReport:
 
     def test_empty_prefix_undefined(self):
         rule = ConstantRule(2)
-        stream = DigitStream(rule, lambda n: 0, "pattern")
+        stream = DigitStream(rule, lambda n: 0)
         rep = normality_report(stream, rule, 1, 0, [(0,), (1,)])
         assert rep.rows[0].ratio is None
         assert rep.pairwise_ratio((0,), (1,)) is None
@@ -302,7 +302,7 @@ class TestNormalityReport:
         rng = random.Random(8)
         rule = ConstantRule(4)
         digits = [rng.randrange(0, 4) for _ in range(200)]
-        stream = DigitStream.from_list(rule, digits, "pattern")
+        stream = DigitStream.from_list(rule, digits)
         rep = normality_report(stream, rule, 1, 150, [(0,), (1,), (2,)])
         for a in ((0,), (1,), (2,)):
             for b in ((0,), (1,), (2,)):
@@ -315,7 +315,7 @@ class TestNormalityReport:
 
     def test_block_length_enforced(self):
         rule = ConstantRule(2)
-        stream = DigitStream(rule, lambda n: 0, "pattern")
+        stream = DigitStream(rule, lambda n: 0)
         with pytest.raises(ValueError):
             normality_report(stream, rule, 2, 10, [(0,)])
 
@@ -323,14 +323,17 @@ class TestNormalityReport:
 class TestDnDiagnostic:
     def test_all_zero_stream(self):
         rule = ConstantRule(4)
-        stream = DigitStream(rule, lambda n: 0, "pattern")
-        rep = dn_diagnostic(stream, rule, [1, 5, 20])
+        stream = DigitStream(rule, lambda n: 0)
+        rep = dn_diagnostic(stream.prefix(20), rule.values(20), [1, 5, 20])
         assert all(row.dstar == 1 for row in rep.rows)
+
+    def test_lengths_past_the_points_rejected(self):
+        with pytest.raises(ValueError, match="1..2"):
+            dn_diagnostic([1, 1], [4, 4], [1, 3])
 
     def test_proxy_is_mean_reciprocal(self):
         rule = ExplicitListRule([2, 4, 8, 16])
-        stream = DigitStream.from_list(rule, [1, 1, 1, 1], "pattern")
-        rep = dn_diagnostic(stream, rule, [4])
+        rep = dn_diagnostic([1, 1, 1, 1], rule.values(4), [4])
         expected = (Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 8) + Fraction(1, 16)) / 4
         assert rep.rows[0].proxy == expected
 
@@ -341,7 +344,7 @@ class TestDnDiagnostic:
         else:
             stream, rule = fine_stream(), fine_base_rule()
         lengths = [500, 1, 2, 5, 10, 2, 20, 50, 100, 200, 500]
-        rep = dn_diagnostic(stream, rule, lengths)
+        rep = dn_diagnostic(stream.prefix(500), rule.values(500), lengths)
         assert [row.n for row in rep.rows] == sorted(set(lengths))
         for row in rep.rows:
             ratios = [Fraction(stream.digit(n), rule.q(n)) for n in range(1, row.n + 1)]
@@ -350,8 +353,8 @@ class TestDnDiagnostic:
 
     def test_csv_round_digits(self, tmp_path):
         rule = ConstantRule(4)
-        stream = DigitStream(rule, lambda n: n % 4, "pattern")
-        rep = dn_diagnostic(stream, rule, [2, 8])
+        stream = DigitStream(rule, lambda n: n % 4)
+        rep = dn_diagnostic(stream.prefix(8), rule.values(8), [2, 8])
         path = tmp_path / "dn.csv"
         rep.write_csv(path)
         lines = path.read_text().strip().splitlines()

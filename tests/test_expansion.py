@@ -13,22 +13,32 @@ from cnl.expansion import (
     digit_census,
     evaluate,
     expand,
+    level_points,
     load_jsonl,
+    mixed_radix,
     mod_s_gap,
     save_jsonl,
     t_enclosure,
     transcode,
     transcode_inverse,
-    transcode_shifted,
 )
-from cnl.sequences import ChainSpec, ConstantRule, ExplicitListRule, rule_to_json
+from cnl.sequences import (
+    ChainSpec,
+    OutOfDomainError,
+    ConstantRule,
+    ExplicitListRule,
+    GeometricRule,
+    block_positions,
+    rule_to_json,
+    shifted_rule,
+)
 
 from .conftest import doubling_spec
 
 
 def listed(values, digits):
     rule = ExplicitListRule(values)
-    return rule, DigitStream.from_list(rule, digits, "pattern")
+    return rule, DigitStream.from_list(rule, digits)
 
 
 class TestExpand:
@@ -106,7 +116,7 @@ class TestEvaluate:
 
     def test_digit_out_of_range(self):
         rule = ExplicitListRule([2, 3])
-        stream = DigitStream(rule, lambda n: 5, "pattern")
+        stream = DigitStream(rule, lambda n: 5)
         with pytest.raises(DigitError):
             evaluate(stream, rule, 1)
 
@@ -152,7 +162,7 @@ class TestBlocks:
         rng = random.Random(3)
         rule = ConstantRule(3)
         digits = [rng.randrange(0, 3) for _ in range(60)]
-        stream = DigitStream.from_list(rule, digits, "pattern")
+        stream = DigitStream.from_list(rule, digits)
         prev = 0
         for n in range(1, 50):
             cur = count_block(stream, (1,), n)
@@ -185,7 +195,7 @@ class TestTranscode:
         base = ExplicitListRule([rng.randrange(2, 7) for _ in range(240)])
         spec = ChainSpec(base=base, s=ConstantRule(2), depth=3)
         digits = [rng.randrange(0, base.q(n)) for n in range(1, 241)]
-        stream = DigitStream.from_list(base, digits, "pattern")
+        stream = DigitStream.from_list(base, digits)
         for j in (2, 3):
             coarse = transcode(stream, spec, j)
             n = 240 // spec.big_s(j)
@@ -199,9 +209,78 @@ class TestTranscode:
         assert back.prefix(40) == stream_a.prefix(40)
 
     def test_shifted_first_digit_packs_prefix(self, spec_a, stream_a):
-        shifted = transcode_shifted(stream_a, spec_a, 2, 1)
-        assert shifted.digit(1) == stream_a.digit(1)
-        assert shifted.digit(2) == stream_a.digit(2) * spec_a.base.q(3) + stream_a.digit(3)
+        finite = DigitStream.from_list(spec_a.base, stream_a.prefix(8))
+        nums, _ = level_points(finite, spec_a, 2, 1)
+        assert nums[0] == stream_a.digit(1)
+        assert nums[1] == stream_a.digit(2) * spec_a.base.q(3) + stream_a.digit(3)
+
+
+class CountingQ:
+    """Mixin for a base rule that counts its q calls."""
+
+    calls = 0
+
+    def q(self, n):
+        self.calls += 1
+        return super().q(n)
+
+
+class CountingGeometricRule(CountingQ, GeometricRule):
+    pass
+
+
+class CountingListRule(CountingQ, ExplicitListRule):
+    pass
+
+
+def counting_cases(stream_a):
+    """(spec, finite stream) pairs whose base rule counts its q calls: the
+    min-policy doubling stream, and a random stream over a listed base.
+    Lengths are not multiples of the widest block, so partial blocks occur."""
+    doubling = CountingGeometricRule(8, 2)
+    yield ChainSpec(base=doubling, s=ConstantRule(2), depth=4), DigitStream.from_list(
+        doubling, stream_a.prefix(203)
+    )
+    rng = random.Random(29)
+    listed_base = CountingListRule([rng.randrange(2, 9) for _ in range(150)])
+    digits = [rng.randrange(0, listed_base.q(n)) for n in range(1, 148)]
+    yield ChainSpec(base=listed_base, s=ConstantRule(3), depth=3), DigitStream.from_list(
+        listed_base, digits
+    )
+
+
+class TestLevelPoints:
+    def test_every_level_and_shift(self, stream_a):
+        for spec, stream in counting_cases(stream_a):
+            total = stream.limit
+            stream.prefix(total)  # range-check every digit before counting
+            for j in range(1, spec.depth + 1):
+                big_s = spec.big_s(j)
+                for k in range(big_s):
+                    spec.base.calls = 0
+                    nums, dens = level_points(stream, spec, j, k)
+                    first = k or big_s
+                    assert len(nums) == len(dens) == (total - first) // big_s + 1
+                    assert spec.base.calls == first + (len(nums) - 1) * big_s
+                    assert dens == shifted_rule(spec, j, k).values(len(dens))
+                    if k == 0:
+                        assert nums == transcode(stream, spec, j).prefix(len(nums))
+                    for n in (1, len(nums)):
+                        assert (nums[n - 1], dens[n - 1]) == mixed_radix(
+                            stream, spec.base, block_positions(n, big_s, first)
+                        )
+
+    def test_unlimited_stream_raises(self, spec_a):
+        stream = DigitStream(spec_a.base, lambda n: 1)
+        with pytest.raises(DigitError, match="finite"):
+            level_points(stream, spec_a, 2)
+
+    def test_level_and_shift_out_of_range(self, spec_a, stream_a):
+        finite = DigitStream.from_list(spec_a.base, stream_a.prefix(8))
+        with pytest.raises(OutOfDomainError):
+            level_points(finite, spec_a, 5)
+        with pytest.raises(OutOfDomainError):
+            level_points(finite, spec_a, 2, 2)
 
 
 class TestModSGap:
@@ -212,7 +291,7 @@ class TestModSGap:
     def test_zero_tail_block(self):
         base = ExplicitListRule([2, 3, 4, 5, 6, 7])
         spec = ChainSpec(base=base, s=ConstantRule(3), depth=2)
-        stream = DigitStream.from_list(base, [1, 0, 0, 2, 0, 0], "pattern")
+        stream = DigitStream.from_list(base, [1, 0, 0, 2, 0, 0])
         assert mod_s_gap(stream, spec, 2, 1) == 0
         assert mod_s_gap(stream, spec, 2, 2) == 0
 
@@ -228,18 +307,18 @@ class TestModSGap:
 class TestCensus:
     def test_all_zero(self):
         rule, stream = listed([2, 2, 2, 2, 2], [0, 0, 0, 0, 0])
-        census = digit_census(stream, 5)
+        census = digit_census(stream.prefix(5))
         assert census.zero_count == 5
         assert census.value_set == frozenset()
 
     def test_mixed(self):
         rule, stream = listed([2, 2, 4, 4, 4, 4], [0, 1, 0, 2, 1, 3])
-        census = digit_census(stream, 6)
+        census = digit_census(stream.prefix(6))
         assert census.zero_count == 2
         assert census.value_set == frozenset({1, 2, 3})
 
     def test_generated_stream_has_no_zeros(self, stream_a):
-        assert digit_census(stream_a, 2000).zero_count == 0
+        assert digit_census(stream_a.prefix(2000)).zero_count == 0
 
 
 class TestMaxDigitDiagnostic:
@@ -256,7 +335,6 @@ class TestJsonl:
         save_jsonl(stream_a, 50, path)
         loaded = load_jsonl(path, rule=spec_a.base)
         assert loaded.prefix(50) == stream_a.prefix(50)
-        assert loaded.provenance == "file"
 
     @staticmethod
     def write(tmp_path, rule, *records):
@@ -298,7 +376,7 @@ class TestJsonl:
                 raise DigitError("no digit at 5")
             return 1
 
-        stream = DigitStream(ConstantRule(4), digit, "pattern")
+        stream = DigitStream(ConstantRule(4), digit)
         with pytest.raises(DigitError, match="no digit at 5"):
             save_jsonl(stream, 10, tmp_path / "digits.jsonl")
         assert list(tmp_path.iterdir()) == []

@@ -171,10 +171,6 @@ class TestGenerate:
     def test_min_policy_prefix(self, stream_a):
         assert stream_a.prefix(4) == [1, 1, 16, 96]
 
-    def test_stream_tagged_with_policy(self, stream_a):
-        assert stream_a.provenance == "theta-generated"
-        assert stream_a.meta["policy"] == "min"
-
     def test_max_policy(self, schedule_a):
         stream = generate_digits(schedule_a, SelectionPolicy("max"), 4)
         assert stream.digit(3) == 31
