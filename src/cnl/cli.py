@@ -27,7 +27,6 @@ from .equidist import dn_diagnostic
 from .expansion import (
     DigitError,
     atomic_write,
-    digit_census,
     level_points,
     load_jsonl,
     save_jsonl,
@@ -201,7 +200,7 @@ def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> in
     nums, dens = level_points(stream, spec, j, k)
     if not nums:
         return None
-    zero_count = digit_census(nums).zero_count
+    zero_count = nums.count(0)
     samples = _sample_prefixes(len(nums))
     if k:
         dn_diagnostic(nums, dens, samples).write_csv(out_dir / f"dn_j{j}_k{k}.csv")

@@ -24,8 +24,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .sequences import (
     BasicSequenceRule,
@@ -88,13 +89,20 @@ class DigitStream:
             raise DigitError(f"digit positions start at 1, got {n}")
         if self._limit is not None and n > self._limit:
             raise DigitError(f"digit {n} unavailable (stream ends at {self._limit})")
-        while len(self._cache) < n:
-            pos = len(self._cache) + 1
-            value = self._fn(pos)
-            q = self.rule.q(pos)
-            if not 0 <= value <= q - 1:
-                raise DigitError(f"digit {value} out of range [0, {q - 1}] at position {pos}")
-            self._cache.append(value)
+        have = len(self._cache)
+        if have < n:
+            # The new digits are range-checked against one walk of the rule.
+            bases = self.rule.iter_values(have + 1)
+            for pos in range(have + 1, n + 1):
+                value = self._fn(pos)
+                q = next(bases)
+                if not 0 <= value <= q - 1:
+                    raise DigitError(f"digit {value} out of range [0, {q - 1}] at position {pos}")
+                self._cache.append(value)
+            if n == self._limit:
+                # Every digit is cached; drop the function, so a list-backed
+                # stream does not hold its digits twice.
+                self._fn = None
         return self._cache[n - 1]
 
     def prefix(self, n: int) -> list[int]:
@@ -137,23 +145,24 @@ def expand(x: Fraction, rule: BasicSequenceRule, n_digits: int) -> DigitStream:
         raise DigitError("need at least one digit")
     digits: list[int] = []
     num, den = x.numerator, x.denominator
-    for n in range(1, n_digits + 1):
-        digit, num = divmod(num * rule.q(n), den)
+    for q in islice(rule.iter_values(), n_digits):
+        digit, num = divmod(num * q, den)
         digits.append(digit)
     return DigitStream.from_list(rule, digits)
 
 
 def mixed_radix(
-    stream: DigitStream, rule: BasicSequenceRule, positions: Iterable[int]
+    stream: DigitStream, rule: BasicSequenceRule, positions: range
 ) -> tuple[int, int]:
-    """The digits at ``positions`` read as one mixed-radix fraction.
+    """The digits at ``positions``, a range of consecutive positions, read
+    as one mixed-radix fraction.
 
-    Returns (num, den): den is the product of the bases q_p of ``rule``
-    and num / den = sum of E_p over the running base products.
+    Returns (num, den): den is the product of the bases q_p of ``rule``,
+    read from one walk, and num / den = sum of E_p over the running base
+    products.
     """
     num, den = 0, 1
-    for pos in positions:
-        q = rule.q(pos)
+    for pos, q in zip(positions, rule.iter_values(positions.start)):
         num = num * q + stream.digit(pos)
         den *= q
     return num, den
@@ -255,9 +264,10 @@ def level_points(
     Point n is nums[n-1] / dens[n-1], the source digits at
     ``block_positions(n, S_j, k or S_j)`` read as one mixed-radix
     fraction; only complete blocks count.  dens equals
-    ``shifted_rule(spec, j, k).values(len(dens))``, but each base q_p is
-    computed once, in the Horner pass that packs its digit.  At level 1
-    the points are the digits themselves.
+    ``shifted_rule(spec, j, k).values(len(dens))``, but the bases come
+    from one walk of the base rule, each consumed by the Horner step
+    that packs its digit.  At level 1 the points are the digits
+    themselves.
     """
     if not 1 <= j <= spec.depth:
         raise OutOfDomainError(f"chain level {j} outside 1..{spec.depth}")
@@ -269,12 +279,19 @@ def level_points(
         raise DigitError("level points need a finite stream")
     if big_s == 1:
         return stream.prefix(total), spec.base.values(total)
-    first = k or big_s
+    stream.digit(total)  # range-check every digit, then read the cache in place
+    digits = iter(stream._cache)
+    bases = spec.base.iter_values()
+    width = k or big_s
     nums, dens = [], []
-    for n in range(1, (total - first) // big_s + 2):
-        num, den = mixed_radix(stream, spec.base, block_positions(n, big_s, first))
+    for _ in range((total - width) // big_s + 1):
+        num, den = 0, 1
+        for digit, q in zip(islice(digits, width), bases):
+            num = num * q + digit
+            den *= q
         nums.append(num)
         dens.append(den)
+        width = big_s
     return nums, dens
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equidist import dn_diagnostic
-from .expansion import DigitStream, t_enclosure, transcode, transcode_inverse
+from .expansion import DigitStream, level_points, transcode, transcode_inverse
 from .numeric import format_decimal
 from .sequences import BlockRepetitionRule, ChainSpec, ConstantRule, contract
 
@@ -117,6 +117,36 @@ class RefPairReport:
         return "\n".join(self.lines) + "\n"
 
 
+def _orbit_check(
+    x_fine: DigitStream, spec: ChainSpec, horizon: int
+) -> tuple[bool, Fraction]:
+    """Whether T_n(x) < 1/2 is certified for n = 0 .. horizon, and the
+    worst upper bound certified before any failure.
+
+    The enclosure of T_n(x) at depth d is [num, num + 1) / den, where
+    num / den packs x's coarse digits n+1 .. n+d in one Horner pass, as
+    ``t_enclosure`` does; the depth grows until (num + 1) / den is below
+    ``ORBIT_THRESHOLD``, up to ``_MAX_ENCLOSURE_DEPTH``.  Every test is
+    in integers, and the coarse digits and bases are packed once, by
+    ``level_points``.
+    """
+    nums, dens = level_points(x_fine, spec, 2)
+    below_num, below_den = ORBIT_THRESHOLD.numerator, ORBIT_THRESHOLD.denominator
+    worst_num, worst_den = 0, 1
+    for n in range(horizon + 1):
+        num, den = 0, 1
+        for p in range(n, n + _MAX_ENCLOSURE_DEPTH):
+            num = num * dens[p] + nums[p]
+            den *= dens[p]
+            if (num + 1) * below_den < below_num * den:
+                break
+        else:
+            return False, Fraction(worst_num, worst_den)
+        if (num + 1) * worst_den > worst_num * den:
+            worst_num, worst_den = num + 1, den
+    return True, Fraction(worst_num, worst_den)
+
+
 def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     """Run every reference-pair verification and collect the outcomes.
 
@@ -133,11 +163,13 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     fine_rule = fine_base_rule()
     coarse_rule = coarse_base_rule()
     spec = ChainSpec(base=fine_rule, s=ConstantRule(2), depth=2)
-    x_fine = fine_stream()
+    # x's fine digits run as far as (b) and (d) read its coarse digits.
+    coarse_span = max(orbit_horizon + _MAX_ENCLOSURE_DEPTH, len(REFERENCE_X_COARSE_DIGITS))
+    x_fine = DigitStream(fine_rule, fine_digit, limit=2 * coarse_span)
     y_coarse = coarse_stream()
 
     # (a) contraction values against the listed coarse bases.
-    computed = [coarse_rule.q(n) for n in range(1, len(REFERENCE_COARSE_BASES) + 1)]
+    computed = coarse_rule.values(len(REFERENCE_COARSE_BASES))
     report.record(
         "contraction matches listed coarse bases",
         computed == list(REFERENCE_COARSE_BASES),
@@ -188,22 +220,7 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     )
 
     # (d) exact orbit enclosure below 1/2 for n = 0 .. horizon.
-    worst_hi = Fraction(0)
-    orbit_ok = True
-    for n in range(0, orbit_horizon + 1):
-        depth = 1
-        while True:
-            _, hi = t_enclosure(x_coarse, coarse_rule, n, depth)
-            if hi < ORBIT_THRESHOLD:
-                break
-            depth += 1
-            if depth > _MAX_ENCLOSURE_DEPTH:
-                orbit_ok = False
-                break
-        if not orbit_ok:
-            break
-        if hi > worst_hi:
-            worst_hi = hi
+    orbit_ok, worst_hi = _orbit_check(x_fine, spec, orbit_horizon)
     report.record(
         f"orbit enclosure upper bound < 1/2 for all n <= {orbit_horizon}",
         orbit_ok,

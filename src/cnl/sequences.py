@@ -5,6 +5,15 @@ q_n >= 2.  Rules here are finitely describable generators rather than
 materialized arrays, because downstream digit schedules query positions
 up to 10**5 whose values run to thousands of bits.
 
+``q(n)`` is random access: it derives position n from the rule's
+parameters alone.  Bulk readers instead take ``iter_values(start)``, one
+sequential walk per rule kind (a geometric rule multiplies by its
+ratio, a block rule locates one block and then repeats values, a
+contraction multiplies consecutive chunks of its base's walk), so a
+prefix of N values costs N steps rather than N position lookups.  A
+walk raises ``OutOfDomainError`` at the same position, with the same
+message, as ``q`` would.
+
 Limit properties ("infinite in limit", "k-divergent") are never decided
 by this module.  Operations emit finite-horizon evidence only, and the
 schedule machinery requires callers to certify tail monotonicity via
@@ -16,9 +25,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from math import isqrt
-from typing import Iterable, Optional
+from itertools import count, islice, repeat
+from math import isqrt, prod
+from typing import Iterable, Iterator, Optional
 
 from .numeric import hp_ln
 
@@ -87,8 +96,18 @@ class BasicSequenceRule:
         if limit is not None and n > limit:
             raise OutOfDomainError(f"position {n} past end of {self.kind} rule (length {limit})")
 
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        """q(start), q(start + 1), ... as one sequential walk.
+
+        Rule kinds override this with a walk cheaper than one ``q`` call
+        per value; every walk raises where ``q`` would.
+        """
+        for n in count(start):
+            yield self.q(n)
+
     def values(self, count: int, start: int = 1) -> list[int]:
-        return [self.q(n) for n in range(start, start + count)]
+        """The first ``count`` values of ``iter_values(start)``."""
+        return list(islice(self.iter_values(start), count))
 
     def params_json(self) -> dict:
         raise NotImplementedError
@@ -119,6 +138,11 @@ class ExplicitListRule(BasicSequenceRule):
         self._check_position(n)
         return self._values[n - 1]
 
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        self._check_position(start)
+        yield from self._values[start - 1 :]
+        self._check_position(len(self._values) + 1)
+
     def params_json(self) -> dict:
         return {"values": [str(v) for v in self._values]}
 
@@ -136,6 +160,10 @@ class ConstantRule(BasicSequenceRule):
     def q(self, n: int) -> int:
         self._check_position(n)
         return self.value
+
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        self._check_position(start)
+        yield from repeat(self.value)
 
     def params_json(self) -> dict:
         return {"value": str(self.value)}
@@ -160,6 +188,13 @@ class GeometricRule(BasicSequenceRule):
     def q(self, n: int) -> int:
         self._check_position(n)
         return self.coefficient * self.ratio**n
+
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        self._check_position(start)
+        value = self.coefficient * self.ratio**start
+        while True:
+            yield value
+            value *= self.ratio
 
     def params_json(self) -> dict:
         return {"coefficient": str(self.coefficient), "ratio": str(self.ratio)}
@@ -254,6 +289,22 @@ class BlockRepetitionRule(BasicSequenceRule):
         va, vb = self._value_affine
         return va * m + vb
 
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        # One block lookup, then each block's value t_m times; the first
+        # block is entered at the offset of ``start``.
+        m, offset = self.block_of(start)
+        if self._pairs is not None:
+            for v, t in self._pairs[m - 1 :]:
+                yield from repeat(v, t - offset + 1)
+                offset = 1
+            self._check_position(self._cum[-1] + 1)  # raises: past the last block
+        va, vb = self._value_affine
+        ta, tb = self._repeat_affine
+        while True:
+            yield from repeat(va * m + vb, ta * m + tb - offset + 1)
+            m += 1
+            offset = 1
+
     def params_json(self) -> dict:
         if self._pairs is not None:
             return {"pairs": [[str(v), str(t)] for v, t in self._pairs]}
@@ -279,11 +330,22 @@ def block_positions(n: int, s: int, k: int) -> range:
     return range(start + 1, start + s + 1)
 
 
-def _block_product(base: BasicSequenceRule, positions: range) -> int:
-    prod = 1
-    for pos in positions:
-        prod *= base.q(pos)
-    return prod
+def _chunk_products(rule, start: int, k: int) -> Iterator[int]:
+    """The walk of a contraction ``rule`` of ``rule.base`` with block
+    widths k, s, s, ... (``block_positions``): products of consecutive
+    chunks of the base's walk, from position ``start`` to the rule's
+    end.  A contraction's ``q(n)`` is the first value of its walk from n."""
+    s = rule.s
+    rule._check_position(start)
+    limit = rule.domain_max
+    values = rule.base.iter_values(block_positions(start, s, k).start)
+    width = k if start == 1 else s
+    n = start
+    while limit is None or n <= limit:
+        yield prod(islice(values, width))
+        width = s
+        n += 1
+    rule._check_position(n)
 
 
 class ContractionRule(BasicSequenceRule):
@@ -312,8 +374,10 @@ class ContractionRule(BasicSequenceRule):
         return limit // self.s
 
     def q(self, n: int) -> int:
-        self._check_position(n)
-        return _block_product(self.base, block_positions(n, self.s, self.s))
+        return next(self.iter_values(n))
+
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        return _chunk_products(self, start, self.s)
 
     def params_json(self) -> dict:
         return {"base": rule_to_json(self.base), "s": str(self.s)}
@@ -352,8 +416,10 @@ class ShiftedContractionRule(BasicSequenceRule):
         return (limit - self.k) // self.s + 1
 
     def q(self, n: int) -> int:
-        self._check_position(n)
-        return _block_product(self.base, block_positions(n, self.s, self.k))
+        return next(self.iter_values(n))
+
+    def iter_values(self, start: int = 1) -> Iterator[int]:
+        return _chunk_products(self, start, self.k)
 
     def params_json(self) -> dict:
         return {"base": rule_to_json(self.base), "s": str(self.s), "shift": str(self.k)}
@@ -425,7 +491,8 @@ def window_reciprocal_sums(
 
     ``bases`` yields q_1, q_2, ... and is read only as far as the last
     stop needs (n + k - 1 values); ``stops`` must be nondecreasing, so
-    one pass serves a whole prefix ladder.
+    one pass serves a whole prefix ladder.  Each run of equal window
+    products enters the sum as one ``Fraction(run_length, product)``.
     """
     if k < 1:
         raise OutOfDomainError(f"window length must be >= 1, got {k}")
@@ -434,16 +501,25 @@ def window_reciprocal_sums(
     product = 1
     total = Fraction(0)
     covered = 0
+    run, run_product = 0, 1
     sums = []
     for n in stops:
         while covered < n:
             covered += 1
             while len(window) < k:
                 q = next(values)
+                # An empty window's product is q itself: no copy to hold.
+                product = product * q if window else q
                 window.append(q)
-                product *= q
-            total += Fraction(1, product)
+            if product != run_product:
+                if run:
+                    total += Fraction(run, run_product)
+                run, run_product = 0, product
+            run += 1
             product //= window.popleft()
+        if run:
+            total += Fraction(run, run_product)
+            run = 0
         sums.append(total)
     return sums
 
@@ -452,7 +528,7 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
     """Sum over j <= n of 1/(q_j * ... * q_{j+k-1}); 0 for n = 0."""
     if n < 0:
         raise OutOfDomainError(f"prefix length must be >= 0, got {n}")
-    return window_reciprocal_sums(map(rule.q, count(1)), k, [n])[0]
+    return window_reciprocal_sums(rule.iter_values(), k, [n])[0]
 
 
 @dataclass(frozen=True)
@@ -485,7 +561,7 @@ def divergence_report(rule: BasicSequenceRule, k: int, horizon: int) -> Divergen
     if horizon < 1:
         raise OutOfDomainError("horizon must be >= 1")
     values = [Fraction(0)] + window_reciprocal_sums(
-        map(rule.q, count(1)), k, range(1, horizon + 1)
+        rule.iter_values(), k, range(1, horizon + 1)
     )
     decade = max(1, horizon // 10)
     head = values[decade] - values[0]
@@ -550,10 +626,11 @@ def growth_condition_trace(
     """
     if horizon < 2:
         raise OutOfDomainError("growth trace needs horizon >= 2")
-    logs = [hp_ln(rule.q(n), bits=bits) for n in range(1, horizon + 1)]
+    values = rule.iter_values()
+    running = hp_ln(next(values), bits=bits)[0]
     ratios: list[Fraction] = []
-    running = logs[0][0]
-    for lo, hi in logs[1:]:
+    for q in islice(values, horizon - 1):
+        lo, hi = hp_ln(q, bits=bits)
         ratios.append(Fraction(hi, running))
         running += lo
     mid = ratios[max(0, (len(ratios) - 1) // 2)]

@@ -23,6 +23,7 @@ from cnl.expansion import (
     transcode_inverse,
 )
 from cnl.sequences import (
+    BlockRepetitionRule,
     ChainSpec,
     OutOfDomainError,
     ConstantRule,
@@ -121,6 +122,17 @@ class TestEvaluate:
             evaluate(stream, rule, 1)
 
 
+    def test_bulk_read_checks_each_digit_against_its_base(self):
+        ramp = BlockRepetitionRule(value_affine=(2, 0), repeat_affine=(2, 0))
+        stream = DigitStream(ramp, lambda n: 6 if n == 7 else ramp.q(n) - 1)
+        with pytest.raises(DigitError, match=r"digit 6 out of range \[0, 5\] at position 7"):
+            stream.prefix(30)
+        assert stream.prefix(6) == [1, 1, 3, 3, 3, 3]
+        past_end = DigitStream(ExplicitListRule([2, 3]), lambda n: 1)
+        with pytest.raises(OutOfDomainError, match="position 3 past end"):
+            past_end.prefix(3)
+
+
 class TestEnclosure:
     def test_zero_tail(self):
         rule, stream = listed([2, 3, 4, 5], [0, 0, 0, 0])
@@ -216,13 +228,19 @@ class TestTranscode:
 
 
 class CountingQ:
-    """Mixin for a base rule that counts its q calls."""
+    """Mixin for a base rule that counts the values it produces: its q
+    calls and the values its walks yield."""
 
     calls = 0
 
     def q(self, n):
         self.calls += 1
         return super().q(n)
+
+    def iter_values(self, start=1):
+        for value in super().iter_values(start):
+            self.calls += 1
+            yield value
 
 
 class CountingGeometricRule(CountingQ, GeometricRule):

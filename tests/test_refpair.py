@@ -1,9 +1,14 @@
 from fractions import Fraction
 
-from cnl.expansion import evaluate, transcode
+import pytest
+
+from cnl.expansion import DigitStream, evaluate, t_enclosure, transcode
 from cnl.refpair import (
+    _MAX_ENCLOSURE_DEPTH,
+    ORBIT_THRESHOLD,
     REFERENCE_X_COARSE_DIGITS,
     REFERENCE_Y_FINE_DIGITS,
+    _orbit_check,
     build_report,
     coarse_base_rule,
     coarse_stream,
@@ -59,8 +64,6 @@ class TestCrossBaseStructure:
         )
 
     def test_orbit_stays_low_sample(self):
-        from cnl.expansion import t_enclosure
-
         spec = ChainSpec(base=fine_base_rule(), s=ConstantRule(2), depth=2)
         coarse = transcode(fine_stream(), spec, 2)
         rule = coarse_base_rule()
@@ -88,3 +91,57 @@ class TestReport:
         assert "computed 1, listing prints 2" in text
         assert "listing prints 64" in text
         assert "48" in text
+
+
+def enclosure_loop(x_coarse, horizon):
+    """Check (d) by its first definition: per n, ``t_enclosure`` at depth
+    1, 2, ... until its upper edge drops below the threshold.  Returns
+    (orbit_ok, worst upper bound, deepest depth used)."""
+    rule = coarse_base_rule()
+    worst_hi, deepest = Fraction(0), 0
+    for n in range(0, horizon + 1):
+        depth = 1
+        while True:
+            _, hi = t_enclosure(x_coarse, rule, n, depth)
+            if hi < ORBIT_THRESHOLD:
+                break
+            depth += 1
+            if depth > _MAX_ENCLOSURE_DEPTH:
+                return False, worst_hi, depth - 1
+        deepest = max(deepest, depth)
+        if hi > worst_hi:
+            worst_hi = hi
+    return True, worst_hi, deepest
+
+
+class TestOrbitCheck:
+    spec = ChainSpec(base=fine_base_rule(), s=ConstantRule(2), depth=2)
+
+    @pytest.mark.parametrize("horizon", [1, 200, 3000])
+    def test_report_matches_the_enclosure_loop(self, horizon):
+        ok, worst, deepest = enclosure_loop(transcode(fine_stream(), self.spec, 2), horizon)
+        assert ok and deepest >= 2  # n = 0 already needs depth 2
+        report = build_report(orbit_horizon=horizon)
+        name = f"orbit enclosure upper bound < 1/2 for all n <= {horizon}"
+        assert dict(report.checks)[name] is True
+        assert any(
+            line.startswith(f"[PASS] {name}: worst upper bound {worst} (")
+            for line in report.lines
+        )
+
+    def test_failure_keeps_the_worst_bound_before_it(self):
+        # Maximal fine digits at positions 41, 42 make coarse digit 21
+        # maximal, so no depth certifies T_20(x) < 1/2.
+        rule = fine_base_rule()
+
+        def digit(n):
+            return rule.q(n) - 1 if n in (41, 42) else fine_digit(n)
+
+        horizon = 100
+        ok, worst, _ = enclosure_loop(transcode(DigitStream(rule, digit), self.spec, 2), horizon)
+        assert not ok and worst > 0
+        finite = DigitStream(rule, digit, limit=2 * (horizon + _MAX_ENCLOSURE_DEPTH))
+        assert _orbit_check(finite, self.spec, horizon) == (False, worst)
+        assert _orbit_check(finite, self.spec, 19) == enclosure_loop(
+            transcode(DigitStream(rule, digit), self.spec, 2), 19
+        )[:2]

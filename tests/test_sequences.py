@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,13 @@ from cnl.sequences import (
     BlockRepetitionRule,
     ChainSpec,
     ConstantRule,
+    ContractionRule,
     ExplicitListRule,
     GeometricRule,
     OutOfDomainError,
     RuleError,
+    ShiftedContractionRule,
+    block_positions,
     contract,
     derive_chain,
     divergence_report,
@@ -127,6 +131,18 @@ class TestWindowReciprocalSums:
         assert window_reciprocal_sums(rule.values(302), 3, stops) == [
             partial_sum_qnk(rule, n, 3) for n in stops
         ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_runs_sum_like_single_terms(self, k):
+        # Fine refpair runs end at positions m(m+1), coarse ones at
+        # m(m+1)/2; the stops land inside runs, at their ends, twice on
+        # one position, and on bases with no runs at all.
+        stops = [1, 2, 3, 5, 6, 6, 10, 11, 12, 20, 57, 90, 90, 200]
+        for rule in (ramp_rule(), contract(ramp_rule(), 2), GeometricRule(8, 2)):
+            values = rule.values(stops[-1] + k - 1)
+            assert window_reciprocal_sums(values, k, stops) == [
+                direct_window_sum(values, n, k) for n in stops
+            ]
 
     def test_rejects_empty_window(self):
         with pytest.raises(OutOfDomainError):
@@ -321,3 +337,98 @@ class TestBlockOf:
         m, offset = rule.block_of(n)
         assert 1 <= offset <= ta * m + tb
         assert ta * (m - 1) * m // 2 + tb * (m - 1) + offset == n
+
+
+def walk_rules():
+    """One rule of every kind and parameterization, and a contraction and
+    two shifted contractions of each, by test id."""
+    rng = random.Random(4099)
+    bases = {
+        "geometric": GeometricRule(8, 2),
+        "geometric-ratio1": GeometricRule(3, 1),
+        "constant": ConstantRule(5),
+        "list": ExplicitListRule([rng.randrange(2, 40) for _ in range(37)]),
+        "pairs": BlockRepetitionRule(pairs=[(3, 2), (2, 1), (7, 4), (5, 3)]),
+        "affine": ramp_rule(),
+        "affine-ta0": BlockRepetitionRule(value_affine=(1, 1), repeat_affine=(0, 3)),
+        "affine-tb-neg": BlockRepetitionRule(value_affine=(3, 2), repeat_affine=(3, -2)),
+    }
+    rules = dict(bases)
+    for name, base in bases.items():
+        rules[f"contract3-{name}"] = ContractionRule(base, 3)
+        rules[f"shift3.2-{name}"] = ShiftedContractionRule(base, 3, 2)
+        rules[f"shift2.1-{name}"] = ShiftedContractionRule(base, 2, 1)
+    return rules
+
+
+WALK_RULES = walk_rules()
+FINITE_WALK_RULES = {
+    name: rule for name, rule in WALK_RULES.items() if rule.domain_max is not None
+}
+
+
+def outcome(read):
+    """What a read returns, or the OutOfDomainError it raises."""
+    try:
+        return read()
+    except OutOfDomainError as exc:
+        return ("raises", str(exc))
+
+
+def reference_q(rule, n):
+    """q_n by definition: a contraction multiplies its block of base values."""
+    if isinstance(rule, ContractionRule):
+        return prod(map(rule.base.q, block_positions(n, rule.s, rule.s)))
+    if isinstance(rule, ShiftedContractionRule):
+        return prod(map(rule.base.q, block_positions(n, rule.s, rule.k)))
+    return rule.q(n)
+
+
+def random_access(rule, start, count):
+    return outcome(lambda: [rule.q(n) for n in range(start, start + count)])
+
+
+class TestWalks:
+    @pytest.mark.parametrize("rule", WALK_RULES.values(), ids=WALK_RULES.keys())
+    def test_walk_equals_random_access(self, rule):
+        limit = rule.domain_max or 60
+        for start in range(1, limit + 1):
+            for count in {0, 1, 2, 5, limit + 1 - start}:
+                if start + count - 1 > limit:
+                    continue
+                expected = [reference_q(rule, n) for n in range(start, start + count)]
+                assert [rule.q(n) for n in range(start, start + count)] == expected
+                assert list(islice(rule.iter_values(start), count)) == expected
+                assert rule.values(count, start) == expected
+
+    @pytest.mark.parametrize(
+        "rule", FINITE_WALK_RULES.values(), ids=FINITE_WALK_RULES.keys()
+    )
+    def test_walk_raises_where_q_raises(self, rule):
+        limit = rule.domain_max
+        for start, count in ((1, limit + 1), (limit, 2), (limit + 1, 1), (limit + 3, 4), (0, 3), (-2, 1)):
+            expected = random_access(rule, start, count)
+            assert expected[0] == "raises"
+            assert outcome(lambda: rule.values(count, start)) == expected
+            assert outcome(lambda: list(islice(rule.iter_values(start), count))) == expected
+
+    def test_past_end_messages(self):
+        rule = ExplicitListRule([2, 3, 4])
+        with pytest.raises(OutOfDomainError, match="position 4 past end of explicit-list rule"):
+            rule.values(5, 2)
+        assert rule.values(2, 2) == [3, 4]
+        assert rule.values(0, 4) == []
+        pairs = ContractionRule(rule, 2)
+        with pytest.raises(OutOfDomainError, match="position 2 past end of composed-contraction rule"):
+            list(pairs.iter_values())
+
+    def test_walk_of_an_infinite_rule_never_ends(self):
+        walk = ramp_rule().iter_values(10**12)
+        assert list(islice(walk, 3)) == [2 * 10**6] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(WALK_RULES.values())), st.integers(-2, 70), st.integers(0, 40))
+    def test_walk_matches_q_at_any_start_and_count(self, rule, start, count):
+        expected = random_access(rule, start, count)
+        assert outcome(lambda: rule.values(count, start)) == expected
+        assert outcome(lambda: list(islice(rule.iter_values(start), count))) == expected
