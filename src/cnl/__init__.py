@@ -12,17 +12,14 @@ from .sequences import (
     BlockRepetitionRule,
     ChainSpec,
     ConstantRule,
+    ContractionRule,
     ExplicitListRule,
     GeometricRule,
-    contract,
-    derive_chain,
     divergence_report,
     growth_condition_trace,
     partial_sum_qnk,
-    qn,
     rule_from_json,
     rule_to_json,
-    shifted_rule,
 )
 from .expansion import (
     DigitStream,

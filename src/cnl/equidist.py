@@ -180,18 +180,12 @@ def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
 
     Uses the sorted-points closed form: with x_(1) <= ... <= x_(N) the
     supremum equals max over i of max(x_(i) - (i-1)/N, i/N - x_(i)),
-    evaluated in integers as in ``star_discrepancy_ladder``.
+    evaluated by ``star_discrepancy_ladder``.
     """
     values = _validate_unit_points(points)
-    if not values:
-        raise ValueError("star discrepancy of an empty sequence is undefined")
-    if not _dyadic(v.denominator for v in values):
-        return _fraction_ladder(values, [len(values)])[0]
+    nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
-    for i, v in enumerate(values):
-        values[i] = v.numerator
-    d = _shift_to_common(values, dens)
-    return _integer_ladder(values, d, [len(values)])[0]
+    return star_discrepancy_ladder(nums, dens, [len(nums)])[0]
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,6 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO
 from .sequences import (
     BasicSequenceRule,
     ChainSpec,
-    OutOfDomainError,
-    block_positions,
     rule_from_json,
     rule_to_json,
 )
@@ -213,18 +211,15 @@ def transcode(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
     mixed-radix weights, so prefix values are preserved exactly.  Lazy,
     so unlimited sources transcode too; ``level_points`` serves finite ones.
     """
-    if not 1 <= j <= spec.depth:
-        raise OutOfDomainError(f"chain level {j} outside 1..{spec.depth}")
-    if j == 1:
+    rule = spec.rule(j)
+    if rule is spec.base:
         return stream
-    big_s = spec.big_s(j)
-    base = spec.base
 
     def packed_digit(n: int) -> int:
-        return mixed_radix(stream, base, block_positions(n, big_s, big_s))[0]
+        return mixed_radix(stream, spec.base, rule.block(n))[0]
 
-    limit = None if stream.limit is None else stream.limit // big_s
-    return DigitStream(spec.rule(j), packed_digit, limit=limit)
+    limit = None if stream.limit is None else rule.blocks_in(stream.limit)
+    return DigitStream(rule, packed_digit, limit=limit)
 
 
 def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
@@ -233,18 +228,16 @@ def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStre
     Inverse of ``transcode``: each coarse digit is decomposed by
     successive division into its block of S_j base digits.
     """
-    if not 1 <= j <= spec.depth:
-        raise OutOfDomainError(f"chain level {j} outside 1..{spec.depth}")
-    if j == 1:
+    rule = spec.rule(j)
+    if rule is spec.base:
         return stream
-    big_s = spec.big_s(j)
     base = spec.base
 
     def fine_digit(n: int) -> int:
-        block, offset = divmod(n - 1, big_s)
+        block, offset = divmod(n - 1, rule.s)
         value = stream.digit(block + 1)
         digits = []
-        for pos in reversed(block_positions(block + 1, big_s, big_s)):
+        for pos in reversed(rule.block(block + 1)):
             value, d = divmod(value, base.q(pos))
             digits.append(d)
         if value:
@@ -252,7 +245,7 @@ def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStre
         digits.reverse()
         return digits[offset]
 
-    limit = None if stream.limit is None else stream.limit * big_s
+    limit = None if stream.limit is None else stream.limit * rule.s
     return DigitStream(base, fine_digit, limit=limit)
 
 
@@ -262,36 +255,31 @@ def level_points(
     """A finite stream's digits at chain level j and shift k, with their bases.
 
     Point n is nums[n-1] / dens[n-1], the source digits at
-    ``block_positions(n, S_j, k or S_j)`` read as one mixed-radix
-    fraction; only complete blocks count.  dens equals
-    ``shifted_rule(spec, j, k).values(len(dens))``, but the bases come
-    from one walk of the base rule, each consumed by the Horner step
-    that packs its digit.  At level 1 the points are the digits
-    themselves.
+    ``spec.rule(j, k).block(n)`` read as one mixed-radix fraction; only
+    complete blocks count.  dens equals ``spec.rule(j, k).values(len(dens))``,
+    but the bases come from one walk of the base rule, each consumed by
+    the Horner step that packs its digit.  At level 1 the points are the
+    digits themselves.
     """
-    if not 1 <= j <= spec.depth:
-        raise OutOfDomainError(f"chain level {j} outside 1..{spec.depth}")
-    big_s = spec.big_s(j)
-    if not 0 <= k < big_s:
-        raise OutOfDomainError(f"shift {k} outside 0..{big_s - 1} at level {j}")
+    rule = spec.rule(j, k)
     total = stream.limit
     if total is None:
         raise DigitError("level points need a finite stream")
-    if big_s == 1:
+    if rule is spec.base:
         return stream.prefix(total), spec.base.values(total)
     stream.digit(total)  # range-check every digit, then read the cache in place
     digits = iter(stream._cache)
     bases = spec.base.iter_values()
-    width = k or big_s
+    width = rule.k
     nums, dens = [], []
-    for _ in range((total - width) // big_s + 1):
+    for _ in range(rule.blocks_in(total)):
         num, den = 0, 1
         for digit, q in zip(islice(digits, width), bases):
             num = num * q + digit
             den *= q
         nums.append(num)
         dens.append(den)
-        width = big_s
+        width = rule.s
     return nums, dens
 
 
@@ -303,12 +291,11 @@ def mod_s_gap(stream: DigitStream, spec: ChainSpec, j: int, n: int) -> Fraction:
     block digits, each worth less than one leading-base ulp.
     """
     coarse = transcode(stream, spec, j)
-    big_s = spec.big_s(j)
-    lead_pos = big_s * (n - 1) + 1
-    gap = Fraction(coarse.digit(n), spec.rule(j).q(n)) - Fraction(
+    rule = spec.rule(j)
+    lead_pos = n if rule is spec.base else rule.block(n).start
+    return Fraction(coarse.digit(n), rule.q(n)) - Fraction(
         stream.digit(lead_pos), spec.base.q(lead_pos)
     )
-    return gap
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .equidist import dn_diagnostic
 from .expansion import DigitStream, level_points, transcode, transcode_inverse
 from .numeric import format_decimal
-from .sequences import BlockRepetitionRule, ChainSpec, ConstantRule, contract
+from .sequences import BlockRepetitionRule, ChainSpec, ConstantRule, ContractionRule
 
 __all__ = [
     "fine_base_rule",
@@ -64,7 +64,7 @@ def fine_base_rule() -> BlockRepetitionRule:
 
 def coarse_base_rule():
     """The 2-contraction of the fine base: 4,16,16,36,36,36,64,..."""
-    return contract(fine_base_rule(), 2)
+    return ContractionRule(fine_base_rule(), 2)
 
 
 # Block m of the fine base has 2m positions and block m of the coarse
@@ -227,13 +227,18 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
         f"worst upper bound {worst_hi} ({format_decimal(worst_hi)})",
     )
 
-    # (e) digit-ratio discrepancy trends.
+    # (e) digit-ratio discrepancy trends.  Nothing reads x's stream after
+    # its own trend, so popping each entry drops it before y's points are
+    # built.
     samples = [10, 100, 1000, orbit_horizon]
     samples = sorted(set(s for s in samples if s <= orbit_horizon))
-    for label, stream, rule in (
+    trends = [
         ("x in fine base", x_fine, fine_rule),
         ("y in coarse base", y_coarse, coarse_rule),
-    ):
+    ]
+    del x_fine, x_coarse
+    while trends:
+        label, stream, rule = trends.pop(0)
         bases = rule.values(orbit_horizon)
         rep = dn_diagnostic(stream.prefix(orbit_horizon), bases, samples)
         first, last = rep.rows[0], rep.rows[-1]

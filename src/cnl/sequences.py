@@ -5,6 +5,11 @@ q_n >= 2.  Rules here are finitely describable generators rather than
 materialized arrays, because downstream digit schedules query positions
 up to 10**5 whose values run to thousands of bits.
 
+One contraction type serves every chain level: ``ContractionRule(base,
+s, k)`` multiplies the first k base values, then s at a time, and
+``ChainSpec.rule(j, k)`` is chain level j with shift k as one such rule
+of the base.
+
 ``q(n)`` is random access: it derives position n from the rule's
 parameters alone.  Bulk readers instead take ``iter_values(start)``, one
 sequential walk per rule kind (a geometric rule multiplies by its
@@ -40,17 +45,12 @@ __all__ = [
     "GeometricRule",
     "BlockRepetitionRule",
     "ContractionRule",
-    "ShiftedContractionRule",
     "block_positions",
     "ChainSpec",
-    "qn",
     "window_reciprocal_sums",
     "partial_sum_qnk",
     "DivergenceReport",
     "divergence_report",
-    "contract",
-    "derive_chain",
-    "shifted_rule",
     "GrowthTrace",
     "growth_condition_trace",
     "rule_to_json",
@@ -330,109 +330,85 @@ def block_positions(n: int, s: int, k: int) -> range:
     return range(start + 1, start + s + 1)
 
 
-def _chunk_products(rule, start: int, k: int) -> Iterator[int]:
-    """The walk of a contraction ``rule`` of ``rule.base`` with block
-    widths k, s, s, ... (``block_positions``): products of consecutive
-    chunks of the base's walk, from position ``start`` to the rule's
-    end.  A contraction's ``q(n)`` is the first value of its walk from n."""
-    s = rule.s
-    rule._check_position(start)
-    limit = rule.domain_max
-    values = rule.base.iter_values(block_positions(start, s, k).start)
-    width = k if start == 1 else s
-    n = start
-    while limit is None or n <= limit:
-        yield prod(islice(values, width))
-        width = s
-        n += 1
-    rule._check_position(n)
-
-
 class ContractionRule(BasicSequenceRule):
-    """Groups s consecutive source values into their product."""
+    """Products of consecutive base values: value 1 merges base positions
+    1..k and every later value the next s (``block_positions``), so the
+    blocks tile the base.
 
-    kind = "composed-contraction"
+    k = s, the default, is the plain s-contraction; 1 <= k < s is its
+    k-shifted variant, serialized as ``shifted-contraction``.
+    """
 
-    def __init__(self, base: BasicSequenceRule, s: int):
+    def __init__(self, base: BasicSequenceRule, s: int, k: Optional[int] = None):
         s = int(s)
         if s < 1:
             raise RuleError(f"contraction step must be >= 1, got {s}")
+        k = s if k is None else int(k)
+        if not 1 <= k <= s:
+            raise RuleError(f"first block width must lie in 1..{s}, got {k}")
         tail_from = None
         if base.monotone_tail_from is not None:
-            # Block n covers positions s(n-1)+1 .. sn; products of
-            # nondecreasing values >= 2 are nondecreasing blockwise.
-            tail_from = (base.monotone_tail_from - 1 + s - 1) // s + 1
-        super().__init__(monotone_tail_from=tail_from)
-        self.base = base
-        self.s = s
-
-    @property
-    def domain_max(self) -> Optional[int]:
-        limit = self.base.domain_max
-        if limit is None:
-            return None
-        return limit // self.s
-
-    def q(self, n: int) -> int:
-        return next(self.iter_values(n))
-
-    def iter_values(self, start: int = 1) -> Iterator[int]:
-        return _chunk_products(self, start, self.s)
-
-    def params_json(self) -> dict:
-        return {"base": rule_to_json(self.base), "s": str(self.s)}
-
-
-class ShiftedContractionRule(BasicSequenceRule):
-    """Contraction whose first value merges the k leading source bases.
-
-    Value 1 is the product of source positions 1..k; value n >= 2 is the
-    product of the block of length s starting at position s(n-2)+k+1,
-    so the blocks tile the source without gaps after the shift.
-    """
-
-    kind = "shifted-contraction"
-
-    def __init__(self, base: BasicSequenceRule, s: int, k: int):
-        s = int(s)
-        k = int(k)
-        if s < 1:
-            raise RuleError("contraction step must be >= 1")
-        if not 1 <= k <= s - 1:
-            raise RuleError(f"shift must lie in 1..{s - 1}, got {k}")
-        tail_from = None
-        if base.monotone_tail_from is not None:
-            tail_from = max(2, (base.monotone_tail_from - k - 1 + s - 1) // s + 2)
+            # Products of nondecreasing values >= 2 over blocks of equal
+            # width are nondecreasing: certify from the first width-s
+            # block that starts inside the base's certified tail.
+            tail_from = (base.monotone_tail_from - k - 2 + s) // s + 2
         super().__init__(monotone_tail_from=tail_from)
         self.base = base
         self.s = s
         self.k = k
 
     @property
+    def kind(self) -> str:
+        return "composed-contraction" if self.k == self.s else "shifted-contraction"
+
+    def block(self, n: int) -> range:
+        """The base positions whose values make up value n."""
+        return block_positions(n, self.s, self.k)
+
+    def blocks_in(self, total: int) -> int:
+        """The number of complete blocks in base positions 1..total."""
+        return (total - self.k) // self.s + 1
+
+    @property
     def domain_max(self) -> Optional[int]:
         limit = self.base.domain_max
         if limit is None:
             return None
-        return (limit - self.k) // self.s + 1
+        return self.blocks_in(limit)
 
     def q(self, n: int) -> int:
         return next(self.iter_values(n))
 
     def iter_values(self, start: int = 1) -> Iterator[int]:
-        return _chunk_products(self, start, self.k)
+        # Products of consecutive chunks of one walk of the base; q(n) is
+        # the first value of the walk from n.
+        self._check_position(start)
+        limit = self.domain_max
+        values = self.base.iter_values(self.block(start).start)
+        width = self.k if start == 1 else self.s
+        n = start
+        while limit is None or n <= limit:
+            yield prod(islice(values, width))
+            width = self.s
+            n += 1
+        self._check_position(n)
 
     def params_json(self) -> dict:
-        return {"base": rule_to_json(self.base), "s": str(self.s), "shift": str(self.k)}
+        params = {"base": rule_to_json(self.base), "s": str(self.s)}
+        if self.k != self.s:
+            params["shift"] = str(self.k)
+        return params
 
 
 @dataclass(frozen=True)
 class ChainSpec:
     """A base sequence, a contraction-step sequence, and a chain depth.
 
-    The chain is Q_1 = base and Q_{j+1} = contract(Q_j, s_j), where s_j
-    is the j-th value of the step sequence.  S_j denotes the cumulative
-    product s_1 * ... * s_{j-1} (so S_1 = 1), which is the block length
-    of Q_j relative to the base.
+    The chain is Q_1 = base and Q_{j+1} the s_j-contraction of Q_j,
+    where s_j is the j-th value of the step sequence.  S_j denotes the
+    cumulative product s_1 * ... * s_{j-1} (so S_1 = 1), which is the
+    block length of Q_j relative to the base, so Q_j is one
+    S_j-contraction of the base rather than j-1 nested ones.
     """
 
     base: BasicSequenceRule
@@ -459,29 +435,20 @@ class ChainSpec:
             self._cache[key] = prod
         return self._cache[key]
 
-    def rules(self) -> list[BasicSequenceRule]:
-        # Each level-j block covers S_j base positions, so level j is one
-        # S_j-contraction of the base rather than j-1 nested contractions.
-        key = ("chain",)
-        if key not in self._cache:
-            chain = [self.base]
-            for j in range(2, self.depth + 1):
-                chain.append(ContractionRule(self.base, self.big_s(j)))
-            self._cache[key] = chain
-        return self._cache[key]
-
-    def rule(self, j: int) -> BasicSequenceRule:
+    def rule(self, j: int, k: int = 0) -> BasicSequenceRule:
+        """Chain level j with shift k: ``ContractionRule(base, S_j, k or
+        S_j)``, and the base itself when S_j = 1."""
         if not 1 <= j <= self.depth:
-            raise RuleError(f"chain level {j} outside 1..{self.depth}")
-        return self.rules()[j - 1]
-
-
-def qn(rule: BasicSequenceRule, n: int) -> int:
-    """The n-th base value of a rule."""
-    value = rule.q(n)
-    if value < 2:
-        raise RuleError(f"rule produced q_{n} = {value} < 2")
-    return value
+            raise OutOfDomainError(f"chain level {j} outside 1..{self.depth}")
+        big_s = self.big_s(j)
+        if not 0 <= k < big_s:
+            raise OutOfDomainError(f"shift {k} outside 0..{big_s - 1} at level {j}")
+        key = ("rule", j, k)
+        if key not in self._cache:
+            self._cache[key] = (
+                self.base if big_s == 1 else ContractionRule(self.base, big_s, k or big_s)
+            )
+        return self._cache[key]
 
 
 def window_reciprocal_sums(
@@ -582,28 +549,6 @@ def divergence_report(rule: BasicSequenceRule, k: int, horizon: int) -> Divergen
     )
 
 
-def contract(rule: BasicSequenceRule, s: int) -> BasicSequenceRule:
-    """Group s consecutive bases into one; s = 1 returns the rule itself."""
-    if s == 1:
-        return rule
-    return ContractionRule(rule, s)
-
-
-def derive_chain(spec: ChainSpec) -> list[BasicSequenceRule]:
-    """The contraction chain Q_1 .. Q_depth."""
-    return list(spec.rules())
-
-
-def shifted_rule(spec: ChainSpec, j: int, k: int) -> BasicSequenceRule:
-    """The k-shifted variant of chain level j (k = 0 is level j itself)."""
-    big_s = spec.big_s(j)
-    if not 0 <= k <= big_s - 1:
-        raise OutOfDomainError(f"shift {k} outside 0..{big_s - 1} at level {j}")
-    if k == 0:
-        return spec.rule(j)
-    return ShiftedContractionRule(spec.base, big_s, k)
-
-
 @dataclass(frozen=True)
 class GrowthTrace:
     """Ratios log q_k / sum_{n<k} log q_n and a trend flag."""
@@ -668,7 +613,8 @@ def rule_from_json(obj: dict) -> BasicSequenceRule:
     if kind == "composed-contraction":
         return ContractionRule(rule_from_json(params["base"]), params["s"])
     if kind == "shifted-contraction":
-        return ShiftedContractionRule(
-            rule_from_json(params["base"]), params["s"], params["shift"]
-        )
+        s, k = int(params["s"]), int(params["shift"])
+        if not 1 <= k <= s - 1:
+            raise RuleError(f"shift must lie in 1..{s - 1}, got {k}")
+        return ContractionRule(rule_from_json(params["base"]), s, k)
     raise RuleError(f"unknown rule kind {kind!r}")

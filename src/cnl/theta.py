@@ -61,7 +61,6 @@ __all__ = [
     "prefix_bound_check",
 ]
 
-CANDIDATE_LIST_GUARD = 100_000
 DEFAULT_SCAN_BUDGET = 1_000_000
 
 
@@ -120,13 +119,6 @@ class CandidateSet:
 
     def __contains__(self, value: int) -> bool:
         return self.f_min <= value <= self.f_max
-
-    def values(self) -> list[int]:
-        if self.count > CANDIDATE_LIST_GUARD:
-            raise ScheduleError(
-                f"{self.count} candidates exceed the materialization guard"
-            )
-        return list(range(self.f_min, self.f_max + 1))
 
 
 @dataclass(frozen=True)

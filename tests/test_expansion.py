@@ -31,7 +31,6 @@ from cnl.sequences import (
     GeometricRule,
     block_positions,
     rule_to_json,
-    shifted_rule,
 )
 
 from .conftest import doubling_spec
@@ -280,7 +279,7 @@ class TestLevelPoints:
                     first = k or big_s
                     assert len(nums) == len(dens) == (total - first) // big_s + 1
                     assert spec.base.calls == first + (len(nums) - 1) * big_s
-                    assert dens == shifted_rule(spec, j, k).values(len(dens))
+                    assert dens == spec.rule(j, k).values(len(dens))
                     if k == 0:
                         assert nums == transcode(stream, spec, j).prefix(len(nums))
                     for n in (1, len(nums)):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import count, islice
@@ -15,18 +16,14 @@ from cnl.sequences import (
     ExplicitListRule,
     GeometricRule,
     OutOfDomainError,
+    BasicSequenceRule,
     RuleError,
-    ShiftedContractionRule,
     block_positions,
-    contract,
-    derive_chain,
     divergence_report,
     growth_condition_trace,
     partial_sum_qnk,
-    qn,
     rule_from_json,
     rule_to_json,
-    shifted_rule,
     window_reciprocal_sums,
 )
 
@@ -40,20 +37,20 @@ def ramp_rule():
 
 class TestQn:
     def test_constant(self):
-        assert qn(ConstantRule(2), 7) == 2
+        assert ConstantRule(2).q(7) == 2
 
     def test_geometric(self):
-        assert qn(GeometricRule(8, 2), 1) == 16
+        assert GeometricRule(8, 2).q(1) == 16
 
     def test_block_rule_prefix(self):
         rule = ramp_rule()
         assert rule.values(8) == [2, 2, 4, 4, 4, 4, 6, 6]
-        assert qn(rule, 5) == 4
+        assert rule.q(5) == 4
 
     def test_explicit_list_out_of_domain(self):
         rule = ExplicitListRule([2, 3, 4])
         with pytest.raises(OutOfDomainError):
-            qn(rule, 4)
+            rule.q(4)
 
     def test_all_kinds_stay_at_least_two(self):
         rng = random.Random(1105)
@@ -62,7 +59,7 @@ class TestQn:
             GeometricRule(3, 2),
             ramp_rule(),
             ExplicitListRule([rng.randrange(2, 50) for _ in range(200)]),
-            contract(GeometricRule(2, 3), 2),
+            ContractionRule(GeometricRule(2, 3), 2),
         ]
         for rule in rules:
             limit = rule.domain_max or 10_000
@@ -138,7 +135,7 @@ class TestWindowReciprocalSums:
         # m(m+1)/2; the stops land inside runs, at their ends, twice on
         # one position, and on bases with no runs at all.
         stops = [1, 2, 3, 5, 6, 6, 10, 11, 12, 20, 57, 90, 90, 200]
-        for rule in (ramp_rule(), contract(ramp_rule(), 2), GeometricRule(8, 2)):
+        for rule in (ramp_rule(), ContractionRule(ramp_rule(), 2), GeometricRule(8, 2)):
             values = rule.values(stops[-1] + k - 1)
             assert window_reciprocal_sums(values, k, stops) == [
                 direct_window_sum(values, n, k) for n in stops
@@ -170,18 +167,25 @@ class TestDivergenceReport:
 
 class TestContract:
     def test_reference_block_rule(self):
-        coarse = contract(ramp_rule(), 2)
+        coarse = ContractionRule(ramp_rule(), 2)
         assert coarse.values(7) == [4, 16, 16, 36, 36, 36, 64]
 
     def test_constant_power(self):
-        assert contract(ConstantRule(3), 4).values(3) == [81, 81, 81]
+        assert ContractionRule(ConstantRule(3), 4).values(3) == [81, 81, 81]
 
     def test_small_products(self):
-        assert contract(ExplicitListRule([2, 3, 4, 5]), 2).values(2) == [6, 20]
+        assert ContractionRule(ExplicitListRule([2, 3, 4, 5]), 2).values(2) == [6, 20]
 
     def test_identity_step(self):
-        rule = ConstantRule(7)
-        assert contract(rule, 1) is rule
+        # A 1-contraction repeats its base; chain level 1 is the base itself.
+        rule = ExplicitListRule([2, 3, 4, 5])
+        assert ContractionRule(rule, 1).values(4) == rule.values(4)
+        assert ChainSpec(base=rule, s=ConstantRule(2), depth=2).rule(1) is rule
+
+    def test_rejects_bad_step_and_width(self):
+        for s, k in ((0, None), (2, 0), (2, 3)):
+            with pytest.raises(RuleError):
+                ContractionRule(ConstantRule(2), s, k)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -191,52 +195,57 @@ class TestContract:
     )
     def test_composition(self, values, a, b):
         rule = ExplicitListRule(values)
-        lhs = contract(contract(rule, a), b)
-        rhs = contract(rule, a * b)
+        lhs = ContractionRule(ContractionRule(rule, a), b)
+        rhs = ContractionRule(rule, a * b)
         for n in range(1, len(values) // (a * b) + 1):
             assert lhs.q(n) == rhs.q(n)
 
     def test_composition_long_range(self):
         rule = GeometricRule(2, 2)
-        lhs = contract(contract(rule, 2), 3)
-        rhs = contract(rule, 6)
+        lhs = ContractionRule(ContractionRule(rule, 2), 3)
+        rhs = ContractionRule(rule, 6)
         for n in range(1, 101):
             assert lhs.q(n) == rhs.q(n)
+
+
+def chain(spec):
+    """Levels Q_1 .. Q_depth of a chain."""
+    return [spec.rule(j) for j in range(1, spec.depth + 1)]
 
 
 class TestChain:
     def test_depth_one_is_base(self):
         spec = doubling_spec(depth=1)
-        chain = derive_chain(spec)
-        assert len(chain) == 1 and chain[0] is spec.base
+        levels = chain(spec)
+        assert len(levels) == 1 and levels[0] is spec.base
 
     def test_doubling_products(self):
         spec = doubling_spec()
-        chain = derive_chain(spec)
-        assert chain[1].q(1) == 16 * 32
-        assert chain[2].q(1) == 2**22
+        levels = chain(spec)
+        assert levels[1].q(1) == 16 * 32
+        assert levels[2].q(1) == 2**22
 
     def test_block_product_identity(self):
         spec = ChainSpec(base=GeometricRule(2, 2), s=ConstantRule(2), depth=5)
-        chain = derive_chain(spec)
+        levels = chain(spec)
         for j in range(1, 5):
             s_j = spec.s_value(j)
             for n in range(1, 51):
                 prod = 1
                 for w in range(1, s_j + 1):
-                    prod *= chain[j - 1].q(s_j * (n - 1) + w)
-                assert chain[j].q(n) == prod
+                    prod *= levels[j - 1].q(s_j * (n - 1) + w)
+                assert levels[j].q(n) == prod
 
     def test_flattened_block_identity(self):
         spec = doubling_spec()
-        chain = derive_chain(spec)
+        levels = chain(spec)
         for j in range(1, 5):
             big_s = spec.big_s(j)
             for n in range(1, 20):
                 prod = 1
                 for w in range(1, big_s + 1):
                     prod *= spec.base.q(big_s * (n - 1) + w)
-                assert chain[j - 1].q(n) == prod
+                assert levels[j - 1].q(n) == prod
 
     def test_flat_levels_match_nested_contractions(self):
         values = [2 + (n * n) % 7 for n in range(1, 40)] + list(range(3, 53))
@@ -244,21 +253,33 @@ class TestChain:
         spec = ChainSpec(base=base, s=ExplicitListRule([2, 3, 2]), depth=4)
         nested = [base]
         for j in range(1, 4):
-            nested.append(contract(nested[-1], spec.s_value(j)))
-        for flat, ref in zip(derive_chain(spec), nested):
+            nested.append(ContractionRule(nested[-1], spec.s_value(j)))
+        for flat, ref in zip(chain(spec), nested):
             assert flat.domain_max == ref.domain_max
             assert flat.monotone_tail_from == ref.monotone_tail_from
             assert flat.values(ref.domain_max) == ref.values(ref.domain_max)
+
+    def test_levels_are_cached(self):
+        spec = doubling_spec()
+        assert spec.rule(3) is spec.rule(3, 0)
+        assert spec.rule(3, 1) is spec.rule(3, 1)
+
+    @pytest.mark.parametrize("j, k", [(0, 0), (5, 0), (1, 1), (2, 2), (3, 4), (2, -1)])
+    def test_level_or_shift_out_of_range(self, j, k):
+        with pytest.raises(OutOfDomainError):
+            doubling_spec().rule(j, k)
 
 
 class TestShiftedRule:
     def test_zero_shift_is_level(self):
         spec = doubling_spec()
-        assert shifted_rule(spec, 2, 0) is spec.rule(2)
+        assert spec.rule(2, 0) is spec.rule(2)
+        assert spec.rule(2).kind == "composed-contraction"
 
     def test_shift_one(self):
         spec = doubling_spec()
-        rule = shifted_rule(spec, 2, 1)
+        rule = spec.rule(2, 1)
+        assert rule.kind == "shifted-contraction"
         assert rule.q(1) == 16
         assert rule.q(2) == 32 * 64
         assert rule.q(3) == 128 * 256
@@ -266,12 +287,12 @@ class TestShiftedRule:
     def test_level_one_rejects_shifts(self):
         spec = doubling_spec()
         with pytest.raises(OutOfDomainError):
-            shifted_rule(spec, 1, 1)
+            spec.rule(1, 1)
 
     def test_shift_out_of_range(self):
         spec = doubling_spec()
         with pytest.raises(OutOfDomainError):
-            shifted_rule(spec, 2, 2)
+            spec.rule(2, 2)
 
 
 class TestGrowthTrace:
@@ -301,7 +322,8 @@ class TestJsonRoundtrip:
             ExplicitListRule([2, 5, 9], monotone_tail_from=1),
             BlockRepetitionRule(pairs=[(2, 2), (4, 4)]),
             BlockRepetitionRule(value_affine=(2, 0), repeat_affine=(2, 0)),
-            contract(GeometricRule(8, 2), 3),
+            ContractionRule(GeometricRule(8, 2), 3),
+            ContractionRule(GeometricRule(8, 2), 3, 2),
         ],
     )
     def test_roundtrip(self, rule):
@@ -316,6 +338,45 @@ class TestJsonRoundtrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuleError):
             rule_from_json({"kind": "fibonacci", "params": {}})
+
+    @pytest.mark.parametrize("shift", ["0", "3"])
+    def test_shift_outside_one_to_s_minus_one_rejected(self, shift):
+        payload = rule_to_json(ContractionRule(GeometricRule(8, 2), 3, 1))
+        payload["params"]["shift"] = shift
+        with pytest.raises(RuleError):
+            rule_from_json(payload)
+
+    def test_serialized_contractions_are_pinned(self):
+        # The strings the separate composed and shifted contraction
+        # classes wrote; one class must write them byte for byte.
+        geometric = (
+            '{"kind": "geometric", "monotone_tail_from": 1, '
+            '"params": {"coefficient": "8", "ratio": "2"}}'
+        )
+        values = [2 + (n * n) % 7 for n in range(1, 40)] + list(range(3, 53))
+        listed = (
+            '{"kind": "explicit-list", "monotone_tail_from": 40, "params": {"values": ['
+            + ", ".join(f'"{v}"' for v in values)
+            + "]}}"
+        )
+        cases = [
+            (ContractionRule(GeometricRule(8, 2), 3),
+             '{"kind": "composed-contraction", "monotone_tail_from": 1, '
+             '"params": {"base": ' + geometric + ', "s": "3"}}'),
+            (ContractionRule(GeometricRule(8, 2), 3, 2),
+             '{"kind": "shifted-contraction", "monotone_tail_from": 2, '
+             '"params": {"base": ' + geometric + ', "s": "3", "shift": "2"}}'),
+            (ContractionRule(ExplicitListRule(values, monotone_tail_from=40), 6),
+             '{"kind": "composed-contraction", "monotone_tail_from": 8, '
+             '"params": {"base": ' + listed + ', "s": "6"}}'),
+            (ContractionRule(ExplicitListRule(values, monotone_tail_from=40), 6, 4),
+             '{"kind": "shifted-contraction", "monotone_tail_from": 8, '
+             '"params": {"base": ' + listed + ', "s": "6", "shift": "4"}}'),
+        ]
+        for rule, expected in cases:
+            assert json.dumps(rule_to_json(rule), sort_keys=True) == expected
+            clone = rule_from_json(json.loads(expected))
+            assert json.dumps(rule_to_json(clone), sort_keys=True) == expected
 
 
 class TestBlockOf:
@@ -356,8 +417,8 @@ def walk_rules():
     rules = dict(bases)
     for name, base in bases.items():
         rules[f"contract3-{name}"] = ContractionRule(base, 3)
-        rules[f"shift3.2-{name}"] = ShiftedContractionRule(base, 3, 2)
-        rules[f"shift2.1-{name}"] = ShiftedContractionRule(base, 2, 1)
+        rules[f"shift3.2-{name}"] = ContractionRule(base, 3, 2)
+        rules[f"shift2.1-{name}"] = ContractionRule(base, 2, 1)
     return rules
 
 
@@ -378,8 +439,6 @@ def outcome(read):
 def reference_q(rule, n):
     """q_n by definition: a contraction multiplies its block of base values."""
     if isinstance(rule, ContractionRule):
-        return prod(map(rule.base.q, block_positions(n, rule.s, rule.s)))
-    if isinstance(rule, ShiftedContractionRule):
         return prod(map(rule.base.q, block_positions(n, rule.s, rule.k)))
     return rule.q(n)
 
@@ -432,3 +491,49 @@ class TestWalks:
         expected = random_access(rule, start, count)
         assert outcome(lambda: rule.values(count, start)) == expected
         assert outcome(lambda: list(islice(rule.iter_values(start), count))) == expected
+
+
+def old_contraction_tail(t, s, k):
+    """monotone_tail_from of the separate contraction classes: plain, then
+    shifted."""
+    if k == s:
+        return (t - 1 + s - 1) // s + 1
+    return max(2, (t - k - 1 + s - 1) // s + 2)
+
+
+def old_contraction_domain(limit, s, k):
+    """domain_max of the separate contraction classes: plain, then shifted."""
+    if k == s:
+        return limit // s
+    return (limit - k) // s + 1
+
+
+class TestOneContractionRule:
+    @pytest.mark.parametrize("rule", WALK_RULES.values(), ids=WALK_RULES.keys())
+    def test_layout_matches_the_old_classes_and_round_trips(self, rule):
+        if isinstance(rule, ContractionRule):
+            tail, limit = rule.base.monotone_tail_from, rule.base.domain_max
+            expected_tail = None if tail is None else old_contraction_tail(tail, rule.s, rule.k)
+            expected_domain = None if limit is None else old_contraction_domain(limit, rule.s, rule.k)
+            assert rule.monotone_tail_from == expected_tail
+            assert rule.domain_max == expected_domain
+        clone = rule_from_json(rule_to_json(rule))
+        assert rule_to_json(clone) == rule_to_json(rule)
+        count = min(rule.domain_max or 40, 40)
+        assert clone.values(count) == rule.values(count)
+
+    def test_formulas_over_a_grid(self):
+        for s in range(1, 9):
+            for k in range(1, s + 1):
+                for t in range(1, 60):
+                    rule = ContractionRule(BasicSequenceRule(monotone_tail_from=t), s, k)
+                    assert rule.monotone_tail_from == old_contraction_tail(t, s, k)
+                for limit in range(1, 80):
+                    rule = ContractionRule(ExplicitListRule([2] * limit), s, k)
+                    assert rule.domain_max == old_contraction_domain(limit, s, k)
+                    assert rule.blocks_in(limit) == rule.domain_max
+
+    def test_blocks_tile_the_base(self):
+        rule = ContractionRule(GeometricRule(8, 2), 4, 3)
+        assert [rule.block(n) for n in (1, 2, 3)] == [range(1, 4), range(4, 8), range(8, 12)]
+        assert [rule.blocks_in(total) for total in (2, 3, 6, 7, 11)] == [0, 1, 1, 2, 3]

@@ -162,10 +162,6 @@ class TestCandidates:
             else:
                 assert cand.count == 1
 
-    def test_materialization_guard(self, schedule_a):
-        with pytest.raises(ScheduleError):
-            digit_candidates(schedule_a, 200).values()
-
 
 class TestGenerate:
     def test_min_policy_prefix(self, stream_a):
