@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 from .dimension import GeometryError, theta_dimension_trace
@@ -45,7 +45,6 @@ from .theta import (
     SelectionPolicy,
     TailCertificateError,
     build_schedule,
-    digit_candidates,
     generate_digits,
     prefix_bound_check,
     y_prefix_count,
@@ -156,16 +155,15 @@ def cmd_theta_generate(args) -> int:
     digit_ok = True
     roundtrip_ok = True
     omega_ok = True
-    for n in range(1, args.n + 1):
-        info = schedule.phi_inv(n)
-        if schedule.phi(info.level, info.block, info.offset) != n:
+    for info, q, cand in islice(schedule.walk(), args.n):
+        n = info.n
+        # The walk's coordinates must be phi_inv's, and phi must invert them.
+        if schedule.phi_inv(n) != info or schedule.phi(info.level, info.block, info.offset) != n:
             roundtrip_ok = False
-        cand = digit_candidates(schedule, n)
         digit = stream.digit(n)
         if digit == 0 or digit not in cand:
             digit_ok = False
-        floor_bound = schedule.q(n) // (info.a * info.a)
-        if info.level >= 2 and cand.count < max(1, floor_bound):
+        if info.level >= 2 and cand.count < max(1, q // (info.a * info.a)):
             omega_ok = False
     checks.append(
         {"name": "positions roundtrip through the bijection", "ok": roundtrip_ok, "detail": f"n <= {args.n}"}
@@ -251,8 +249,8 @@ def cmd_analyze(args) -> int:
     try:
         schedule = build_schedule(spec)
         conformant = all(
-            stream.digit(n) in digit_candidates(schedule, n)
-            for n in range(1, min(total, schedule.coverage) + 1)
+            stream.digit(info.n) in cand
+            for info, _, cand in islice(schedule.walk(), min(total, schedule.coverage))
         )
     except ScheduleError:
         schedule = None
@@ -307,15 +305,25 @@ def cmd_dim(args) -> int:
         raise RuleError(str(exc)) from exc
     schedule = _covering_schedule(spec, args.n)
     out_dir = _out_dir(args)
+    # Rows k = 2 .. n are written as they come; the summary needs only
+    # the last one and the minima over the trailing window.
+    window = max(1, (args.n - 1) // 10)
+    tail_from = args.n - window + 1
+    tail_exact = tail_bound = last = None
     try:
         rows = theta_dimension_trace(schedule, args.n, bits)
+        with atomic_write(out_dir / "dim_trace.csv") as fh:
+            fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
+            for last in rows:
+                fh.write(",".join(last.csv_fields()) + "\n")
+                if last.k == tail_from:
+                    tail_exact, tail_bound = last.d_exact, last.d_bound
+                elif last.k > tail_from:
+                    tail_exact = min(tail_exact, last.d_exact)
+                    tail_bound = min(tail_bound, last.d_bound)
     except GeometryError as exc:
         print(f"dimension trace rejected: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    with atomic_write(out_dir / "dim_trace.csv") as fh:
-        fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
-        for row in rows:
-            fh.write(",".join(row.csv_fields()) + "\n")
     growth = growth_condition_trace(spec.base, args.n, bits)
     with atomic_write(out_dir / "growth_trace.csv") as fh:
         fh.write("k,ratio_num,ratio_den,ratio_decimal\n")
@@ -324,16 +332,14 @@ def cmd_dim(args) -> int:
                 f"{k},{ratio.numerator},{ratio.denominator},{format_decimal(ratio)}\n"
             )
 
-    window = max(1, len(rows) // 10)
-    tail = rows[-window:]
     summary = {
         "command": "dim",
         "horizon": args.n,
         "trailing_window": window,
-        "trailing_min_d_exact": format_decimal(min(r.d_exact for r in tail)),
-        "trailing_min_d_bound": format_decimal(min(r.d_bound for r in tail)),
-        "final_d_exact": format_decimal(rows[-1].d_exact),
-        "final_d_bound": format_decimal(rows[-1].d_bound),
+        "trailing_min_d_exact": format_decimal(tail_exact),
+        "trailing_min_d_bound": format_decimal(tail_bound),
+        "final_d_exact": format_decimal(last.d_exact),
+        "final_d_bound": format_decimal(last.d_bound),
         "growth_flag": growth.flag,
         "log_rounding": "directed",
         "precision_bits": bits,

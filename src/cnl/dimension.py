@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .expansion import DigitStream, mixed_radix
 from .numeric import format_decimal, hp_ln, int_text
-from .theta import ThetaSchedule, digit_candidates
+from .theta import ScheduleError, ThetaSchedule, digit_candidates
 
 __all__ = [
     "GeometryError",
@@ -107,21 +108,22 @@ def theta_geometry(schedule: ThetaSchedule, depth: int) -> list[LevelGeometry]:
             f"exact geometry is guarded at {GEOMETRY_EXACT_GUARD} levels; "
             "use theta_dimension_trace beyond"
         )
+    if depth > schedule.coverage:
+        raise ScheduleError(f"depth {depth} exceeds schedule coverage {schedule.coverage}")
     out = []
     q_prod_prev = 1
     prev_eps: Optional[Fraction] = None
-    for k in range(1, depth + 1):
-        info = schedule.phi_inv(k)
-        omega = digit_candidates(schedule, k).count
+    for info, q, candidates in islice(schedule.walk(), depth):
+        k = info.n
         if info.a == 1:
             eps = Fraction(1, q_prod_prev)
         else:
             eps = Fraction(info.a * info.a - 1, info.a * info.a) / q_prod_prev
         if prev_eps is not None and not eps < prev_eps:
             raise GeometryError(f"gap floor fails to decrease at level {k}")
-        out.append(LevelGeometry(k=k, m=omega, eps=eps))
+        out.append(LevelGeometry(k=k, m=candidates.count, eps=eps))
         prev_eps = eps
-        q_prod_prev *= schedule.q(k)
+        q_prod_prev *= q
     return out
 
 
@@ -190,7 +192,7 @@ class DimensionTraceRow:
 
 def theta_dimension_trace(
     schedule: ThetaSchedule, horizon: int, bits: int | None = None
-) -> list[DimensionTraceRow]:
+) -> Iterator[DimensionTraceRow]:
     """Exact-count and bound-substituted d_k traces to the horizon.
 
     Everything streams in log space so gap denominators (products of
@@ -198,38 +200,47 @@ def theta_dimension_trace(
     the exact candidate count, log2 of the exact gap, and both d_k
     variants; rows start at k = 2.  Every sum of ``hp_ln`` enclosure
     ends rounds in the direction that keeps each d_k a lower bound.
+
+    The horizon is checked on the call; the rows are then yielded one
+    at a time, as the schedule walk reaches them, so no row outlives
+    its reader.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
+    return _trace_rows(schedule, horizon, bits)
+
+
+def _trace_rows(
+    schedule: ThetaSchedule, horizon: int, bits: int | None
+) -> Iterator[DimensionTraceRow]:
     ln2_lo = hp_ln(2, bits)[0]
-    rows: list[DimensionTraceRow] = []
+    gap_logs = {1: 0}  # lo(ln((a^2 - 1)/a^2)) by a, one per level; 0 when a = 1
     sum_log_q = 0  # sum of hi(ln q_n) for n < k
     sum_log_omega = 0  # exact-count numerator
     sum_log_bound = 0  # bound-substituted numerator
-    for k in range(1, horizon + 1):
-        info = schedule.phi_inv(k)
-        omega = digit_candidates(schedule, k).count
-        q_lo, q_hi = hp_ln(schedule.q(k), bits)
+    for info, q, candidates in islice(schedule.walk(), horizon):
+        k = info.n
+        omega = candidates.count
+        q_lo, q_hi = hp_ln(q, bits)
         log_omega = hp_ln(omega, bits)[0]
         weighted = (info.level - 1) * q_lo // info.level  # rounded down
         if k >= 2:
-            a2 = info.a * info.a
-            log_gap_factor = 0 if a2 == 1 else hp_ln(Fraction(a2 - 1, a2), bits)[0]
+            if info.a not in gap_logs:
+                a2 = info.a * info.a
+                gap_logs[info.a] = hp_ln(Fraction(a2 - 1, a2), bits)[0]
+            log_gap_factor = gap_logs[info.a]
             denom_exact = sum_log_q - log_omega - log_gap_factor
             denom_bound = sum_log_q - weighted
             if denom_exact <= 0 or denom_bound <= 0:
                 raise GeometryError(f"no contraction to measure at k = {k}")
-            rows.append(
-                DimensionTraceRow(
-                    k=k,
-                    level=info.level,
-                    omega=omega,
-                    log2_eps=Fraction(log_gap_factor - sum_log_q, ln2_lo),
-                    d_exact=Fraction(sum_log_omega, denom_exact),
-                    d_bound=Fraction(sum_log_bound, denom_bound),
-                )
+            yield DimensionTraceRow(
+                k=k,
+                level=info.level,
+                omega=omega,
+                log2_eps=Fraction(log_gap_factor - sum_log_q, ln2_lo),
+                d_exact=Fraction(sum_log_omega, denom_exact),
+                d_bound=Fraction(sum_log_bound, denom_bound),
             )
         sum_log_q += q_hi
         sum_log_omega += log_omega
         sum_log_bound += weighted
-    return rows

@@ -226,24 +226,31 @@ def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStre
     """Base digits recovered from a level-j digit stream.
 
     Inverse of ``transcode``: each coarse digit is decomposed by
-    successive division into its block of S_j base digits.
+    successive division into its block of S_j base digits, once, with
+    the block's bases from one walk; the last block decomposed is kept
+    for the rest of its digits.
     """
     rule = spec.rule(j)
     if rule is spec.base:
         return stream
     base = spec.base
+    decoded = (0, [])  # (block index, its base digits); blocks start at 1
 
     def fine_digit(n: int) -> int:
+        nonlocal decoded
         block, offset = divmod(n - 1, rule.s)
-        value = stream.digit(block + 1)
-        digits = []
-        for pos in reversed(rule.block(block + 1)):
-            value, d = divmod(value, base.q(pos))
-            digits.append(d)
-        if value:
-            raise DigitError(f"coarse digit at block {block + 1} exceeds its base")
-        digits.reverse()
-        return digits[offset]
+        if decoded[0] != block + 1:
+            positions = rule.block(block + 1)
+            value = stream.digit(block + 1)
+            digits = []
+            for q in reversed(base.values(len(positions), positions.start)):
+                value, d = divmod(value, q)
+                digits.append(d)
+            if value:
+                raise DigitError(f"coarse digit at block {block + 1} exceeds its base")
+            digits.reverse()
+            decoded = (block + 1, digits)
+        return decoded[1][offset]
 
     limit = None if stream.limit is None else stream.limit * rule.s
     return DigitStream(base, fine_digit, limit=limit)

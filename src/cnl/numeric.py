@@ -99,11 +99,16 @@ def sqrt_lower(x: Fraction, bits: int | None = None) -> Fraction:
 def int_text(value: int) -> str:
     """Exact decimal text of an integer of any size.
 
-    Goes through ``Decimal``, which converts exactly and is not bound by
-    the interpreter's limit on int-to-str digits (4300 by default on
-    3.10.7+ and 3.11+); the process-wide limit is left as it is.
+    ``str`` serves integers within the interpreter's limit on int-to-str
+    digits (4300 by default on 3.10.7+ and 3.11+) and raises
+    ``ValueError`` past it; those go through ``Decimal``, which converts
+    exactly and is not bound by the limit.  The process-wide limit is
+    left as it is.
     """
-    return str(Decimal(value))
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 def fraction_text(value: Fraction) -> str:

@@ -33,11 +33,11 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .equidist import DiscrepancyReport, DiscrepancyRow, star_discrepancy_ladder
 from .expansion import DigitStream
-from .sequences import ChainSpec, OutOfDomainError
+from .sequences import BasicSequenceRule, ChainSpec, OutOfDomainError
 
 __all__ = [
     "ScheduleError",
@@ -204,13 +204,37 @@ class ThetaSchedule:
         offset = offset_in_level - (block - 1) * big_s
         return PositionInfo(n=n, level=level, block=block, offset=offset, a=big_s)
 
+    def walk(self, start: int = 1) -> Iterator[tuple[PositionInfo, int, CandidateSet]]:
+        """``(phi_inv(n), q(n), digit_candidates(self, n))`` for n = start ..
+        coverage, in one sequential pass.
+
+        One ``phi_inv(start)`` places the walk; from there the
+        coordinates step offset -> block -> level over the S_j and l_j
+        tables, and the bases come from one walk of the base rule, which
+        raises ``OutOfDomainError`` at the position where ``q`` would.
+        """
+        info = self.phi_inv(start)
+        n, level, block, offset = start, info.level, info.block, info.offset
+        bases = self.spec.base.iter_values(start)
+        while level <= self.levels:
+            a = self.big_s(level)
+            blocks = self.ell(level)
+            while block <= blocks:
+                while offset <= a:
+                    q = next(bases)
+                    info = PositionInfo(n=n, level=level, block=block, offset=offset, a=a)
+                    yield info, q, _candidates(info, q)
+                    n += 1
+                    offset += 1
+                block += 1
+                offset = 1
+            level += 1
+            block = 1
+
     def window_bounds(self, level: int, offset: int, n: int) -> tuple[int, int, int]:
         """(lo, hi, den): position n's window is [lo/den, hi/den)."""
-        if level == 1:
-            return 1, 2, self.q(n)
-        a = self.big_s(level)
-        lo = (offset - 1) * a + 1
-        return lo, lo + 1, a * a
+        q = self.q(n) if level == 1 else None
+        return _window_bounds(level, offset, self.big_s(level), q)
 
     def window(self, level: int, offset: int, n: int) -> tuple[Fraction, Fraction]:
         lo, hi, den = self.window_bounds(level, offset, n)
@@ -335,6 +359,24 @@ def _ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
+def _window_bounds(level: int, offset: int, a: int, q: Optional[int]) -> tuple[int, int, int]:
+    """The window of offset ``offset`` at level ``level`` (a = S_level),
+    as in the module docstring; q, the position's base, is read at level 1."""
+    if level == 1:
+        return 1, 2, q
+    lo = (offset - 1) * a + 1
+    return lo, lo + 1, a * a
+
+
+def _candidates(info: PositionInfo, q: int) -> CandidateSet:
+    lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
+    f_min = max(_ceil_div(q * lo, den), 1)
+    f_max = min(_ceil_div(q * hi, den) - 1, q - 1)
+    if f_min > f_max:
+        raise ScheduleError(f"empty candidate window at position {info.n}")
+    return CandidateSet(f_min, f_max)
+
+
 def digit_candidates(schedule: ThetaSchedule, n: int) -> CandidateSet:
     """All digits whose ratio falls in the position window.
 
@@ -342,17 +384,11 @@ def digit_candidates(schedule: ThetaSchedule, n: int) -> CandidateSet:
     positions admit exactly the digit 1.  Deeper positions admit every
     integer in a half-open window of width q_n / a^2, so the count is
     at least floor(q_n / a^2) >= 1 and every candidate is nonzero.  The
-    set is returned as a range; materializing it is guarded because
-    counts grow with q_n.
+    set is returned as a range, because counts grow with q_n.  This is
+    the one-position form of ``ThetaSchedule.walk``, with the same
+    formula; readers of consecutive positions take the walk.
     """
-    info = schedule.phi_inv(n)
-    q = schedule.q(n)
-    lo, hi, den = schedule.window_bounds(info.level, info.offset, n)
-    f_min = max(_ceil_div(q * lo, den), 1)
-    f_max = min(_ceil_div(q * hi, den) - 1, q - 1)
-    if f_min > f_max:
-        raise ScheduleError(f"empty candidate window at position {n}")
-    return CandidateSet(f_min, f_max)
+    return _candidates(schedule.phi_inv(n), schedule.q(n))
 
 
 def generate_digits(
@@ -363,11 +399,19 @@ def generate_digits(
         raise ScheduleError(
             f"requested {n} digits; schedule covers 1..{schedule.coverage}"
         )
-    stream = DigitStream(
-        schedule.spec.base,
-        lambda pos: policy.pick(digit_candidates(schedule, pos), pos),
-        limit=schedule.coverage,
-    )
+    walk = schedule.walk()
+
+    def pick(pos: int) -> int:
+        # The stream asks for its digits in position order, so one walk
+        # serves them all; any other request starts a walk at ``pos``.
+        nonlocal walk
+        info, _, candidates = next(walk, (None, None, None))
+        if info is None or info.n != pos:
+            walk = schedule.walk(pos)
+            info, _, candidates = next(walk)
+        return policy.pick(candidates, pos)
+
+    stream = DigitStream(schedule.spec.base, pick, limit=schedule.coverage)
     stream.prefix(n)
     return stream
 
@@ -420,10 +464,22 @@ def extract_y_prefix(
         raise ScheduleError(f"level {j} outside 1..{schedule.levels}")
     if n > schedule.coverage:
         raise ScheduleError(f"position {n} beyond coverage {schedule.coverage}")
-    return [
-        Fraction(stream.digit(pos), schedule.q(pos))
-        for pos in _iter_y_positions(schedule, j, n)
-    ]
+    positions = list(_iter_y_positions(schedule, j, n))
+    bases = _bases_at(schedule.spec.base, positions)
+    return [Fraction(stream.digit(pos), q) for pos, q in zip(positions, bases)]
+
+
+def _bases_at(rule: BasicSequenceRule, positions: Sequence[int]) -> list[int]:
+    """The values of ``rule`` at increasing ``positions``, from one walk."""
+    if not positions:
+        return []
+    values = rule.iter_values(positions[0])
+    at = positions[0]  # the position ``values`` yields next
+    out = []
+    for pos in positions:
+        out.append(next(islice(values, pos - at, None)))
+        at = pos + 1
+    return out
 
 
 def _first_y_positions(schedule: ThetaSchedule, j: int, count: int) -> list[int]:
@@ -559,7 +615,7 @@ def prefix_bound_check(
     positions = _first_y_positions(schedule, j, max(lengths, default=0))
     dstars = star_discrepancy_ladder(
         [stream.digit(pos) for pos in positions],
-        [schedule.q(pos) for pos in positions],
+        _bases_at(schedule.spec.base, positions),
         lengths,
     )
     for n, dstar in zip(lengths, dstars):

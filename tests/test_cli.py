@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from decimal import Decimal
 
@@ -5,8 +6,9 @@ import pytest
 
 from cnl import cli
 from cnl.cli import main
-from cnl.dimension import DimensionTraceRow
-from cnl.theta import digit_candidates
+from cnl.dimension import DimensionTraceRow, theta_dimension_trace
+from cnl.numeric import format_decimal
+from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
 
@@ -43,6 +45,28 @@ class TestThetaGenerate:
         assert schedule["l"] == [2, 71, 9036]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_pass"] is True
+
+    def test_walk_coordinates_checked_against_phi_inv(self, tmp_path, monkeypatch):
+        # A walk whose coordinates differ from phi_inv at one position, in a
+        # field phi does not read, fails the roundtrip check alone.
+        walk = ThetaSchedule.walk
+
+        def skewed(self, start=1):
+            for info, q, cand in walk(self, start):
+                if info.n == 7:
+                    info = dataclasses.replace(info, a=info.a + 1)
+                yield info, q, cand
+
+        monkeypatch.setattr(ThetaSchedule, "walk", skewed)
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        code = main(
+            ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "20"]
+        )
+        assert code == 1
+        checks = {c["name"]: c["ok"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+        assert checks.pop("positions roundtrip through the bijection") is False
+        assert all(checks.values())
 
     def test_depth_one_all_level_one(self, tmp_path):
         config = write_config(tmp_path, depth=1)
@@ -359,6 +383,45 @@ class TestDim:
             assert int(Decimal(cells[2])) == digit_candidates(schedule_a, k).count
         summary = json.loads((out / "dim_summary.json").read_text())
         assert (summary["log_rounding"], summary["precision_bits"]) == ("directed", 64)
+
+    @pytest.mark.parametrize("n", [2, 11, 12, 200])
+    def test_summary_from_the_streamed_rows(self, tmp_path, schedule_a, n):
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        assert main(["dim", "--config", str(config), "--out", str(out), "--n", str(n)]) == 0
+        rows = list(theta_dimension_trace(schedule_a, n))
+        lines = (out / "dim_trace.csv").read_text().splitlines()[1:]
+        assert lines == [",".join(row.csv_fields()) for row in rows]
+        window = max(1, len(rows) // 10)
+        summary = json.loads((out / "dim_summary.json").read_text())
+        assert summary["trailing_window"] == window
+        assert summary["trailing_min_d_exact"] == format_decimal(
+            min(r.d_exact for r in rows[-window:])
+        )
+        assert summary["trailing_min_d_bound"] == format_decimal(
+            min(r.d_bound for r in rows[-window:])
+        )
+        assert summary["final_d_exact"] == format_decimal(rows[-1].d_exact)
+        assert summary["final_d_bound"] == format_decimal(rows[-1].d_bound)
+
+    def test_geometry_error_mid_trace_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # A candidate count at k = 50 wider than the cylinder leaves nothing
+        # to contract; rows 2..49 were already written when the trace stops.
+        walk = ThetaSchedule.walk
+
+        def inflated(self, start=1):
+            for info, q, cand in walk(self, start):
+                if info.n == 50:
+                    cand = CandidateSet(1, q**60)
+                yield info, q, cand
+
+        monkeypatch.setattr(ThetaSchedule, "walk", inflated)
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        assert main(["dim", "--config", str(config), "--out", str(out), "--n", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "dimension trace rejected: no contraction to measure at k = 50" in err
+        assert list(out.iterdir()) == []
 
     def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
         fields = DimensionTraceRow.csv_fields

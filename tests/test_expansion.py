@@ -266,6 +266,41 @@ def counting_cases(stream_a):
     )
 
 
+class TestTranscodeInverseReads:
+    def test_each_block_decomposed_once(self, spec_a, stream_a):
+        # 64 fine digits at level 4 (S_4 = 8) are 8 coarse blocks.  Reading
+        # them reads each base value once for the fine stream's range check
+        # and once for its block's decomposition: 64 + 64 values, where
+        # decomposing a whole block for every fine digit read 8 * 64.
+        base = CountingGeometricRule(8, 2)
+        spec = ChainSpec(base=base, s=ConstantRule(2), depth=4)
+        coarse = DigitStream.from_list(
+            spec_a.rule(4), transcode(stream_a, spec_a, 4).prefix(8)
+        )
+        base.calls = 0
+        DigitStream.from_list(base, stream_a.prefix(64)).prefix(64)
+        range_check = base.calls
+        assert range_check == 64
+        base.calls = 0
+        back = transcode_inverse(coarse, spec, 4)
+        assert back.prefix(64) == stream_a.prefix(64)
+        assert base.calls == range_check + 64
+
+    def test_out_of_order_reads(self, spec_a, stream_a):
+        coarse = transcode(stream_a, spec_a, 3)
+        back = transcode_inverse(coarse, spec_a, 3)
+        for n in (9, 2, 16, 1, 4, 12):
+            assert back.digit(n) == stream_a.digit(n)
+
+    def test_oversized_coarse_digit_rejected(self, spec_a):
+        rule = spec_a.rule(2)
+        coarse = DigitStream.from_list(rule, [rule.q(1) - 1, rule.q(2) - 1])
+        assert transcode_inverse(coarse, spec_a, 2).prefix(4) == [15, 31, 63, 127]
+        with pytest.raises(DigitError, match="exceeds its base"):
+            oversized = DigitStream(ConstantRule(10**6), lambda n: 16 * 32)
+            transcode_inverse(oversized, spec_a, 2).digit(1)
+
+
 class TestLevelPoints:
     def test_every_level_and_shift(self, stream_a):
         for spec, stream in counting_cases(stream_a):

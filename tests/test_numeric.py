@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -173,11 +174,30 @@ class TestIntegerText:
         assert fraction_text(value) == str(value)
 
     def test_past_the_digit_limit(self):
-        import sys
-
         value = 10**6000 + 123  # 6001 digits
         text = int_text(value)
         assert text == "1" + "0" * 5997 + "123"
         assert fraction_text(Fraction(value, 7)) == text + "/7"
         if hasattr(sys, "get_int_max_str_digits"):
             assert sys.get_int_max_str_digits() in (0, 4300)
+
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_both_sides_of_the_digit_limit(self, digits, sign):
+        value = sign * (10 ** (digits - 1) + 987654321)
+        assert len(int_text(abs(value))) == digits
+        assert int_text(value) == str(Decimal(value))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_under_a_lowered_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for value in (10**639 + 1, -(10**639) - 1, 10**640 + 1, -(3**5000)):
+                assert int_text(value) == str(Decimal(value))
+            assert fraction_text(Fraction(10**700 + 1, 3)) == f"{Decimal(10**700 + 1)}/3"
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert sys.get_int_max_str_digits() == old

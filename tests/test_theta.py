@@ -1,12 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from cnl.equidist import star_discrepancy, verify_aap
-from cnl.sequences import ChainSpec, ConstantRule, ExplicitListRule, GeometricRule
+from cnl.sequences import (
+    BlockRepetitionRule,
+    ChainSpec,
+    ConstantRule,
+    ExplicitListRule,
+    GeometricRule,
+    OutOfDomainError,
+)
 from cnl.theta import (
+    PositionInfo,
     ScheduleError,
     SelectionPolicy,
     TailCertificateError,
@@ -163,6 +172,99 @@ class TestCandidates:
                 assert cand.count == 1
 
 
+def one_position(schedule, n):
+    """What the walk must yield at position n, from the one-position readers."""
+    return schedule.phi_inv(n), schedule.spec.base.q(n), digit_candidates(schedule, n)
+
+
+def walk_starts(schedule):
+    """1, every L_j and L_j + 1 inside the coverage, and the coverage."""
+    starts = {1, schedule.coverage}
+    for j in range(1, schedule.levels + 1):
+        starts |= {schedule.big_l(j), schedule.big_l(j) + 1}
+    return sorted(n for n in starts if n <= schedule.coverage)
+
+
+def short_list_spec(length=200):
+    """The doubling base cut to ``length`` values: the schedule builds (its
+    level openings and thresholds lie inside the list) but covers 36288."""
+    base = ExplicitListRule([2 ** (n + 3) for n in range(1, length + 1)], monotone_tail_from=1)
+    return ChainSpec(base=base, s=ConstantRule(2), depth=4)
+
+
+class TestWalk:
+    def test_geometric_base_every_start(self):
+        schedule = build_schedule(doubling_spec(depth=3))
+        assert schedule.coverage == 144
+        for start in range(1, schedule.coverage + 1):
+            walked = list(schedule.walk(start))
+            assert [w[0].n for w in walked] == list(range(start, schedule.coverage + 1))
+            for n in (start, start + 1, schedule.coverage):
+                if n <= schedule.coverage:
+                    assert walked[n - start] == one_position(schedule, n)
+        assert list(schedule.walk()) == [
+            one_position(schedule, n) for n in range(1, schedule.coverage + 1)
+        ]
+
+    def test_geometric_base_at_level_boundaries(self, schedule_a):
+        starts = walk_starts(schedule_a)
+        assert starts == [1, 2, 3, 144, 145, 36288]
+        for start in starts:
+            walked = list(islice(schedule_a.walk(start), 40))
+            assert len(walked) == min(40, schedule_a.coverage - start + 1)
+            for offset, entry in enumerate(walked):
+                assert entry == one_position(schedule_a, start + offset)
+
+    def test_ends_after_coverage(self, schedule_a):
+        walk = schedule_a.walk(schedule_a.coverage)
+        info, q, _ = next(walk)
+        assert info == PositionInfo(n=36288, level=3, block=9036, offset=4, a=4)
+        assert q == 2 ** 36291
+        with pytest.raises(StopIteration):
+            next(walk)
+        with pytest.raises(ScheduleError):
+            next(schedule_a.walk(schedule_a.coverage + 1))
+        with pytest.raises(ScheduleError):
+            next(schedule_a.walk(0))
+
+    @pytest.mark.parametrize("start", [1, 2, 3, 144, 145, 199, 200])
+    def test_short_list_base_raises_where_q_does(self, start):
+        spec = short_list_spec()
+        schedule = build_schedule(spec)
+        assert schedule.coverage == 36288
+        with pytest.raises(OutOfDomainError) as q_error:
+            spec.base.q(201)
+        with pytest.raises(OutOfDomainError) as cand_error:
+            digit_candidates(schedule, 201)
+        walked = []
+        with pytest.raises(OutOfDomainError) as walk_error:
+            for entry in schedule.walk(start):
+                walked.append(entry)
+        assert str(walk_error.value) == str(q_error.value) == str(cand_error.value)
+        assert walked == [one_position(schedule, n) for n in range(start, 201)]
+
+    def test_short_list_base_past_its_end(self):
+        spec = short_list_spec()
+        schedule = build_schedule(spec)
+        for start in (201, 36288):
+            with pytest.raises(OutOfDomainError) as walk_error:
+                next(schedule.walk(start))
+            with pytest.raises(OutOfDomainError) as q_error:
+                spec.base.q(start)
+            assert str(walk_error.value) == str(q_error.value)
+
+    def test_block_repetition_base(self):
+        base = BlockRepetitionRule(value_affine=(2**20, 2), repeat_affine=(1, 1))
+        schedule = build_schedule(ChainSpec(base=base, s=ConstantRule(2), depth=4))
+        assert [schedule.big_l(j) for j in (1, 2, 3)] == [2, 16, 26112]
+        for start in walk_starts(schedule):
+            walked = list(islice(schedule.walk(start), 300))
+            assert walked == [
+                one_position(schedule, n)
+                for n in range(start, min(start + 300, schedule.coverage + 1))
+            ]
+
+
 class TestGenerate:
     def test_min_policy_prefix(self, stream_a):
         assert stream_a.prefix(4) == [1, 1, 16, 96]
@@ -199,6 +301,21 @@ class TestGenerate:
     def test_coverage_guard(self, schedule_a):
         with pytest.raises(ScheduleError):
             generate_digits(schedule_a, SelectionPolicy("min"), schedule_a.coverage + 1)
+
+    def test_digits_past_n_follow_the_policy(self, schedule_a):
+        policy = SelectionPolicy("seeded", seed=5)
+        stream = generate_digits(schedule_a, policy, 50)
+        assert stream.digit(150) == policy.pick(digit_candidates(schedule_a, 150), 150)
+        assert stream.prefix(150) == [
+            policy.pick(digit_candidates(schedule_a, n), n) for n in range(1, 151)
+        ]
+
+    def test_base_ending_early_raises_on_every_read(self):
+        schedule = build_schedule(short_list_spec())
+        stream = generate_digits(schedule, SelectionPolicy("min"), 200)
+        for _ in range(2):
+            with pytest.raises(OutOfDomainError, match="position 201 past end"):
+                stream.digit(201)
 
 
 class TestExtractY:
