@@ -45,6 +45,7 @@ from .theta import (
     SelectionPolicy,
     TailCertificateError,
     build_schedule,
+    digit_candidates,
     generate_digits,
     prefix_bound_check,
     y_prefix_count,
@@ -155,11 +156,12 @@ def cmd_theta_generate(args) -> int:
     digit_ok = True
     roundtrip_ok = True
     omega_ok = True
-    for info, q, cand in islice(schedule.walk(), args.n):
+    for info, q in islice(schedule.walk(), args.n):
         n = info.n
         # The walk's coordinates must be phi_inv's, and phi must invert them.
         if schedule.phi_inv(n) != info or schedule.phi(info.level, info.block, info.offset) != n:
             roundtrip_ok = False
+        cand = digit_candidates(schedule, n, info, q)
         digit = stream.digit(n)
         if digit == 0 or digit not in cand:
             digit_ok = False
@@ -249,8 +251,8 @@ def cmd_analyze(args) -> int:
     try:
         schedule = build_schedule(spec)
         conformant = all(
-            stream.digit(info.n) in cand
-            for info, _, cand in islice(schedule.walk(), min(total, schedule.coverage))
+            stream.digit(info.n) in digit_candidates(schedule, info.n, info, q)
+            for info, q in islice(schedule.walk(), min(total, schedule.coverage))
         )
     except ScheduleError:
         schedule = None
@@ -305,22 +307,22 @@ def cmd_dim(args) -> int:
         raise RuleError(str(exc)) from exc
     schedule = _covering_schedule(spec, args.n)
     out_dir = _out_dir(args)
-    # Rows k = 2 .. n are written as they come; the summary needs only
-    # the last one and the minima over the trailing window.
+    # Rows k = 2 .. n are written as they are made; the summary needs
+    # only the last one and the minima over the trailing window.
     window = max(1, (args.n - 1) // 10)
-    tail_from = args.n - window + 1
-    tail_exact = tail_bound = last = None
+    tail: dict = {}
+
+    def write_row(row) -> None:
+        fh.write(",".join(row.csv_fields()) + "\n")
+        if row.k > args.n - window:
+            tail["d_exact"] = min(tail.get("d_exact", row.d_exact), row.d_exact)
+            tail["d_bound"] = min(tail.get("d_bound", row.d_bound), row.d_bound)
+            tail["last"] = row
+
     try:
-        rows = theta_dimension_trace(schedule, args.n, bits)
         with atomic_write(out_dir / "dim_trace.csv") as fh:
             fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
-            for last in rows:
-                fh.write(",".join(last.csv_fields()) + "\n")
-                if last.k == tail_from:
-                    tail_exact, tail_bound = last.d_exact, last.d_bound
-                elif last.k > tail_from:
-                    tail_exact = min(tail_exact, last.d_exact)
-                    tail_bound = min(tail_bound, last.d_bound)
+            theta_dimension_trace(schedule, args.n, bits, emit=write_row)
     except GeometryError as exc:
         print(f"dimension trace rejected: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -336,10 +338,10 @@ def cmd_dim(args) -> int:
         "command": "dim",
         "horizon": args.n,
         "trailing_window": window,
-        "trailing_min_d_exact": format_decimal(tail_exact),
-        "trailing_min_d_bound": format_decimal(tail_bound),
-        "final_d_exact": format_decimal(last.d_exact),
-        "final_d_bound": format_decimal(last.d_bound),
+        "trailing_min_d_exact": format_decimal(tail["d_exact"]),
+        "trailing_min_d_bound": format_decimal(tail["d_bound"]),
+        "final_d_exact": format_decimal(tail["last"].d_exact),
+        "final_d_bound": format_decimal(tail["last"].d_bound),
         "growth_flag": growth.flag,
         "log_rounding": "directed",
         "precision_bits": bits,

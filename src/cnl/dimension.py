@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .expansion import DigitStream, mixed_radix
 from .numeric import format_decimal, hp_ln, int_text
@@ -113,7 +113,7 @@ def theta_geometry(schedule: ThetaSchedule, depth: int) -> list[LevelGeometry]:
     out = []
     q_prod_prev = 1
     prev_eps: Optional[Fraction] = None
-    for info, q, candidates in islice(schedule.walk(), depth):
+    for info, q in islice(schedule.walk(), depth):
         k = info.n
         if info.a == 1:
             eps = Fraction(1, q_prod_prev)
@@ -121,7 +121,7 @@ def theta_geometry(schedule: ThetaSchedule, depth: int) -> list[LevelGeometry]:
             eps = Fraction(info.a * info.a - 1, info.a * info.a) / q_prod_prev
         if prev_eps is not None and not eps < prev_eps:
             raise GeometryError(f"gap floor fails to decrease at level {k}")
-        out.append(LevelGeometry(k=k, m=candidates.count, eps=eps))
+        out.append(LevelGeometry(k=k, m=digit_candidates(schedule, k, info, q).count, eps=eps))
         prev_eps = eps
         q_prod_prev *= q
     return out
@@ -191,8 +191,11 @@ class DimensionTraceRow:
 
 
 def theta_dimension_trace(
-    schedule: ThetaSchedule, horizon: int, bits: int | None = None
-) -> Iterator[DimensionTraceRow]:
+    schedule: ThetaSchedule,
+    horizon: int,
+    bits: int | None = None,
+    emit: Optional[Callable[[DimensionTraceRow], None]] = None,
+) -> list[DimensionTraceRow]:
     """Exact-count and bound-substituted d_k traces to the horizon.
 
     Everything streams in log space so gap denominators (products of
@@ -201,26 +204,22 @@ def theta_dimension_trace(
     variants; rows start at k = 2.  Every sum of ``hp_ln`` enclosure
     ends rounds in the direction that keeps each d_k a lower bound.
 
-    The horizon is checked on the call; the rows are then yielded one
-    at a time, as the schedule walk reaches them, so no row outlives
-    its reader.
+    The rows are returned; with ``emit``, each row goes to it as soon
+    as it is made and none is kept.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
-    return _trace_rows(schedule, horizon, bits)
-
-
-def _trace_rows(
-    schedule: ThetaSchedule, horizon: int, bits: int | None
-) -> Iterator[DimensionTraceRow]:
+    rows: list[DimensionTraceRow] = []
+    if emit is None:
+        emit = rows.append
     ln2_lo = hp_ln(2, bits)[0]
     gap_logs = {1: 0}  # lo(ln((a^2 - 1)/a^2)) by a, one per level; 0 when a = 1
     sum_log_q = 0  # sum of hi(ln q_n) for n < k
     sum_log_omega = 0  # exact-count numerator
     sum_log_bound = 0  # bound-substituted numerator
-    for info, q, candidates in islice(schedule.walk(), horizon):
+    for info, q in islice(schedule.walk(), horizon):
         k = info.n
-        omega = candidates.count
+        omega = digit_candidates(schedule, k, info, q).count
         q_lo, q_hi = hp_ln(q, bits)
         log_omega = hp_ln(omega, bits)[0]
         weighted = (info.level - 1) * q_lo // info.level  # rounded down
@@ -233,14 +232,17 @@ def _trace_rows(
             denom_bound = sum_log_q - weighted
             if denom_exact <= 0 or denom_bound <= 0:
                 raise GeometryError(f"no contraction to measure at k = {k}")
-            yield DimensionTraceRow(
-                k=k,
-                level=info.level,
-                omega=omega,
-                log2_eps=Fraction(log_gap_factor - sum_log_q, ln2_lo),
-                d_exact=Fraction(sum_log_omega, denom_exact),
-                d_bound=Fraction(sum_log_bound, denom_bound),
+            emit(
+                DimensionTraceRow(
+                    k=k,
+                    level=info.level,
+                    omega=omega,
+                    log2_eps=Fraction(log_gap_factor - sum_log_q, ln2_lo),
+                    d_exact=Fraction(sum_log_omega, denom_exact),
+                    d_bound=Fraction(sum_log_bound, denom_bound),
+                )
             )
         sum_log_q += q_hi
         sum_log_omega += log_omega
         sum_log_bound += weighted
+    return rows

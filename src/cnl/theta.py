@@ -11,7 +11,7 @@ stays nonzero in every chain base.
 
 Window convention: the level-j window for offset c covers
 [(c-1)/a + 1/a^2, (c-1)/a + 2/a^2) with a = S_j, half open, and the
-level-1 window is [1/q_n, 2/q_n).  In integers (``window_bounds``) a
+level-1 window is [1/q_n, 2/q_n).  In integers (``_window_bounds``) a
 window is [lo/den, hi/den) with
 
     (lo, hi, den) = (1, 2, q_n)                         at level 1,
@@ -204,14 +204,16 @@ class ThetaSchedule:
         offset = offset_in_level - (block - 1) * big_s
         return PositionInfo(n=n, level=level, block=block, offset=offset, a=big_s)
 
-    def walk(self, start: int = 1) -> Iterator[tuple[PositionInfo, int, CandidateSet]]:
-        """``(phi_inv(n), q(n), digit_candidates(self, n))`` for n = start ..
-        coverage, in one sequential pass.
+    def walk(self, start: int = 1) -> Iterator[tuple[PositionInfo, int]]:
+        """``(phi_inv(n), q(n))`` for n = start .. coverage, in one
+        sequential pass.
 
         One ``phi_inv(start)`` places the walk; from there the
         coordinates step offset -> block -> level over the S_j and l_j
         tables, and the bases come from one walk of the base rule, which
         raises ``OutOfDomainError`` at the position where ``q`` would.
+        ``digit_candidates(self, n, info, q)`` gives the window of each
+        step without reading the schedule again.
         """
         info = self.phi_inv(start)
         n, level, block, offset = start, info.level, info.block, info.offset
@@ -222,8 +224,7 @@ class ThetaSchedule:
             while block <= blocks:
                 while offset <= a:
                     q = next(bases)
-                    info = PositionInfo(n=n, level=level, block=block, offset=offset, a=a)
-                    yield info, q, _candidates(info, q)
+                    yield PositionInfo(n=n, level=level, block=block, offset=offset, a=a), q
                     n += 1
                     offset += 1
                 block += 1
@@ -231,13 +232,9 @@ class ThetaSchedule:
             level += 1
             block = 1
 
-    def window_bounds(self, level: int, offset: int, n: int) -> tuple[int, int, int]:
-        """(lo, hi, den): position n's window is [lo/den, hi/den)."""
-        q = self.q(n) if level == 1 else None
-        return _window_bounds(level, offset, self.big_s(level), q)
-
     def window(self, level: int, offset: int, n: int) -> tuple[Fraction, Fraction]:
-        lo, hi, den = self.window_bounds(level, offset, n)
+        q = self.q(n) if level == 1 else None
+        lo, hi, den = _window_bounds(level, offset, self.big_s(level), q)
         return Fraction(lo, den), Fraction(hi, den)
 
     def dump_json(self) -> dict:
@@ -368,27 +365,31 @@ def _window_bounds(level: int, offset: int, a: int, q: Optional[int]) -> tuple[i
     return lo, lo + 1, a * a
 
 
-def _candidates(info: PositionInfo, q: int) -> CandidateSet:
-    lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
-    f_min = max(_ceil_div(q * lo, den), 1)
-    f_max = min(_ceil_div(q * hi, den) - 1, q - 1)
-    if f_min > f_max:
-        raise ScheduleError(f"empty candidate window at position {info.n}")
-    return CandidateSet(f_min, f_max)
-
-
-def digit_candidates(schedule: ThetaSchedule, n: int) -> CandidateSet:
+def digit_candidates(
+    schedule: ThetaSchedule,
+    n: int,
+    info: Optional[PositionInfo] = None,
+    q: Optional[int] = None,
+) -> CandidateSet:
     """All digits whose ratio falls in the position window.
 
     The integer bounds are given in the module docstring.  Level-1
     positions admit exactly the digit 1.  Deeper positions admit every
     integer in a half-open window of width q_n / a^2, so the count is
     at least floor(q_n / a^2) >= 1 and every candidate is nonzero.  The
-    set is returned as a range, because counts grow with q_n.  This is
-    the one-position form of ``ThetaSchedule.walk``, with the same
-    formula; readers of consecutive positions take the walk.
+    set is returned as a range, because counts grow with q_n.  Readers
+    of consecutive positions pass each step of ``ThetaSchedule.walk`` as
+    ``info`` and ``q``; without them the position is looked up with
+    ``phi_inv(n)`` and ``q(n)``.
     """
-    return _candidates(schedule.phi_inv(n), schedule.q(n))
+    if info is None:
+        info, q = schedule.phi_inv(n), schedule.q(n)
+    lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
+    f_min = max(_ceil_div(q * lo, den), 1)
+    f_max = min(_ceil_div(q * hi, den) - 1, q - 1)
+    if f_min > f_max:
+        raise ScheduleError(f"empty candidate window at position {n}")
+    return CandidateSet(f_min, f_max)
 
 
 def generate_digits(
@@ -403,13 +404,14 @@ def generate_digits(
 
     def pick(pos: int) -> int:
         # The stream asks for its digits in position order, so one walk
-        # serves them all; any other request starts a walk at ``pos``.
+        # serves them all.  After a failed read the walk has ended or run
+        # ahead, so the next read starts a new walk at ``pos``.
         nonlocal walk
-        info, _, candidates = next(walk, (None, None, None))
+        info, q = next(walk, (None, None))
         if info is None or info.n != pos:
             walk = schedule.walk(pos)
-            info, _, candidates = next(walk)
-        return policy.pick(candidates, pos)
+            info, q = next(walk)
+        return policy.pick(digit_candidates(schedule, pos, info, q), pos)
 
     stream = DigitStream(schedule.spec.base, pick, limit=schedule.coverage)
     stream.prefix(n)

@@ -169,7 +169,7 @@ def test_criterion_5_discrepancy_oracle(spec_a, schedule_a, stream_a):
 
 def test_criterion_6_dimension_trace(schedule_a, stream_a):
     started = time.monotonic()
-    rows = list(theta_dimension_trace(schedule_a, 2000))
+    rows = theta_dimension_trace(schedule_a, 2000)
     final = rows[-1]
     assert Fraction(3, 5) <= final.d_bound <= Fraction(7, 10)
 

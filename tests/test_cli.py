@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from cnl import cli
+from cnl import cli, dimension
 from cnl.cli import main
 from cnl.dimension import DimensionTraceRow, theta_dimension_trace
 from cnl.numeric import format_decimal
@@ -52,10 +52,10 @@ class TestThetaGenerate:
         walk = ThetaSchedule.walk
 
         def skewed(self, start=1):
-            for info, q, cand in walk(self, start):
+            for info, q in walk(self, start):
                 if info.n == 7:
                     info = dataclasses.replace(info, a=info.a + 1)
-                yield info, q, cand
+                yield info, q
 
         monkeypatch.setattr(ThetaSchedule, "walk", skewed)
         config = write_config(tmp_path)
@@ -389,7 +389,7 @@ class TestDim:
         config = write_config(tmp_path)
         out = tmp_path / "dim"
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", str(n)]) == 0
-        rows = list(theta_dimension_trace(schedule_a, n))
+        rows = theta_dimension_trace(schedule_a, n)
         lines = (out / "dim_trace.csv").read_text().splitlines()[1:]
         assert lines == [",".join(row.csv_fields()) for row in rows]
         window = max(1, len(rows) // 10)
@@ -407,15 +407,12 @@ class TestDim:
     def test_geometry_error_mid_trace_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # A candidate count at k = 50 wider than the cylinder leaves nothing
         # to contract; rows 2..49 were already written when the trace stops.
-        walk = ThetaSchedule.walk
+        def inflated(schedule, n, info=None, q=None):
+            if n == 50:
+                return CandidateSet(1, q**60)
+            return digit_candidates(schedule, n, info, q)
 
-        def inflated(self, start=1):
-            for info, q, cand in walk(self, start):
-                if info.n == 50:
-                    cand = CandidateSet(1, q**60)
-                yield info, q, cand
-
-        monkeypatch.setattr(ThetaSchedule, "walk", inflated)
+        monkeypatch.setattr(dimension, "digit_candidates", inflated)
         config = write_config(tmp_path)
         out = tmp_path / "dim"
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", "100"]) == 1

@@ -173,8 +173,16 @@ class TestCandidates:
 
 
 def one_position(schedule, n):
-    """What the walk must yield at position n, from the one-position readers."""
+    """Position n's coordinates, base and window from the one-position readers."""
     return schedule.phi_inv(n), schedule.spec.base.q(n), digit_candidates(schedule, n)
+
+
+def walked(schedule, start, count=None):
+    """The walk from ``start``, each step with the window it gives."""
+    return [
+        (info, q, digit_candidates(schedule, info.n, info, q))
+        for info, q in islice(schedule.walk(start), count)
+    ]
 
 
 def walk_starts(schedule):
@@ -197,12 +205,12 @@ class TestWalk:
         schedule = build_schedule(doubling_spec(depth=3))
         assert schedule.coverage == 144
         for start in range(1, schedule.coverage + 1):
-            walked = list(schedule.walk(start))
-            assert [w[0].n for w in walked] == list(range(start, schedule.coverage + 1))
+            steps = walked(schedule, start)
+            assert [w[0].n for w in steps] == list(range(start, schedule.coverage + 1))
             for n in (start, start + 1, schedule.coverage):
                 if n <= schedule.coverage:
-                    assert walked[n - start] == one_position(schedule, n)
-        assert list(schedule.walk()) == [
+                    assert steps[n - start] == one_position(schedule, n)
+        assert walked(schedule, 1) == [
             one_position(schedule, n) for n in range(1, schedule.coverage + 1)
         ]
 
@@ -210,14 +218,14 @@ class TestWalk:
         starts = walk_starts(schedule_a)
         assert starts == [1, 2, 3, 144, 145, 36288]
         for start in starts:
-            walked = list(islice(schedule_a.walk(start), 40))
-            assert len(walked) == min(40, schedule_a.coverage - start + 1)
-            for offset, entry in enumerate(walked):
+            steps = walked(schedule_a, start, 40)
+            assert len(steps) == min(40, schedule_a.coverage - start + 1)
+            for offset, entry in enumerate(steps):
                 assert entry == one_position(schedule_a, start + offset)
 
     def test_ends_after_coverage(self, schedule_a):
         walk = schedule_a.walk(schedule_a.coverage)
-        info, q, _ = next(walk)
+        info, q = next(walk)
         assert info == PositionInfo(n=36288, level=3, block=9036, offset=4, a=4)
         assert q == 2 ** 36291
         with pytest.raises(StopIteration):
@@ -236,12 +244,12 @@ class TestWalk:
             spec.base.q(201)
         with pytest.raises(OutOfDomainError) as cand_error:
             digit_candidates(schedule, 201)
-        walked = []
+        steps = []
         with pytest.raises(OutOfDomainError) as walk_error:
-            for entry in schedule.walk(start):
-                walked.append(entry)
+            for info, q in schedule.walk(start):
+                steps.append((info, q, digit_candidates(schedule, info.n, info, q)))
         assert str(walk_error.value) == str(q_error.value) == str(cand_error.value)
-        assert walked == [one_position(schedule, n) for n in range(start, 201)]
+        assert steps == [one_position(schedule, n) for n in range(start, 201)]
 
     def test_short_list_base_past_its_end(self):
         spec = short_list_spec()
@@ -258,8 +266,7 @@ class TestWalk:
         schedule = build_schedule(ChainSpec(base=base, s=ConstantRule(2), depth=4))
         assert [schedule.big_l(j) for j in (1, 2, 3)] == [2, 16, 26112]
         for start in walk_starts(schedule):
-            walked = list(islice(schedule.walk(start), 300))
-            assert walked == [
+            assert walked(schedule, start, 300) == [
                 one_position(schedule, n)
                 for n in range(start, min(start + 300, schedule.coverage + 1))
             ]
