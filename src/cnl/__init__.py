@@ -15,7 +15,6 @@ from .sequences import (
     ContractionRule,
     ExplicitListRule,
     GeometricRule,
-    divergence_report,
     growth_condition_trace,
     partial_sum_qnk,
     rule_from_json,
@@ -29,7 +28,6 @@ from .expansion import (
     expand,
     level_points,
     load_jsonl,
-    mod_s_gap,
     save_jsonl,
     t_enclosure,
     transcode,
@@ -39,7 +37,6 @@ from .equidist import (
     AAPCertificate,
     aap_bound,
     concat_bound,
-    count_below,
     dn_diagnostic,
     normality_report,
     star_discrepancy,

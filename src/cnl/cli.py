@@ -38,6 +38,7 @@ from .sequences import (
     OutOfDomainError,
     RuleError,
     growth_condition_trace,
+    json_int,
     rule_from_json,
 )
 from .theta import (
@@ -74,10 +75,8 @@ def _spec_from_config(config: dict, depth_override=None) -> ChainSpec:
     try:
         base = rule_from_json(config["Q"])
         steps = rule_from_json(config["S"])
-        depth = depth_override if depth_override is not None else int(config["depth"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, RuleError):
-            raise
+        depth = json_int(config["depth"], "depth") if depth_override is None else depth_override
+    except (AttributeError, KeyError, TypeError) as exc:
         raise RuleError(f"config needs Q, S, and depth: {exc}") from exc
     return ChainSpec(base=base, s=steps, depth=depth)
 
@@ -87,15 +86,13 @@ def _policy_from_args(config: dict, args) -> SelectionPolicy:
     seed = args.seed
     try:
         if isinstance(kind, dict):
-            seed = int(kind.get("seed", 0)) if seed is None else seed
+            seed = json_int(kind.get("seed", 0), "policy seed") if seed is None else seed
             kind = kind.get("kind", "seeded")
         if kind == "seeded" and seed is None:
-            seed = int(config.get("seed", 0))
+            seed = json_int(config.get("seed", 0), "seed")
         return SelectionPolicy(kind=kind, seed=seed)
     except ScheduleError as exc:
         raise RuleError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise RuleError(f"policy seed must be an integer: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -149,10 +146,6 @@ def cmd_theta_generate(args) -> int:
     save_jsonl(stream, args.n, out_dir / "digits.jsonl")
     _write_json(out_dir / "schedule.json", schedule.dump_json())
 
-    checks = [
-        {"name": name, "ok": ok, "detail": detail}
-        for name, ok, detail in schedule.verify()
-    ]
     digit_ok = True
     roundtrip_ok = True
     omega_ok = True
@@ -167,15 +160,15 @@ def cmd_theta_generate(args) -> int:
             digit_ok = False
         if info.level >= 2 and cand.count < max(1, q // (info.a * info.a)):
             omega_ok = False
-    checks.append(
-        {"name": "positions roundtrip through the bijection", "ok": roundtrip_ok, "detail": f"n <= {args.n}"}
-    )
-    checks.append(
-        {"name": "digits nonzero and inside their windows", "ok": digit_ok, "detail": f"n <= {args.n}"}
-    )
-    checks.append(
-        {"name": "candidate counts clear the window floor", "ok": omega_ok, "detail": f"n <= {args.n}"}
-    )
+    checks = [
+        {"name": name, "ok": ok, "detail": detail}
+        for name, ok, detail in [
+            *schedule.verify(),
+            ("positions roundtrip through the bijection", roundtrip_ok, f"n <= {args.n}"),
+            ("digits nonzero and inside their windows", digit_ok, f"n <= {args.n}"),
+            ("candidate counts clear the window floor", omega_ok, f"n <= {args.n}"),
+        ]
+    ]
     all_pass = all(c["ok"] for c in checks)
     _write_json(
         out_dir / "summary.json",

@@ -29,7 +29,6 @@ __all__ = [
     "LevelGeometry",
     "basic_intervals",
     "theta_geometry",
-    "FalconerTrace",
     "falconer_lower_bound",
     "DimensionTraceRow",
     "theta_dimension_trace",
@@ -127,20 +126,9 @@ def theta_geometry(schedule: ThetaSchedule, depth: int) -> list[LevelGeometry]:
     return out
 
 
-@dataclass(frozen=True)
-class FalconerTrace:
-    """d_k values with the minimum over a trailing window."""
-
-    ds: tuple[Fraction, ...]
-    trailing_min: Fraction
-    window: int
-
-
 def falconer_lower_bound(
-    geometry: Sequence[LevelGeometry],
-    bits: int | None = None,
-    window: Optional[int] = None,
-) -> FalconerTrace:
+    geometry: Sequence[LevelGeometry], bits: int | None = None
+) -> tuple[Fraction, ...]:
     """The lower-bound sequence d_k for an explicit geometry list.
 
     d_k = log(m_1 ... m_{k-1}) / -log(m_k eps_k), for k = 2 .. K, from
@@ -165,9 +153,7 @@ def falconer_lower_bound(
             )
         denom = -(log_m[idx] + hp_ln(g.eps, bits)[0])
         ds.append(Fraction(numer, denom))
-    window = max(1, len(ds) // 10) if window is None else window
-    trailing = ds[-window:]
-    return FalconerTrace(ds=tuple(ds), trailing_min=min(trailing), window=window)
+    return tuple(ds)
 
 
 @dataclass(frozen=True)
@@ -194,8 +180,9 @@ def theta_dimension_trace(
     schedule: ThetaSchedule,
     horizon: int,
     bits: int | None = None,
-    emit: Optional[Callable[[DimensionTraceRow], None]] = None,
-) -> list[DimensionTraceRow]:
+    *,
+    emit: Callable[[DimensionTraceRow], None],
+) -> None:
     """Exact-count and bound-substituted d_k traces to the horizon.
 
     Everything streams in log space so gap denominators (products of
@@ -204,14 +191,10 @@ def theta_dimension_trace(
     variants; rows start at k = 2.  Every sum of ``hp_ln`` enclosure
     ends rounds in the direction that keeps each d_k a lower bound.
 
-    The rows are returned; with ``emit``, each row goes to it as soon
-    as it is made and none is kept.
+    Each row goes to ``emit`` as soon as it is made; none is kept.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
-    rows: list[DimensionTraceRow] = []
-    if emit is None:
-        emit = rows.append
     ln2_lo = hp_ln(2, bits)[0]
     gap_logs = {1: 0}  # lo(ln((a^2 - 1)/a^2)) by a, one per level; 0 when a = 1
     sum_log_q = 0  # sum of hi(ln q_n) for n < k
@@ -245,4 +228,3 @@ def theta_dimension_trace(
         sum_log_q += q_hi
         sum_log_omega += log_omega
         sum_log_bound += weighted
-    return rows

@@ -27,7 +27,6 @@ __all__ = [
     "COND_END",
     "AAPCertificate",
     "AapBound",
-    "count_below",
     "star_discrepancy",
     "star_discrepancy_ladder",
     "verify_aap",
@@ -53,15 +52,6 @@ def _validate_unit_points(points: Sequence[Fraction]) -> list[Fraction]:
         if not 0 <= v < 1:
             raise ValueError(f"point {v} outside [0, 1)")
     return values
-
-
-def count_below(points: Sequence[Fraction], gamma: Fraction) -> int:
-    """How many points fall in [0, gamma); gamma must lie in (0, 1]."""
-    gamma = Fraction(gamma)
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    values = _validate_unit_points(points)
-    return sum(1 for v in values if v < gamma)
 
 
 def _dyadic(dens: Iterable[int]) -> bool:
@@ -176,7 +166,7 @@ def star_discrepancy_ladder(
 
 
 def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
-    """Exact sup over gamma of |count_below/N - gamma|.
+    """Exact sup over gamma of |#{x_i < gamma}/N - gamma|.
 
     Uses the sorted-points closed form: with x_(1) <= ... <= x_(N) the
     supremum equals max over i of max(x_(i) - (i-1)/N, i/N - x_(i)),

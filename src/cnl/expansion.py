@@ -46,7 +46,6 @@ __all__ = [
     "transcode",
     "transcode_inverse",
     "level_points",
-    "mod_s_gap",
     "Census",
     "digit_census",
     "atomic_write",
@@ -61,10 +60,9 @@ class DigitError(ValueError):
 class DigitStream:
     """Lazily generated digit sequence against a base rule.
 
-    Digits are produced by a pure position-indexed function and cached;
-    prefix analyses over disjoint windows may run concurrently on a
-    shared stream.  ``limit`` bounds the available positions for
-    finitely described sources.
+    Digits are produced by a pure position-indexed function and cached.
+    ``limit`` bounds the available positions for finitely described
+    sources.
     """
 
     def __init__(
@@ -107,22 +105,6 @@ class DigitStream:
         if n >= 1:
             self.digit(n)
         return self._cache[:n]
-
-    def max_digit_diagnostic(self, n: int) -> dict:
-        """Length of the trailing maximal-digit run in the n-prefix.
-
-        A fresh non-maximal digit after the last maximal run witnesses,
-        for this prefix, the convention that E_n != q_n - 1 infinitely
-        often.  Diagnostic only; no tail claim is made.
-        """
-        digits = self.prefix(n)
-        run = 0
-        for pos in range(n, 0, -1):
-            if digits[pos - 1] == self.rule.q(pos) - 1:
-                run += 1
-            else:
-                break
-        return {"prefix": n, "trailing_max_run": run, "witnessed": run == 0}
 
     @staticmethod
     def from_list(rule: BasicSequenceRule, digits: Sequence[int]) -> "DigitStream":
@@ -288,21 +270,6 @@ def level_points(
         dens.append(den)
         width = rule.s
     return nums, dens
-
-
-def mod_s_gap(stream: DigitStream, spec: ChainSpec, j: int, n: int) -> Fraction:
-    """Coarse digit ratio minus its block-leading fine digit ratio.
-
-    Always lies in [0, S_j / q_{S_j(n-1)+1}): the coarse ratio is the
-    leading fine ratio plus the packed contribution of the remaining
-    block digits, each worth less than one leading-base ulp.
-    """
-    coarse = transcode(stream, spec, j)
-    rule = spec.rule(j)
-    lead_pos = n if rule is spec.base else rule.block(n).start
-    return Fraction(coarse.digit(n), rule.q(n)) - Fraction(
-        stream.digit(lead_pos), spec.base.q(lead_pos)
-    )
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ def coarse_stream() -> DigitStream:
 
 @dataclass
 class RefPairReport:
-    orbit_horizon: int
     checks: list[tuple[str, bool]] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
 
@@ -159,7 +158,7 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     ratio discrepancies for x (fine base) and y (coarse base) shrink
     across sampled prefixes.
     """
-    report = RefPairReport(orbit_horizon=orbit_horizon)
+    report = RefPairReport()
     fine_rule = fine_base_rule()
     coarse_rule = coarse_base_rule()
     spec = ChainSpec(base=fine_rule, s=ConstantRule(2), depth=2)

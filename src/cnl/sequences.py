@@ -28,6 +28,7 @@ schedule machinery requires callers to certify tail monotonicity via
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -49,11 +50,10 @@ __all__ = [
     "ChainSpec",
     "window_reciprocal_sums",
     "partial_sum_qnk",
-    "DivergenceReport",
-    "divergence_report",
     "GrowthTrace",
     "growth_condition_trace",
     "rule_to_json",
+    "json_int",
     "rule_from_json",
 ]
 
@@ -499,61 +499,9 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DivergenceReport:
-    """Finite-horizon partial sums with a growth classification.
-
-    The flag never asserts a limit; it summarizes how the last decade of
-    increments compares with the first.
-    """
-
-    k: int
-    horizon: int
-    values: tuple[Fraction, ...]
-    growth_ratio: Fraction
-    flag: str
-
-
-_BOUNDED_CUTOFF = Fraction(1, 1000)
-_LINEAR_CUTOFF = Fraction(9, 10)
-
-
-def divergence_report(rule: BasicSequenceRule, k: int, horizon: int) -> DivergenceReport:
-    """Partial sums of the k-window reciprocals up to the horizon.
-
-    The classification compares the increment over the trailing decade
-    against the increment over the leading decade: near-equal increments
-    flag "linear growth", vanishing ones flag "bounded at horizon", and
-    everything between flags "slow growth".
-    """
-    if horizon < 1:
-        raise OutOfDomainError("horizon must be >= 1")
-    values = [Fraction(0)] + window_reciprocal_sums(
-        rule.iter_values(), k, range(1, horizon + 1)
-    )
-    decade = max(1, horizon // 10)
-    head = values[decade] - values[0]
-    tail = values[horizon] - values[horizon - decade]
-    ratio = tail / head
-    if ratio <= _BOUNDED_CUTOFF:
-        flag = "bounded at horizon"
-    elif ratio >= _LINEAR_CUTOFF:
-        flag = "linear growth"
-    else:
-        flag = "slow growth"
-    return DivergenceReport(
-        k=k,
-        horizon=horizon,
-        values=tuple(values[1:]),
-        growth_ratio=ratio,
-        flag=flag,
-    )
-
-
-@dataclass(frozen=True)
 class GrowthTrace:
     """Ratios log q_k / sum_{n<k} log q_n and a trend flag."""
 
-    horizon: int
     ratios: tuple[Fraction, ...]
     flag: str
 
@@ -581,7 +529,7 @@ def growth_condition_trace(
     mid = ratios[max(0, (len(ratios) - 1) // 2)]
     last = ratios[-1]
     flag = "decreasing at horizon" if last <= Fraction(3, 4) * mid else "not decreasing"
-    return GrowthTrace(horizon=horizon, ratios=tuple(ratios), flag=flag)
+    return GrowthTrace(ratios=tuple(ratios), flag=flag)
 
 
 def rule_to_json(rule: BasicSequenceRule) -> dict:
@@ -593,27 +541,45 @@ def rule_to_json(rule: BasicSequenceRule) -> dict:
     }
 
 
+def json_int(value, name: str, *shape: int):
+    """A config integer: a JSON int (not a bool) or a string that ``int()`` parses;
+    with a shape, a JSON array of them (``0, 2``: any number of 2-entry arrays)."""
+    if shape:
+        if not isinstance(value, list) or shape[0] not in (0, len(value)):
+            raise RuleError(f"{name} must be a JSON array, got {value!r}")
+        return [json_int(v, name, *shape[1:]) for v in value]
+    if type(value) is int or isinstance(value, str):
+        with suppress(ValueError):
+            return int(value)
+    raise RuleError(f"{name} must be an integer or a decimal string, got {value!r}")
+
+
 def rule_from_json(obj: dict) -> BasicSequenceRule:
     kind = obj.get("kind")
     params = obj.get("params", {})
     tail = obj.get("monotone_tail_from")
+
+    def arg(key: str, *shape: int):
+        return json_int(params[key], f"{kind} {key}", *shape)
+
     if kind == "explicit-list":
-        return ExplicitListRule(params["values"], monotone_tail_from=tail)
+        tail = None if tail is None else json_int(tail, "monotone_tail_from")
+        return ExplicitListRule(arg("values", 0), monotone_tail_from=tail)
     if kind == "constant":
-        return ConstantRule(params["value"])
+        return ConstantRule(arg("value"))
     if kind == "geometric":
-        return GeometricRule(params["coefficient"], params["ratio"])
+        return GeometricRule(arg("coefficient"), arg("ratio"))
     if kind == "block-repetition":
         if "pairs" in params:
-            return BlockRepetitionRule(pairs=params["pairs"])
+            return BlockRepetitionRule(pairs=arg("pairs", 0, 2))
         return BlockRepetitionRule(
-            value_affine=(params["value_slope"], params["value_intercept"]),
-            repeat_affine=(params["repeat_slope"], params["repeat_intercept"]),
+            value_affine=(arg("value_slope"), arg("value_intercept")),
+            repeat_affine=(arg("repeat_slope"), arg("repeat_intercept")),
         )
     if kind == "composed-contraction":
-        return ContractionRule(rule_from_json(params["base"]), params["s"])
+        return ContractionRule(rule_from_json(params["base"]), arg("s"))
     if kind == "shifted-contraction":
-        s, k = int(params["s"]), int(params["shift"])
+        s, k = arg("s"), arg("shift")
         if not 1 <= k <= s - 1:
             raise RuleError(f"shift must lie in 1..{s - 1}, got {k}")
         return ContractionRule(rule_from_json(params["base"]), s, k)

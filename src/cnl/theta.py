@@ -61,7 +61,7 @@ __all__ = [
     "prefix_bound_check",
 ]
 
-DEFAULT_SCAN_BUDGET = 1_000_000
+SCAN_BUDGET = 1_000_000  # positions compute_nu scans past the certified tail
 
 
 class ScheduleError(ValueError):
@@ -287,7 +287,7 @@ class ThetaSchedule:
         return checks
 
 
-def compute_nu(spec: ChainSpec, j: int, scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
+def compute_nu(spec: ChainSpec, j: int) -> int:
     """Smallest index from which every base value clears S_j^(2j).
 
     Requires the base rule to certify a nondecreasing tail: the scan
@@ -309,9 +309,9 @@ def compute_nu(spec: ChainSpec, j: int, scan_budget: int = DEFAULT_SCAN_BUDGET) 
     try:
         while base.q(m) < thresh:
             m += 1
-            if m - tail > scan_budget:
+            if m - tail > SCAN_BUDGET:
                 raise ScheduleError(
-                    f"threshold S_{j}^{2 * j} not crossed within {scan_budget} positions"
+                    f"threshold S_{j}^{2 * j} not crossed within {SCAN_BUDGET} positions"
                 )
     except OutOfDomainError as exc:
         raise ScheduleError(f"threshold never crossed within rule domain: {exc}") from exc

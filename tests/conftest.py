@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cnl.dimension import DimensionTraceRow, theta_dimension_trace
 from cnl.sequences import ChainSpec, ConstantRule, GeometricRule
 from cnl.theta import SelectionPolicy, build_schedule, generate_digits
 
@@ -30,6 +31,13 @@ def schedule_a(spec_a):
 @pytest.fixture(scope="session")
 def stream_a(schedule_a):
     return generate_digits(schedule_a, SelectionPolicy("min"), STREAM_LEN)
+
+
+def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[DimensionTraceRow]:
+    """The rows of ``theta_dimension_trace``, collected through its ``emit``."""
+    rows: list[DimensionTraceRow] = []
+    theta_dimension_trace(schedule, horizon, bits, emit=rows.append)
+    return rows
 
 
 def brute_force_star_discrepancy(points) -> Fraction:

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from cnl.cli import main
-from cnl.dimension import basic_intervals, theta_dimension_trace, theta_geometry
+from cnl.dimension import basic_intervals, theta_geometry
 from cnl.equidist import star_discrepancy, verify_aap, concat_bound
 from cnl.expansion import digit_census, transcode
 from cnl.refpair import build_report
@@ -22,7 +22,7 @@ from cnl.theta import (
     prefix_bound_check,
 )
 
-from .conftest import STREAM_LEN, brute_force_star_discrepancy
+from .conftest import STREAM_LEN, brute_force_star_discrepancy, trace_rows
 
 TOL = Fraction(1, 10**9)
 
@@ -169,7 +169,7 @@ def test_criterion_5_discrepancy_oracle(spec_a, schedule_a, stream_a):
 
 def test_criterion_6_dimension_trace(schedule_a, stream_a):
     started = time.monotonic()
-    rows = theta_dimension_trace(schedule_a, 2000)
+    rows = trace_rows(schedule_a, 2000)
     final = rows[-1]
     assert Fraction(3, 5) <= final.d_bound <= Fraction(7, 10)
 

@@ -4,12 +4,14 @@ from decimal import Decimal
 
 import pytest
 
-from cnl import cli, dimension
+from cnl import cli, dimension, theta
 from cnl.cli import main
-from cnl.dimension import DimensionTraceRow, theta_dimension_trace
+from cnl.dimension import DimensionTraceRow
 from cnl.numeric import format_decimal
 from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
+
+from .conftest import trace_rows
 
 
 def write_config(tmp_path, depth=4, policy="min", name="config.json"):
@@ -389,7 +391,7 @@ class TestDim:
         config = write_config(tmp_path)
         out = tmp_path / "dim"
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", str(n)]) == 0
-        rows = theta_dimension_trace(schedule_a, n)
+        rows = trace_rows(schedule_a, n)
         lines = (out / "dim_trace.csv").read_text().splitlines()[1:]
         assert lines == [",".join(row.csv_fields()) for row in rows]
         window = max(1, len(rows) // 10)
@@ -518,6 +520,65 @@ class TestExitCodes:
             main(["analyze", "--config", str(config), "--digits", "d.jsonl",
                   "--out", str(tmp_path / "x"), "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("depth", 4.7),
+            ("depth", True),
+            ("depth", "four"),
+            ("Q", {"kind": "geometric", "params": {"coefficient": 8.9, "ratio": "2"}}),
+            ("Q", {"kind": "explicit-list", "params": {"values": "23456789"}}),
+            ("Q", {"kind": "block-repetition", "params": {"pairs": ["23", "45"]}}),
+            ("S", {"kind": "constant", "params": {"value": 2.0}}),
+            ("Q", "geometric"),
+        ],
+    )
+    def test_non_integer_config_field_exits_two(self, tmp_path, capsys, field, value):
+        config = write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), field: value}))
+        out = tmp_path / "out"
+        # One digit: a depth of True read as 1 would still cover it.
+        assert main(["theta", "generate", "--config", str(config), "--out", str(out), "--n", "1"]) == 2
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_fields_as_json_ints(self, tmp_path):
+        config = write_config(tmp_path)
+        payload = json.loads(config.read_text())
+        payload["Q"]["params"] = {"coefficient": 8, "ratio": 2}
+        config.write_text(json.dumps({**payload, "depth": "4"}))
+        out = tmp_path / "out"
+        assert main(["theta", "generate", "--config", str(config), "--out", str(out), "--n", "5"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["depth"] == 4
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"coefficient": 8.9, "ratio": "2"}, {"coefficient": "8", "ratio": False}],
+    )
+    def test_non_integer_digit_file_rule_exits_one(self, tmp_path, capsys, params):
+        config = write_config(tmp_path)
+        digits = tmp_path / "digits.jsonl"
+        header = {"format": 2, "ints": "hex", "rule": {"kind": "geometric", "params": params}}
+        digits.write_text(json.dumps(header) + '\n{"n": 1, "E": "1"}\n')
+        code = main(
+            ["analyze", "--config", str(config), "--digits", str(digits),
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert "malformed digit file" in capsys.readouterr().err
+
+    def test_threshold_never_crossed_exits_one(self, tmp_path, monkeypatch, capsys):
+        # The base q_n = 2 never reaches S_2^4 = 16; a small budget keeps
+        # the scan short.
+        monkeypatch.setattr(theta, "SCAN_BUDGET", 100)
+        config = tmp_path / "config.json"
+        constant = rule_to_json(ConstantRule(2))
+        config.write_text(json.dumps({"Q": constant, "S": constant, "depth": 2}))
+        code = main(["theta", "generate", "--config", str(config), "--out", str(tmp_path / "o"), "--n", "5"])
+        assert code == 1
+        assert "not crossed within 100 positions" in capsys.readouterr().err
 
     def test_missing_digit_file_exits_two(self, tmp_path):
         config = write_config(tmp_path)

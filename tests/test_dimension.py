@@ -7,9 +7,10 @@ from cnl.dimension import (
     LevelGeometry,
     basic_intervals,
     falconer_lower_bound,
-    theta_dimension_trace,
     theta_geometry,
 )
+
+from .conftest import trace_rows
 
 TOL = Fraction(1, 10**9)
 
@@ -79,14 +80,13 @@ class TestThetaGeometry:
 class TestFalconer:
     def test_uniform_doubling(self):
         geoms = [LevelGeometry(k=k, m=2, eps=Fraction(1, 4**k)) for k in range(1, 11)]
-        trace = falconer_lower_bound(geoms)
-        assert abs(trace.ds[-1] - Fraction(9, 19)) <= TOL
-        assert trace.ds[-1] <= Fraction(9, 19)
+        ds = falconer_lower_bound(geoms)
+        assert abs(ds[-1] - Fraction(9, 19)) <= TOL
+        assert ds[-1] <= Fraction(9, 19)
 
     def test_single_child_everywhere(self):
         geoms = [LevelGeometry(k=k, m=1, eps=Fraction(1, 3**k)) for k in range(1, 6)]
-        trace = falconer_lower_bound(geoms)
-        assert all(d == 0 for d in trace.ds)
+        assert all(d == 0 for d in falconer_lower_bound(geoms))
 
     def test_rejects_noncontracting_level(self):
         geoms = [
@@ -106,8 +106,7 @@ class TestFalconer:
 
     def test_values_in_unit_interval(self, schedule_a):
         geoms = theta_geometry(schedule_a, 40)
-        trace = falconer_lower_bound(geoms)
-        assert all(0 <= d <= 1 for d in trace.ds)
+        assert all(0 <= d <= 1 for d in falconer_lower_bound(geoms))
 
 
 def closed_form_doubling(k: int, schedule) -> Fraction:
@@ -126,24 +125,23 @@ def closed_form_doubling(k: int, schedule) -> Fraction:
 
 class TestDimensionTrace:
     def test_bound_trace_matches_exact_closed_form(self, schedule_a):
-        rows = theta_dimension_trace(schedule_a, 300)
+        rows = trace_rows(schedule_a, 300)
         for row in rows[::37] + [rows[-1]]:
             oracle = closed_form_doubling(row.k, schedule_a)
             assert abs(row.d_bound - oracle) <= TOL
             assert row.d_bound <= oracle
 
     def test_exact_trace_dominates_bound_trace(self, schedule_a):
-        rows = theta_dimension_trace(schedule_a, 300)
+        rows = trace_rows(schedule_a, 300)
         for row in rows:
             assert row.d_exact >= row.d_bound - TOL
 
     def test_agrees_with_generic_falconer_on_shared_range(self, schedule_a):
-        rows = theta_dimension_trace(schedule_a, 40)
+        rows = trace_rows(schedule_a, 40)
         geoms = theta_geometry(schedule_a, 40)
-        trace = falconer_lower_bound(geoms)
-        for row, d in zip(rows, trace.ds):
+        for row, d in zip(rows, falconer_lower_bound(geoms)):
             assert abs(row.d_exact - d) <= TOL
 
     def test_rejects_tiny_horizon(self, schedule_a):
         with pytest.raises(GeometryError):
-            theta_dimension_trace(schedule_a, 1)
+            trace_rows(schedule_a, 1)

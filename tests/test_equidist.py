@@ -11,7 +11,6 @@ from cnl.equidist import (
     COND_START,
     aap_bound,
     concat_bound,
-    count_below,
     dn_diagnostic,
     normality_report,
     star_discrepancy,
@@ -29,21 +28,6 @@ unit_fractions = st.builds(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=1, max_value=64),
 )
-
-
-class TestCountBelow:
-    def test_single_zero(self):
-        assert count_below([Fraction(0)], Fraction(1)) == 1
-
-    def test_half(self):
-        assert count_below([Fraction(1, 4), Fraction(3, 4)], Fraction(1, 2)) == 1
-
-    def test_empty(self):
-        assert count_below([], Fraction(1, 2)) == 0
-
-    def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            count_below([Fraction(0)], Fraction(0))
 
 
 class TestStarDiscrepancy:

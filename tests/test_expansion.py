@@ -16,7 +16,6 @@ from cnl.expansion import (
     level_points,
     load_jsonl,
     mixed_radix,
-    mod_s_gap,
     save_jsonl,
     t_enclosure,
     transcode,
@@ -335,27 +334,6 @@ class TestLevelPoints:
             level_points(finite, spec_a, 2, 2)
 
 
-class TestModSGap:
-    def test_identity_level(self, spec_a, stream_a):
-        for n in (1, 5, 9):
-            assert mod_s_gap(stream_a, spec_a, 1, n) == 0
-
-    def test_zero_tail_block(self):
-        base = ExplicitListRule([2, 3, 4, 5, 6, 7])
-        spec = ChainSpec(base=base, s=ConstantRule(3), depth=2)
-        stream = DigitStream.from_list(base, [1, 0, 0, 2, 0, 0])
-        assert mod_s_gap(stream, spec, 2, 1) == 0
-        assert mod_s_gap(stream, spec, 2, 2) == 0
-
-    def test_gap_inside_stated_range(self, spec_a, stream_a):
-        for j in (2, 3, 4):
-            big_s = spec_a.big_s(j)
-            for n in range(1, 30):
-                gap = mod_s_gap(stream_a, spec_a, j, n)
-                lead = big_s * (n - 1) + 1
-                assert 0 <= gap < Fraction(big_s, spec_a.base.q(lead))
-
-
 class TestCensus:
     def test_all_zero(self):
         rule, stream = listed([2, 2, 2, 2, 2], [0, 0, 0, 0, 0])
@@ -371,14 +349,6 @@ class TestCensus:
 
     def test_generated_stream_has_no_zeros(self, stream_a):
         assert digit_census(stream_a.prefix(2000)).zero_count == 0
-
-
-class TestMaxDigitDiagnostic:
-    def test_trailing_run(self):
-        rule, stream = listed([2, 2, 2], [0, 1, 1])
-        diag = stream.max_digit_diagnostic(3)
-        assert diag["trailing_max_run"] == 2
-        assert not diag["witnessed"]
 
 
 class TestJsonl:

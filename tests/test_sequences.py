@@ -19,7 +19,7 @@ from cnl.sequences import (
     BasicSequenceRule,
     RuleError,
     block_positions,
-    divergence_report,
+    json_int,
     growth_condition_trace,
     partial_sum_qnk,
     rule_from_json,
@@ -144,25 +144,6 @@ class TestWindowReciprocalSums:
     def test_rejects_empty_window(self):
         with pytest.raises(OutOfDomainError):
             window_reciprocal_sums([2, 3], 0, [1])
-        with pytest.raises(OutOfDomainError):
-            divergence_report(ConstantRule(2), 0, 5)
-
-
-class TestDivergenceReport:
-    def test_constant_two_linear(self):
-        rep = divergence_report(ConstantRule(2), 1, 10)
-        assert rep.values == tuple(Fraction(n, 2) for n in range(1, 11))
-        assert rep.flag == "linear growth"
-
-    def test_geometric_bounded(self):
-        rep = divergence_report(GeometricRule(8, 2), 1, 20)
-        assert rep.values[-1] < Fraction(2 - Fraction(1, 2**20), 8)
-        assert rep.flag == "bounded at horizon"
-
-    def test_harmonic_slow(self):
-        rule = ExplicitListRule([n + 1 for n in range(1, 101)])
-        rep = divergence_report(rule, 1, 100)
-        assert rep.flag == "slow growth"
 
 
 class TestContract:
@@ -334,6 +315,57 @@ class TestJsonRoundtrip:
     def test_integers_travel_as_strings(self):
         payload = rule_to_json(GeometricRule(8, 2))
         assert payload["params"]["coefficient"] == "8"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "explicit-list", "params": {"values": "23456789"}},
+            {"kind": "explicit-list", "params": {"values": ["2", 3.0]}},
+            {"kind": "explicit-list", "params": {"values": ["2", "3"]}, "monotone_tail_from": True},
+            {"kind": "constant", "params": {"value": True}},
+            {"kind": "constant", "params": {"value": "two"}},
+            {"kind": "geometric", "params": {"coefficient": 8.9, "ratio": "2"}},
+            {"kind": "block-repetition", "params": {"pairs": ["23", "45"]}},
+            {"kind": "block-repetition", "params": {"pairs": [["2", "3", "4"]]}},
+            {"kind": "block-repetition", "params": {"pairs": {"2": "3"}}},
+            {
+                "kind": "block-repetition",
+                "params": {"value_slope": "2", "value_intercept": 0.5,
+                           "repeat_slope": "2", "repeat_intercept": "0"},
+            },
+            {"kind": "composed-contraction",
+             "params": {"base": rule_to_json(GeometricRule(8, 2)), "s": 2.0}},
+            {"kind": "shifted-contraction",
+             "params": {"base": rule_to_json(GeometricRule(8, 2)), "s": "3", "shift": 1.5}},
+            {"kind": "composed-contraction",
+             "params": {"base": {"kind": "constant", "params": {"value": 2.5}}, "s": "2"}},
+        ],
+    )
+    def test_integers_are_json_ints_or_decimal_strings(self, payload):
+        with pytest.raises(RuleError):
+            rule_from_json(payload)
+
+    def test_json_ints_read_like_strings(self):
+        pairs = rule_from_json({"kind": "block-repetition", "params": {"pairs": [[2, "3"], ["4", 1]]}})
+        assert pairs.values(4) == [2, 2, 2, 4]
+        listed = rule_from_json(
+            {"kind": "explicit-list", "params": {"values": [2, "5"]}, "monotone_tail_from": "1"}
+        )
+        assert (listed.values(2), listed.monotone_tail_from) == ([2, 5], 1)
+        shifted = {"base": rule_to_json(GeometricRule(8, 2)), "s": 3, "shift": 2}
+        assert rule_from_json({"kind": "shifted-contraction", "params": shifted}).values(2) == [
+            16 * 32,
+            64 * 128 * 256,
+        ]
+
+    def test_json_int(self):
+        assert [json_int(v, "x") for v in (7, "7", " -7 ")] == [7, 7, -7]
+        assert json_int([["1", 2]], "x", 0, 2) == [[1, 2]]
+        assert json_int([], "x", 0) == []
+        for bad, shape in [(False, ()), (7.0, ()), (None, ()), ("1e3", ()), ([1], ()),
+                           ("12", (0,)), ([1, 2, 3], (2,)), ([[1]], (0, 2))]:
+            with pytest.raises(RuleError):
+                json_int(bad, "x", *shape)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuleError):

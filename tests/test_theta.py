@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from cnl import theta
 from cnl.equidist import star_discrepancy, verify_aap
 from cnl.sequences import (
     BlockRepetitionRule,
@@ -59,6 +60,14 @@ class TestComputeNu:
         rule = ExplicitListRule([2, 2, 2], monotone_tail_from=1)
         spec = ChainSpec(base=rule, s=ConstantRule(2), depth=2)
         with pytest.raises(ScheduleError):
+            compute_nu(spec, 2)
+
+    def test_scan_budget(self):
+        # q_n = 2 never reaches S_2^4 = 16; the scan stops after the
+        # full budget past the certified tail.
+        spec = ChainSpec(base=ConstantRule(2), s=ConstantRule(2), depth=2)
+        budget = theta.SCAN_BUDGET
+        with pytest.raises(ScheduleError, match=f"not crossed within {budget} positions"):
             compute_nu(spec, 2)
 
 
