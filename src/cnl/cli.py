@@ -47,9 +47,9 @@ from .theta import (
     TailCertificateError,
     build_schedule,
     digit_candidates,
+    extract_y_prefix,
     generate_digits,
     prefix_bound_check,
-    y_prefix_count,
 )
 
 EXIT_OK = 0
@@ -239,8 +239,7 @@ def cmd_analyze(args) -> int:
         raise RuleError(f"cannot read digit file: {exc}") from exc
     total = stream.limit
 
-    schedule = None
-    conformant = False
+    conformant = False  # true only once the schedule is built and every digit fits it
     try:
         schedule = build_schedule(spec)
         conformant = all(
@@ -248,7 +247,7 @@ def cmd_analyze(args) -> int:
             for info, q in islice(schedule.walk(), min(total, schedule.coverage))
         )
     except ScheduleError:
-        schedule = None
+        pass
 
     summary = {
         "command": "analyze",
@@ -263,12 +262,10 @@ def cmd_analyze(args) -> int:
         if zeros is not None:
             level_info["zero_count"] = zeros
             level_info["zero_digit_found"] = zeros > 0
-        if conformant and schedule is not None and j <= schedule.levels:
-            max_points = y_prefix_count(schedule, j, min(total, schedule.coverage))
-            if max_points >= 1:
-                env = prefix_bound_check(
-                    schedule, stream, j, _sample_prefixes(max_points)
-                )
+        if conformant and j <= schedule.levels:
+            nums, dens = extract_y_prefix(schedule, stream, j, min(total, schedule.coverage))
+            if nums:
+                env = prefix_bound_check(schedule, j, nums, dens, _sample_prefixes(len(nums)))
                 env.report.write_csv(out_dir / f"envelope_j{j}.csv")
                 fatal = sum(1 for r in env.report.rows if r.certificate == "fatal")
                 envelope_violations += fatal

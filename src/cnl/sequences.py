@@ -27,6 +27,7 @@ schedule machinery requires callers to certify tail monotonicity via
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -66,6 +67,14 @@ class RuleError(ValueError):
     """Invalid rule parameters."""
 
 
+def _index(value, name: str) -> int:
+    """An integer argument: what ``operator.index`` takes, so no float is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RuleError(f"{name} must be an integer, got {value!r}") from None
+
+
 class BasicSequenceRule:
     """Generator of integer bases q_n >= 2 for n = 1, 2, ...
 
@@ -78,7 +87,7 @@ class BasicSequenceRule:
     kind = "abstract"
 
     def __init__(self, monotone_tail_from: Optional[int] = None):
-        if monotone_tail_from is not None and monotone_tail_from < 1:
+        if monotone_tail_from is not None and _index(monotone_tail_from, "monotone_tail_from") < 1:
             raise RuleError("monotone_tail_from must be a positive index")
         self.monotone_tail_from = monotone_tail_from
 
@@ -117,17 +126,17 @@ class ExplicitListRule(BasicSequenceRule):
     kind = "explicit-list"
 
     def __init__(self, values, monotone_tail_from: Optional[int] = None):
-        vals = [int(v) for v in values]
+        vals = [_index(v, "explicit-list value") for v in values]
         if not vals:
             raise RuleError("explicit-list rule needs at least one value")
         for v in vals:
             if v < 2:
                 raise RuleError(f"basic sequence values must be >= 2, got {v}")
-        if monotone_tail_from is not None:
-            tail = vals[monotone_tail_from - 1 :]
+        super().__init__(monotone_tail_from)
+        if self.monotone_tail_from is not None:
+            tail = vals[self.monotone_tail_from - 1 :]
             if any(a > b for a, b in zip(tail, tail[1:])):
                 raise RuleError("claimed monotone tail is not nondecreasing")
-        super().__init__(monotone_tail_from)
         self._values = vals
 
     @property
@@ -151,7 +160,7 @@ class ConstantRule(BasicSequenceRule):
     kind = "constant"
 
     def __init__(self, value: int):
-        value = int(value)
+        value = _index(value, "constant value")
         if value < 2:
             raise RuleError(f"constant base must be >= 2, got {value}")
         super().__init__(monotone_tail_from=1)
@@ -175,8 +184,8 @@ class GeometricRule(BasicSequenceRule):
     kind = "geometric"
 
     def __init__(self, coefficient: int, ratio: int):
-        coefficient = int(coefficient)
-        ratio = int(ratio)
+        coefficient = _index(coefficient, "geometric coefficient")
+        ratio = _index(ratio, "geometric ratio")
         if coefficient < 1 or ratio < 1:
             raise RuleError("geometric rule needs coefficient >= 1 and ratio >= 1")
         if coefficient * ratio < 2:
@@ -214,7 +223,7 @@ class BlockRepetitionRule(BasicSequenceRule):
         if (pairs is None) == (value_affine is None):
             raise RuleError("give either pairs or the two affine maps")
         if pairs is not None:
-            pairs = [(int(v), int(t)) for v, t in pairs]
+            pairs = [(_index(v, "block value"), _index(t, "block repeat")) for v, t in pairs]
             if not pairs:
                 raise RuleError("block-repetition needs at least one block")
             for v, t in pairs:
@@ -233,8 +242,8 @@ class BlockRepetitionRule(BasicSequenceRule):
             if all(a <= b for a, b in zip(vals, vals[1:])):
                 tail_from = 1
         else:
-            va, vb = (int(value_affine[0]), int(value_affine[1]))
-            ta, tb = (int(repeat_affine[0]), int(repeat_affine[1]))
+            va, vb = (_index(v, "block value map") for v in value_affine)
+            ta, tb = (_index(t, "block repeat map") for t in repeat_affine)
             if va < 0 or ta < 0:
                 raise RuleError("affine block maps must be nondecreasing in m")
             if va + vb < 2:
@@ -340,10 +349,10 @@ class ContractionRule(BasicSequenceRule):
     """
 
     def __init__(self, base: BasicSequenceRule, s: int, k: Optional[int] = None):
-        s = int(s)
+        s = _index(s, "contraction step")
         if s < 1:
             raise RuleError(f"contraction step must be >= 1, got {s}")
-        k = s if k is None else int(k)
+        k = s if k is None else _index(k, "contraction shift")
         if not 1 <= k <= s:
             raise RuleError(f"first block width must lie in 1..{s}, got {k}")
         tail_from = None
@@ -417,7 +426,7 @@ class ChainSpec:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.depth < 1:
+        if _index(self.depth, "chain depth") < 1:
             raise RuleError(f"chain depth must be >= 1, got {self.depth}")
 
     def s_value(self, j: int) -> int:
@@ -558,12 +567,13 @@ def rule_from_json(obj: dict) -> BasicSequenceRule:
     kind = obj.get("kind")
     params = obj.get("params", {})
     tail = obj.get("monotone_tail_from")
+    # Read on every kind; only an explicit list takes it, the others certify their own.
+    tail = None if tail is None else json_int(tail, "monotone_tail_from")
 
     def arg(key: str, *shape: int):
         return json_int(params[key], f"{kind} {key}", *shape)
 
     if kind == "explicit-list":
-        tail = None if tail is None else json_int(tail, "monotone_tail_from")
         return ExplicitListRule(arg("values", 0), monotone_tail_from=tail)
     if kind == "constant":
         return ConstantRule(arg("value"))

@@ -33,11 +33,11 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .equidist import DiscrepancyReport, DiscrepancyRow, star_discrepancy_ladder
 from .expansion import DigitStream
-from .sequences import BasicSequenceRule, ChainSpec, OutOfDomainError
+from .sequences import ChainSpec, OutOfDomainError
 
 __all__ = [
     "ScheduleError",
@@ -52,7 +52,6 @@ __all__ = [
     "generate_digits",
     "extract_y",
     "extract_y_prefix",
-    "y_prefix_count",
     "envelope",
     "envelope_sup",
     "YPrefixDecomposition",
@@ -121,8 +120,7 @@ class CandidateSet:
         return self.f_min <= value <= self.f_max
 
 
-@dataclass(frozen=True)
-class PositionInfo:
+class PositionInfo(NamedTuple):
     """Decoded coordinates of a scheduled position."""
 
     n: int
@@ -392,28 +390,16 @@ def digit_candidates(
     return CandidateSet(f_min, f_max)
 
 
-def generate_digits(
-    schedule: ThetaSchedule, policy: SelectionPolicy, n: int
-) -> DigitStream:
-    """Digit stream with every digit drawn from its position window."""
+def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) -> DigitStream:
+    """The first n digits, each drawn by ``policy`` from its position
+    window along one walk, as a finite range-checked stream."""
     if not 1 <= n <= schedule.coverage:
-        raise ScheduleError(
-            f"requested {n} digits; schedule covers 1..{schedule.coverage}"
-        )
-    walk = schedule.walk()
-
-    def pick(pos: int) -> int:
-        # The stream asks for its digits in position order, so one walk
-        # serves them all.  After a failed read the walk has ended or run
-        # ahead, so the next read starts a new walk at ``pos``.
-        nonlocal walk
-        info, q = next(walk, (None, None))
-        if info is None or info.n != pos:
-            walk = schedule.walk(pos)
-            info, q = next(walk)
-        return policy.pick(digit_candidates(schedule, pos, info, q), pos)
-
-    stream = DigitStream(schedule.spec.base, pick, limit=schedule.coverage)
+        raise ScheduleError(f"requested {n} digits; schedule covers 1..{schedule.coverage}")
+    digits = [
+        policy.pick(digit_candidates(schedule, info.n, info, q), info.n)
+        for info, q in islice(schedule.walk(), n)
+    ]
+    stream = DigitStream.from_list(schedule.spec.base, digits)
     stream.prefix(n)
     return stream
 
@@ -440,66 +426,26 @@ def extract_y(
     return points
 
 
-def _iter_y_positions(schedule: ThetaSchedule, j: int, stop_position: int):
-    step = schedule.big_s(j)
-    for level in range(j + 1, schedule.levels + 1):
-        level_base = schedule.big_l(level - 1)
-        if level_base >= stop_position:
-            return
-        big_s = schedule.big_s(level)
-        for b in range(1, schedule.ell(level) + 1):
-            block_base = level_base + (b - 1) * big_s
-            if block_base >= stop_position:
-                break
-            for c in range(1, big_s + 1, step):
-                pos = block_base + c
-                if pos > stop_position:
-                    break
-                yield pos
-
-
 def extract_y_prefix(
     schedule: ThetaSchedule, stream: DigitStream, j: int, n: int
-) -> list[Fraction]:
-    """All sampled points at positions <= n, in position order."""
+) -> tuple[list[int], list[int]]:
+    """Level j's sampled points at positions <= n, in position order, as
+    (nums, dens), the digits and their bases: block offsets 1, 1 + S_j, ...
+    of the levels t > j, read from one walk that starts past level j."""
     if not 1 <= j <= schedule.levels:
         raise ScheduleError(f"level {j} outside 1..{schedule.levels}")
     if n > schedule.coverage:
         raise ScheduleError(f"position {n} beyond coverage {schedule.coverage}")
-    positions = list(_iter_y_positions(schedule, j, n))
-    bases = _bases_at(schedule.spec.base, positions)
-    return [Fraction(stream.digit(pos), q) for pos, q in zip(positions, bases)]
-
-
-def _bases_at(rule: BasicSequenceRule, positions: Sequence[int]) -> list[int]:
-    """The values of ``rule`` at increasing ``positions``, from one walk."""
-    if not positions:
-        return []
-    values = rule.iter_values(positions[0])
-    at = positions[0]  # the position ``values`` yields next
-    out = []
-    for pos in positions:
-        out.append(next(islice(values, pos - at, None)))
-        at = pos + 1
-    return out
-
-
-def _first_y_positions(schedule: ThetaSchedule, j: int, count: int) -> list[int]:
-    positions = list(islice(_iter_y_positions(schedule, j, schedule.coverage), count))
-    if len(positions) < count:
-        raise ScheduleError(
-            f"only {len(positions)} sampled points exist within coverage, need {count}"
-        )
-    return positions
-
-
-def y_prefix_count(schedule: ThetaSchedule, j: int, n: int) -> int:
-    """How many sampled points ``extract_y_prefix`` returns, without building them."""
-    if not 1 <= j <= schedule.levels:
-        raise ScheduleError(f"level {j} outside 1..{schedule.levels}")
-    if n > schedule.coverage:
-        raise ScheduleError(f"position {n} beyond coverage {schedule.coverage}")
-    return sum(1 for _ in _iter_y_positions(schedule, j, n))
+    nums: list[int] = []
+    dens: list[int] = []
+    start, step = schedule.big_l(j) + 1, schedule.big_s(j)
+    if n < start:
+        return nums, dens
+    for info, q in islice(schedule.walk(start), n - start + 1):
+        if (info.offset - 1) % step == 0:
+            nums.append(stream.digit(info.n))
+            dens.append(q)
+    return nums, dens
 
 
 def envelope(schedule: ThetaSchedule, j: int, t: int, w: int, z: int) -> Fraction:
@@ -588,17 +534,15 @@ class EnvelopeReport:
 
 
 def prefix_bound_check(
-    schedule: ThetaSchedule,
-    stream: DigitStream,
-    j: int,
-    prefix_lengths: Sequence[int],
+    schedule: ThetaSchedule, j: int, nums: list[int], dens: list[int], prefix_lengths: Sequence[int]
 ) -> EnvelopeReport:
     """Pair exact prefix discrepancies with their envelope bounds.
 
-    The sampled points are read once, up to the longest prefix, and the
-    discrepancies of all prefixes come from one exact integer sweep
-    (``star_discrepancy_ladder``): power-of-two bases put every point
-    over one common denominator, the largest base; other bases keep
+    ``nums`` and ``dens`` are level j's sampled points, as from
+    ``extract_y_prefix``.  Both are consumed and left empty, so no
+    caller holds the points past the check.  The discrepancies of all
+    prefixes come from one exact integer sweep: power-of-two bases put
+    every point over one common denominator, the largest base; other bases keep
     each point over its own base and never form an lcm.  Each row
     checks D*(prefix) <= f <= ebar exactly.  Prefixes shorter
     than the accounting horizon L_j/S_j get the trivial bound 1 and a
@@ -614,12 +558,10 @@ def prefix_bound_check(
     )
     horizon = schedule.big_l(j) // schedule.big_s(j)
     lengths = sorted(set(int(p) for p in prefix_lengths))
-    positions = _first_y_positions(schedule, j, max(lengths, default=0))
-    dstars = star_discrepancy_ladder(
-        [stream.digit(pos) for pos in positions],
-        _bases_at(schedule.spec.base, positions),
-        lengths,
-    )
+    if lengths and not 1 <= lengths[0] <= lengths[-1] <= len(nums):
+        raise ScheduleError(f"prefix lengths must lie in 1..{len(nums)} sampled points")
+    dstars = star_discrepancy_ladder(nums, dens, lengths)
+    nums.clear()
     for n, dstar in zip(lengths, dstars):
         if n < horizon:
             report.rows.append(

@@ -8,7 +8,13 @@ import pytest
 
 from cnl.dimension import DimensionTraceRow, theta_dimension_trace
 from cnl.sequences import ChainSpec, ConstantRule, GeometricRule
-from cnl.theta import SelectionPolicy, build_schedule, generate_digits
+from cnl.theta import (
+    SelectionPolicy,
+    build_schedule,
+    extract_y_prefix,
+    generate_digits,
+    prefix_bound_check,
+)
 
 STREAM_LEN = 5000
 
@@ -38,6 +44,12 @@ def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[Dimensio
     rows: list[DimensionTraceRow] = []
     theta_dimension_trace(schedule, horizon, bits, emit=rows.append)
     return rows
+
+
+def envelope_check(schedule, stream, j: int, lengths):
+    """``prefix_bound_check`` over level j's sampled points in the whole stream."""
+    nums, dens = extract_y_prefix(schedule, stream, j, stream.limit)
+    return prefix_bound_check(schedule, j, nums, dens, lengths)
 
 
 def brute_force_star_discrepancy(points) -> Fraction:

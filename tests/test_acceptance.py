@@ -15,14 +15,9 @@ from cnl.equidist import star_discrepancy, verify_aap, concat_bound
 from cnl.expansion import digit_census, transcode
 from cnl.refpair import build_report
 from cnl.sequences import ConstantRule, GeometricRule, rule_to_json
-from cnl.theta import (
-    digit_candidates,
-    envelope_sup,
-    extract_y,
-    prefix_bound_check,
-)
+from cnl.theta import digit_candidates, envelope_sup, extract_y
 
-from .conftest import STREAM_LEN, brute_force_star_discrepancy, trace_rows
+from .conftest import STREAM_LEN, brute_force_star_discrepancy, envelope_check, trace_rows
 
 TOL = Fraction(1, 10**9)
 
@@ -112,12 +107,12 @@ def test_criterion_4_equidistribution_suite(spec_a, schedule_a, stream_a):
 
     lengths_j1 = [2, 3, 4, 8, 16, 32, 64, 128, 142, 143, 144, 145, 146,
                   256, 512, 1024, 2048, 4096, 4998]
-    rep1 = prefix_bound_check(schedule_a, stream_a, 1, lengths_j1)
+    rep1 = envelope_check(schedule_a, stream_a, 1, lengths_j1)
     assert rep1.all_pass()
     assert all(
         row.dstar <= row.bound for row in rep1.report.rows
     )
-    rep2 = prefix_bound_check(schedule_a, stream_a, 2, [72, 73, 100, 500, 1000, 2428])
+    rep2 = envelope_check(schedule_a, stream_a, 2, [72, 73, 100, 500, 1000, 2428])
     assert rep2.all_pass()
 
     assert envelope_sup(schedule_a, 1, 2) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from decimal import Decimal
 
@@ -56,7 +55,7 @@ class TestThetaGenerate:
         def skewed(self, start=1):
             for info, q in walk(self, start):
                 if info.n == 7:
-                    info = dataclasses.replace(info, a=info.a + 1)
+                    info = info._replace(a=info.a + 1)
                 yield info, q
 
         monkeypatch.setattr(ThetaSchedule, "walk", skewed)
@@ -561,6 +560,33 @@ class TestExitCodes:
         config = write_config(tmp_path)
         digits = tmp_path / "digits.jsonl"
         header = {"format": 2, "ints": "hex", "rule": {"kind": "geometric", "params": params}}
+        digits.write_text(json.dumps(header) + '\n{"n": 1, "E": "1"}\n')
+        code = main(
+            ["analyze", "--config", str(config), "--digits", str(digits),
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        assert "malformed digit file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_tail, s_tail", [(2.5, 1), (1, True), (2.5, True)])
+    def test_non_integer_monotone_tail_exits_two(self, tmp_path, capsys, q_tail, s_tail):
+        # Every rule kind reads monotone_tail_from, although only an
+        # explicit list keeps it.
+        config = write_config(tmp_path)
+        payload = json.loads(config.read_text())
+        payload["Q"]["monotone_tail_from"] = q_tail
+        payload["S"]["monotone_tail_from"] = s_tail
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["theta", "generate", "--config", str(config), "--out", str(out), "--n", "5"]) == 2
+        assert "monotone_tail_from must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_monotone_tail_in_digit_file_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        digits = tmp_path / "digits.jsonl"
+        rule = {**rule_to_json(GeometricRule(8, 2)), "monotone_tail_from": 2.5}
+        header = {"format": 2, "ints": "hex", "rule": rule}
         digits.write_text(json.dumps(header) + '\n{"n": 1, "E": "1"}\n')
         code = main(
             ["analyze", "--config", str(config), "--digits", str(digits),

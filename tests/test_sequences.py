@@ -339,6 +339,14 @@ class TestJsonRoundtrip:
              "params": {"base": rule_to_json(GeometricRule(8, 2)), "s": "3", "shift": 1.5}},
             {"kind": "composed-contraction",
              "params": {"base": {"kind": "constant", "params": {"value": 2.5}}, "s": "2"}},
+            {"kind": "geometric", "params": {"coefficient": "8", "ratio": "2"},
+             "monotone_tail_from": 2.5},
+            {"kind": "constant", "params": {"value": "2"}, "monotone_tail_from": True},
+            {"kind": "block-repetition", "params": {"pairs": [["2", "3"]]},
+             "monotone_tail_from": "one"},
+            {"kind": "composed-contraction", "params": {
+                "base": {**rule_to_json(GeometricRule(8, 2)), "monotone_tail_from": 1.0},
+                "s": "2"}},
         ],
     )
     def test_integers_are_json_ints_or_decimal_strings(self, payload):
@@ -357,6 +365,17 @@ class TestJsonRoundtrip:
             16 * 32,
             64 * 128 * 256,
         ]
+
+    @pytest.mark.parametrize("tail", [None, 7, "7", "absent"])
+    def test_tail_certificate_is_the_rules_own_past_explicit_lists(self, tail):
+        # A valid monotone_tail_from is read on every kind; only an explicit
+        # list takes it, the other kinds certify their own tail.
+        payload = rule_to_json(GeometricRule(8, 2))
+        if tail == "absent":
+            del payload["monotone_tail_from"]
+        else:
+            payload["monotone_tail_from"] = tail
+        assert rule_from_json(payload).monotone_tail_from == 1
 
     def test_json_int(self):
         assert [json_int(v, "x") for v in (7, "7", " -7 ")] == [7, 7, -7]
@@ -569,3 +588,31 @@ class TestOneContractionRule:
         rule = ContractionRule(GeometricRule(8, 2), 4, 3)
         assert [rule.block(n) for n in (1, 2, 3)] == [range(1, 4), range(4, 8), range(8, 12)]
         assert [rule.blocks_in(total) for total in (2, 3, 6, 7, 11)] == [0, 1, 1, 2, 3]
+
+
+class TestConstructorIntegers:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExplicitListRule([2, 3.5]),
+            lambda: ExplicitListRule([2, 3], monotone_tail_from=1.0),
+            lambda: ConstantRule(2.0),
+            lambda: GeometricRule(8.9, 2),
+            lambda: GeometricRule(8, 2.0),
+            lambda: BlockRepetitionRule(pairs=[(2.5, 1)]),
+            lambda: BlockRepetitionRule(pairs=[(2, 1.5)]),
+            lambda: BlockRepetitionRule(value_affine=(1, 1.0), repeat_affine=(1, 0)),
+            lambda: BlockRepetitionRule(value_affine=(1, 1), repeat_affine=(0.5, 1)),
+            lambda: ContractionRule(GeometricRule(8, 2), 2.0),
+            lambda: ContractionRule(GeometricRule(8, 2), 3, 1.5),
+            lambda: ChainSpec(base=GeometricRule(8, 2), s=ConstantRule(2), depth=2.5),
+        ],
+        ids=[
+            "list-value", "list-tail", "constant", "geometric-coefficient",
+            "geometric-ratio", "pair-value", "pair-repeat", "value-map", "repeat-map",
+            "contraction-step", "contraction-shift", "chain-depth",
+        ],
+    )
+    def test_floats_are_refused_not_truncated(self, build):
+        with pytest.raises(RuleError, match="must be an integer"):
+            build()

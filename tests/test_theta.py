@@ -7,6 +7,7 @@ import pytest
 
 from cnl import theta
 from cnl.equidist import star_discrepancy, verify_aap
+from cnl.expansion import DigitError
 from cnl.sequences import (
     BlockRepetitionRule,
     ChainSpec,
@@ -30,10 +31,9 @@ from cnl.theta import (
     generate_digits,
     position_decomposition,
     prefix_bound_check,
-    y_prefix_count,
 )
 
-from .conftest import doubling_spec
+from .conftest import STREAM_LEN, doubling_spec, envelope_check
 
 
 class TestComputeNu:
@@ -318,20 +318,17 @@ class TestGenerate:
         with pytest.raises(ScheduleError):
             generate_digits(schedule_a, SelectionPolicy("min"), schedule_a.coverage + 1)
 
-    def test_digits_past_n_follow_the_policy(self, schedule_a):
-        policy = SelectionPolicy("seeded", seed=5)
-        stream = generate_digits(schedule_a, policy, 50)
-        assert stream.digit(150) == policy.pick(digit_candidates(schedule_a, 150), 150)
-        assert stream.prefix(150) == [
-            policy.pick(digit_candidates(schedule_a, n), n) for n in range(1, 151)
-        ]
+    def test_stream_ends_at_n(self, schedule_a):
+        stream = generate_digits(schedule_a, SelectionPolicy("min"), 50)
+        assert stream.limit == 50
+        with pytest.raises(DigitError):
+            stream.digit(51)
 
-    def test_base_ending_early_raises_on_every_read(self):
+    def test_base_ending_early_raises(self):
         schedule = build_schedule(short_list_spec())
-        stream = generate_digits(schedule, SelectionPolicy("min"), 200)
-        for _ in range(2):
-            with pytest.raises(OutOfDomainError, match="position 201 past end"):
-                stream.digit(201)
+        assert generate_digits(schedule, SelectionPolicy("min"), 200).limit == 200
+        with pytest.raises(OutOfDomainError, match="position 201 past end"):
+            generate_digits(schedule, SelectionPolicy("min"), 201)
 
 
 class TestExtractY:
@@ -356,21 +353,42 @@ class TestExtractY:
         ]
 
     def test_prefix_collects_in_position_order(self, schedule_a, stream_a):
-        points = extract_y_prefix(schedule_a, stream_a, 1, 146)
-        assert len(points) == 144  # 142 level-2 samples plus two level-3 ones
-        assert points[:2] == [Fraction(1, 4), Fraction(3, 4)]
+        nums, dens = extract_y_prefix(schedule_a, stream_a, 1, 146)
+        assert len(nums) == len(dens) == 144  # 142 level-2 samples plus two level-3 ones
+        assert (nums[:2], dens[:2]) == ([16, 96], [64, 128])  # 1/4 and 3/4
 
     def test_prefix_skips_coarser_offsets(self, schedule_a, stream_a):
-        points = extract_y_prefix(schedule_a, stream_a, 2, 152)
+        nums, _ = extract_y_prefix(schedule_a, stream_a, 2, 152)
         # only offsets 1 and 3 of the first two level-3 blocks qualify
-        assert len(points) == 4
+        assert len(nums) == 4
 
     def test_y_prefix_points_count(self, schedule_a, stream_a):
-        assert len(extract_y_prefix(schedule_a, stream_a, 1, 5000)[:10]) == 10
+        # every position past L_1 = 2 is sampled at S_1 = 1
+        nums, dens = extract_y_prefix(schedule_a, stream_a, 1, STREAM_LEN)
+        assert len(nums) == len(dens) == STREAM_LEN - 2
 
-    @pytest.mark.parametrize("j, n", [(1, 146), (2, 152), (1, 5000), (2, 5000), (3, 5000)])
-    def test_prefix_count_matches_extraction(self, schedule_a, stream_a, j, n):
-        assert y_prefix_count(schedule_a, j, n) == len(extract_y_prefix(schedule_a, stream_a, j, n))
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_prefix_up_to_level_j_is_empty(self, schedule_a, stream_a, j):
+        n = min(schedule_a.big_l(j), STREAM_LEN)
+        assert extract_y_prefix(schedule_a, stream_a, j, n) == ([], [])
+        if n < STREAM_LEN:
+            assert len(extract_y_prefix(schedule_a, stream_a, j, n + 1)[0]) == 1
+
+    @pytest.mark.parametrize("j, n", [(1, 146), (2, 152), (1, 5000), (2, 5000)])
+    def test_prefix_runs_are_the_block_samples(self, schedule_a, stream_a, j, n):
+        # The walk filter against the random-access reader: each complete
+        # level-t block inside the prefix is one run of the prefix's points.
+        nums, dens = extract_y_prefix(schedule_a, stream_a, j, n)
+        points = [Fraction(num, den) for num, den in zip(nums, dens)]
+        at = 0
+        for t in range(j + 1, schedule_a.levels + 1):
+            span = schedule_a.big_s(t) // schedule_a.big_s(j)
+            for b in range(1, schedule_a.ell(t) + 1):
+                if schedule_a.phi(t, b, schedule_a.big_s(t)) > n:
+                    break
+                assert points[at : at + span] == extract_y(schedule_a, stream_a, j, t, b)
+                at += span
+        assert at > 0 and len(points) - at < span
 
 
 class TestEnvelope:
@@ -444,7 +462,7 @@ class TestPositionDecomposition:
 
 class TestPrefixBoundCheck:
     def test_short_prefix_trivial_envelope(self, schedule_a, stream_a):
-        rep = prefix_bound_check(schedule_a, stream_a, 1, [2])
+        rep = envelope_check(schedule_a, stream_a, 1, [2])
         row = rep.report.rows[0]
         assert row.dstar == Fraction(1, 4)
         assert row.bound == 1
@@ -452,7 +470,7 @@ class TestPrefixBoundCheck:
 
     def test_rows_pass_exactly(self, schedule_a, stream_a):
         lengths = [2, 3, 4, 16, 142, 143, 144, 145, 500, 1024, 4096, 4998]
-        rep = prefix_bound_check(schedule_a, stream_a, 1, lengths)
+        rep = envelope_check(schedule_a, stream_a, 1, lengths)
         assert rep.all_pass()
         for row in rep.report.rows:
             assert row.dstar <= row.bound
@@ -461,18 +479,21 @@ class TestPrefixBoundCheck:
 
     def test_rows_equal_star_discrepancy_of_each_prefix(self, schedule_a, stream_a):
         lengths = [600, 3, 1, 144, 3, 145, 600, 2]
-        rep = prefix_bound_check(schedule_a, stream_a, 1, lengths)
+        rep = envelope_check(schedule_a, stream_a, 1, lengths)
         assert [row.n for row in rep.report.rows] == sorted(set(lengths))
-        points = extract_y_prefix(schedule_a, stream_a, 1, 5000)
+        nums, dens = extract_y_prefix(schedule_a, stream_a, 1, STREAM_LEN)
+        points = [Fraction(num, den) for num, den in zip(nums, dens)]
         for row in rep.report.rows:
             assert row.dstar == star_discrepancy(points[: row.n])
 
     def test_prefix_beyond_the_samples_rejected(self, schedule_a, stream_a):
         with pytest.raises(ScheduleError):
-            prefix_bound_check(schedule_a, stream_a, 3, [1, 10**6])
+            envelope_check(schedule_a, stream_a, 3, [1, 10**6])
+        with pytest.raises(ScheduleError):
+            envelope_check(schedule_a, stream_a, 1, [STREAM_LEN - 1])
 
     def test_trend_reported(self, schedule_a, stream_a):
-        rep = prefix_bound_check(schedule_a, stream_a, 1, [4])
+        rep = envelope_check(schedule_a, stream_a, 1, [4])
         assert rep.ebar_trend == [
             (2, Fraction(1)),
             (3, Fraction(1)),
@@ -482,7 +503,7 @@ class TestPrefixBoundCheck:
     def test_deep_prefix_strictly_inside_informative_envelope(
         self, schedule_a, stream_a
     ):
-        rep = prefix_bound_check(schedule_a, stream_a, 2, [72, 100, 1000, 2428])
+        rep = envelope_check(schedule_a, stream_a, 2, [72, 100, 1000, 2428])
         assert rep.all_pass()
 
 
@@ -513,8 +534,10 @@ class TestOtherConfigurations:
         assert schedule.levels == 4
         horizon = schedule.big_l(3) + 400
         stream = generate_digits(schedule, SelectionPolicy("min"), horizon)
-        n_points = len(extract_y_prefix(schedule, stream, 1, horizon))
-        rep = prefix_bound_check(schedule, stream, 1, [n_points])
+        nums, dens = extract_y_prefix(schedule, stream, 1, horizon)
+        n_points = len(nums)
+        rep = prefix_bound_check(schedule, 1, nums, dens, [n_points])
+        assert (nums, dens) == ([], [])  # consumed, so no caller holds the points
         assert rep.all_pass()
         row = rep.report.rows[0]
         decomp = position_decomposition(schedule, 1, n_points)
@@ -529,9 +552,7 @@ class TestOtherConfigurations:
         stream = generate_digits(schedule, SelectionPolicy("min"), schedule.big_l(2))
         for n in range(1, schedule.big_l(2) + 1):
             assert stream.digit(n) != 0
-        rep = prefix_bound_check(
-            schedule, stream, 1, [schedule.big_l(1), schedule.big_l(2) // 3]
-        )
+        rep = envelope_check(schedule, stream, 1, [schedule.big_l(1), schedule.big_l(2) // 3])
         assert rep.all_pass()
 
     def test_envelope_grid_strict_near_sup_with_step_three(self):
