@@ -31,7 +31,7 @@ from .expansion import (
     load_jsonl,
     save_jsonl,
 )
-from .numeric import format_decimal, fraction_text, int_text, log_bits
+from .numeric import IntTexts, format_decimal, fraction_text, int_text, log_bits
 from .refpair import build_report
 from .sequences import (
     ChainSpec,
@@ -301,9 +301,10 @@ def cmd_dim(args) -> int:
     # only the last one and the minima over the trailing window.
     window = max(1, (args.n - 1) // 10)
     tail: dict = {}
+    omega_text = IntTexts()
 
     def write_row(row) -> None:
-        fh.write(",".join(row.csv_fields()) + "\n")
+        fh.write(",".join(row.csv_fields(omega_text)) + "\n")
         if row.k > args.n - window:
             tail["d_exact"] = min(tail.get("d_exact", row.d_exact), row.d_exact)
             tail["d_bound"] = min(tail.get("d_bound", row.d_bound), row.d_bound)
@@ -316,13 +317,13 @@ def cmd_dim(args) -> int:
     except GeometryError as exc:
         print(f"dimension trace rejected: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    growth = growth_condition_trace(spec.base, args.n, bits)
+
+    def write_ratio(k: int, ratio) -> None:
+        fh.write(f"{k},{ratio.numerator},{ratio.denominator},{format_decimal(ratio)}\n")
+
     with atomic_write(out_dir / "growth_trace.csv") as fh:
         fh.write("k,ratio_num,ratio_den,ratio_decimal\n")
-        for k, ratio in enumerate(growth.ratios, start=2):
-            fh.write(
-                f"{k},{ratio.numerator},{ratio.denominator},{format_decimal(ratio)}\n"
-            )
+        growth_flag = growth_condition_trace(spec.base, args.n, bits, emit=write_ratio)
 
     summary = {
         "command": "dim",
@@ -332,7 +333,7 @@ def cmd_dim(args) -> int:
         "trailing_min_d_bound": format_decimal(tail["d_bound"]),
         "final_d_exact": format_decimal(tail["last"].d_exact),
         "final_d_bound": format_decimal(tail["last"].d_bound),
-        "growth_flag": growth.flag,
+        "growth_flag": growth_flag,
         "log_rounding": "directed",
         "precision_bits": bits,
     }

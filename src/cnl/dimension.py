@@ -165,11 +165,11 @@ class DimensionTraceRow:
     d_exact: Fraction
     d_bound: Fraction
 
-    def csv_fields(self) -> list[str]:
+    def csv_fields(self, omega_text: Callable[[int], str] = int_text) -> list[str]:
         return [
             str(self.k),
             str(self.level),
-            int_text(self.omega),
+            omega_text(self.omega),
             format_decimal(self.log2_eps),
             format_decimal(self.d_exact),
             format_decimal(self.d_bound),

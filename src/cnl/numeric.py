@@ -11,7 +11,7 @@ downward.  Either way, bounds built from them stay valid.
 from __future__ import annotations
 
 import os
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -97,18 +97,40 @@ def sqrt_lower(x: Fraction, bits: int | None = None) -> Fraction:
 
 
 def int_text(value: int) -> str:
-    """Exact decimal text of an integer of any size.
+    """Exact decimal text of an integer of any size, in time quadratic in its
+    digits; ``IntTexts`` writes a run of related integers in linear time.
 
     ``str`` serves integers within the interpreter's limit on int-to-str
     digits (4300 by default on 3.10.7+ and 3.11+) and raises
     ``ValueError`` past it; those go through ``Decimal``, which converts
-    exactly and is not bound by the limit.  The process-wide limit is
-    left as it is.
+    exactly and is not bound by the limit, which stays as it is.
     """
     try:
         return str(value)
     except ValueError:
         return str(Decimal(value))
+
+
+class IntTexts:
+    """``int_text`` across a run of integers.  A value that is the previous
+    one times an integer m of at most 64 more bits (bit lengths, then one
+    ``divmod``) is the previous ``Decimal`` times m, exact or raising, and
+    one ``str``, both linear in the digits; others go through ``int_text``."""
+
+    def __init__(self) -> None:
+        self._exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+        self._prev, self._decimal = 0, Decimal(0)
+
+    def __call__(self, value: int) -> str:
+        prev, self._prev = self._prev, value
+        if prev and 0 <= value.bit_length() - prev.bit_length() <= 64:
+            m, rem = divmod(value, prev)
+            if not rem:
+                self._decimal = self._exact.multiply(self._decimal, m)
+                return str(self._decimal)
+        text = int_text(value)
+        self._decimal = Decimal(text)
+        return text
 
 
 def fraction_text(value: Fraction) -> str:
@@ -120,6 +142,8 @@ def fraction_text(value: Fraction) -> str:
 
 def format_decimal(value: Fraction, digits: int = 12) -> str:
     """Fixed-point decimal rendering, deterministic half-up rounding."""
+    if digits < 0:
+        raise ValueError(f"format_decimal needs digits >= 0, got {digits}")
     num, den = value.numerator, value.denominator
     negative = num < 0
     num = abs(num)
@@ -127,5 +151,5 @@ def format_decimal(value: Fraction, digits: int = 12) -> str:
     if 2 * rem >= den:
         scaled += 1
     text = str(scaled).rjust(digits + 1, "0")
-    body = f"{text[:-digits]}.{text[-digits:]}"
+    body = f"{text[:-digits]}.{text[-digits:]}" if digits else text
     return f"-{body}" if negative and scaled else body

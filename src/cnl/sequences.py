@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, repeat
 from math import isqrt, prod
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .numeric import hp_ln
 
@@ -51,7 +51,6 @@ __all__ = [
     "ChainSpec",
     "window_reciprocal_sums",
     "partial_sum_qnk",
-    "GrowthTrace",
     "growth_condition_trace",
     "rule_to_json",
     "json_int",
@@ -507,38 +506,29 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
     return window_reciprocal_sums(rule.iter_values(), k, [n])[0]
 
 
-@dataclass(frozen=True)
-class GrowthTrace:
-    """Ratios log q_k / sum_{n<k} log q_n and a trend flag."""
-
-    ratios: tuple[Fraction, ...]
-    flag: str
-
-
 def growth_condition_trace(
-    rule: BasicSequenceRule, horizon: int, bits: int | None = None
-) -> GrowthTrace:
+    rule: BasicSequenceRule, horizon: int, bits: int | None = None,
+    *, emit: Callable[[int, Fraction], None],
+) -> str:
     """Evidence for the slow-growth hypothesis log q_k = o(sum log q_n).
 
-    Each ratio is an upper bound, hi(ln q_k) over the sum of lo(ln q_n).  The
-    flag reads "decreasing at horizon" when the final ratio has dropped
-    below three quarters of the mid-horizon ratio, which is what a
-    ratio tending to zero looks like at any finite horizon, and "not
-    decreasing" otherwise.
-    """
+    Hands ``emit`` each k = 2 .. horizon with hi(ln q_k) / sum_{n<k} lo(ln q_n),
+    an upper bound of the ratio.  Returns "decreasing at horizon" when the
+    final ratio has dropped below three quarters of the mid-horizon ratio,
+    which is what a ratio tending to zero looks like at any finite horizon,
+    and "not decreasing" otherwise."""
     if horizon < 2:
         raise OutOfDomainError("growth trace needs horizon >= 2")
     values = rule.iter_values()
     running = hp_ln(next(values), bits=bits)[0]
-    ratios: list[Fraction] = []
-    for q in islice(values, horizon - 1):
+    for k, q in enumerate(islice(values, horizon - 1), start=2):
         lo, hi = hp_ln(q, bits=bits)
-        ratios.append(Fraction(hi, running))
+        ratio = Fraction(hi, running)
+        emit(k, ratio)
+        if k == horizon // 2 + 1:  # the mid-horizon ratio
+            mid = ratio
         running += lo
-    mid = ratios[max(0, (len(ratios) - 1) // 2)]
-    last = ratios[-1]
-    flag = "decreasing at horizon" if last <= Fraction(3, 4) * mid else "not decreasing"
-    return GrowthTrace(ratios=tuple(ratios), flag=flag)
+    return "decreasing at horizon" if ratio <= Fraction(3, 4) * mid else "not decreasing"
 
 
 def rule_to_json(rule: BasicSequenceRule) -> dict:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cnl.dimension import DimensionTraceRow, theta_dimension_trace
-from cnl.sequences import ChainSpec, ConstantRule, GeometricRule
+from cnl.sequences import ChainSpec, ConstantRule, GeometricRule, growth_condition_trace
 from cnl.theta import (
     SelectionPolicy,
     build_schedule,
@@ -44,6 +44,17 @@ def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[Dimensio
     rows: list[DimensionTraceRow] = []
     theta_dimension_trace(schedule, horizon, bits, emit=rows.append)
     return rows
+
+
+def growth_ratios(rule, horizon: int, bits: int | None = None) -> tuple[list[Fraction], str]:
+    """The ratios ``growth_condition_trace`` emits for k = 2 .. horizon, and its flag."""
+    ratios: list[Fraction] = []
+
+    def collect(k: int, ratio: Fraction) -> None:
+        assert k == len(ratios) + 2
+        ratios.append(ratio)
+
+    return ratios, growth_condition_trace(rule, horizon, bits, emit=collect)
 
 
 def envelope_check(schedule, stream, j: int, lengths):

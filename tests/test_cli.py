@@ -1,4 +1,5 @@
 import json
+import sys
 from decimal import Decimal
 
 import pytest
@@ -384,6 +385,27 @@ class TestDim:
             assert int(Decimal(cells[2])) == digit_candidates(schedule_a, k).count
         summary = json.loads((out / "dim_summary.json").read_text())
         assert (summary["log_rounding"], summary["precision_bits"]) == ("directed", 64)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_omega_past_a_lowered_digit_limit(self, tmp_path, schedule_a):
+        # omega_k passes 640 digits from k = 2128 on, where str(int) raises;
+        # omega_k doubles at every k > 145, so those rows are Decimal products.
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["dim", "--config", str(config), "--out", str(out), "--n", "2200"]) == 0
+        finally:
+            sys.set_int_max_str_digits(old)
+        rows = (out / "dim_trace.csv").read_text().splitlines()[1:]
+        assert len(rows[-1].split(",")[2]) > 640
+        for k, row in enumerate(rows, start=2):
+            cells = row.split(",")
+            assert cells[0] == str(k)
+            assert Decimal(cells[2]) == digit_candidates(schedule_a, k).count
 
     @pytest.mark.parametrize("n", [2, 11, 12, 200])
     def test_summary_from_the_streamed_rows(self, tmp_path, schedule_a, n):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cnl import numeric
 from cnl.numeric import (
+    IntTexts,
     _ln_int,
     format_decimal,
     fraction_text,
@@ -142,6 +144,17 @@ class TestFormatDecimal:
     def test_negative_rounding_to_zero(self):
         assert format_decimal(Fraction(-1, 10**9), 3) == "0.000"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [(Fraction(5, 2), "3"), (Fraction(7, 3), "2"), (Fraction(-5, 2), "-3"), (Fraction(-1, 3), "0")],
+    )
+    def test_no_fraction_digits(self, value, text):
+        assert format_decimal(value, 0) == text
+
+    def test_rejects_negative_digits(self):
+        with pytest.raises(ValueError):
+            format_decimal(Fraction(1, 2), -1)
+
 
 class TestEnvPrecision:
     def test_default(self, monkeypatch):
@@ -201,3 +214,47 @@ class TestIntegerText:
         finally:
             sys.set_int_max_str_digits(old)
         assert sys.get_int_max_str_digits() == old
+
+
+def int_text_runs():
+    """Runs of integers for ``IntTexts``, each step of a kind it must handle."""
+    start = 2**14270  # 4296 digits: doubling crosses 4300 within a few steps
+    yield [start << i for i in range(20)]
+    yield [7, 21, 210, 630, 6300, 3**2000, 3**2001, 10 * 3**2001, 10 * 3**2001]
+    # x(2**64 + 1) adds 65 bits to 2**9000 - 1, past the quotient bound, and
+    # 64 to 5**3000, within it; x(2**64 - 1) adds at most 64.
+    big = 2**9000 - 1
+    yield [big, big * (2**64 + 1), big * (2**64 + 1) * (2**64 - 1), 2**64 * big]
+    yield [5**3000, 5**3000 * (2**64 + 1), 5**3000 * (2**64 + 1) * 2]
+    yield [big, big // 3, big // 3 + 1, 0, 0, 12, -24, -48, 96, -(big << 1), big << 2, 1, -1]
+
+
+class TestIntTexts:
+    @pytest.mark.parametrize("run", list(int_text_runs()))
+    def test_matches_int_text(self, run):
+        texts = IntTexts()
+        assert [texts(value) for value in run] == [int_text(value) for value in run]
+
+    def test_multiples_skip_int_text(self, monkeypatch):
+        # Only the first value and the step of 65 more bits are converted whole.
+        converted = []
+        monkeypatch.setattr(numeric, "int_text", lambda v: converted.append(v) or str(v))
+        run = [(2**9000 - 1) << i for i in range(50)]
+        run += [run[-1] * (2**64 + 1), run[-1] * (2**64 + 1) * 3]
+        texts = IntTexts()
+        assert [texts(value) for value in run] == [str(value) for value in run]
+        assert converted == [run[0], run[-2]]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("run", list(int_text_runs()))
+    def test_under_a_lowered_digit_limit(self, run):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            texts = IntTexts()
+            assert [texts(value) for value in run] == [int_text(value) for value in run]
+            assert [int_text(value) for value in run] == [str(Decimal(value)) for value in run]
+        finally:
+            sys.set_int_max_str_digits(old)

@@ -20,14 +20,13 @@ from cnl.sequences import (
     RuleError,
     block_positions,
     json_int,
-    growth_condition_trace,
     partial_sum_qnk,
     rule_from_json,
     rule_to_json,
     window_reciprocal_sums,
 )
 
-from .conftest import doubling_spec
+from .conftest import doubling_spec, growth_ratios
 
 
 def ramp_rule():
@@ -278,20 +277,20 @@ class TestShiftedRule:
 
 class TestGrowthTrace:
     def test_power_of_two_ratio(self):
-        trace = growth_condition_trace(GeometricRule(8, 2), 10)
-        assert abs(trace.ratios[-1] - Fraction(13, 72)) <= Fraction(1, 10**9)
-        assert trace.flag == "decreasing at horizon"
+        ratios, flag = growth_ratios(GeometricRule(8, 2), 10)
+        assert abs(ratios[-1] - Fraction(13, 72)) <= Fraction(1, 10**9)
+        assert flag == "decreasing at horizon"
 
     def test_constant_base_ratio(self):
-        trace = growth_condition_trace(ConstantRule(7), 12)
-        for k, ratio in enumerate(trace.ratios, start=2):
+        ratios, _ = growth_ratios(ConstantRule(7), 12)
+        for k, ratio in enumerate(ratios, start=2):
             assert abs(ratio - Fraction(1, k - 1)) <= Fraction(1, 10**9)
 
     def test_doubly_exponential_not_decreasing(self):
         rule = ExplicitListRule([2 ** (2**n) for n in range(1, 13)])
-        trace = growth_condition_trace(rule, 12)
-        assert trace.ratios[-1] > Fraction(9, 10)
-        assert trace.flag == "not decreasing"
+        ratios, flag = growth_ratios(rule, 12)
+        assert ratios[-1] > Fraction(9, 10)
+        assert flag == "not decreasing"
 
 
 class TestJsonRoundtrip:
