@@ -55,15 +55,17 @@ def _validate_unit_points(points: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _dyadic(dens: Iterable[int]) -> bool:
-    return all(den & (den - 1) == 0 for den in dens)
+    return all(den == 1 << (den.bit_length() - 1) for den in dens)
 
 
-def _shift_to_common(nums: list[int], dens: Sequence[int]) -> int:
-    """Rewrite nums[i]/dens[i] in place over d, the largest (power-of-two) denominator."""
+def _shift_to_common(nums: list[int], dens: list[int]) -> int:
+    """Rewrite nums[i]/dens[i] in place over d, the largest (power-of-two)
+    denominator.  ``dens`` is emptied as the points are shifted, so the
+    widened points and the denominators are never all held at once."""
     d = max(dens)
     width = d.bit_length()
-    for i, den in enumerate(dens):
-        nums[i] <<= width - den.bit_length()
+    for i in range(len(nums) - 1, -1, -1):
+        nums[i] <<= width - dens.pop().bit_length()
     return d
 
 
@@ -89,33 +91,43 @@ def _integer_ladder(scaled: list[int], d: int, lengths: Sequence[int]) -> list[F
     return out
 
 
-def _fraction_ladder(points: list[Fraction], lengths: Sequence[int]) -> list[Fraction]:
-    """The ladder for any denominators, each point over its own.
+def _ratio_ladder(nums: list[int], dens: list[int], lengths: Sequence[int]) -> list[Fraction]:
+    """The ladder for any denominators, each point nums[i]/dens[i] over its own.
 
-    Distinct fractions with denominators below 2**b differ by more than
-    2**(-2b), so the integer key floor(x * 2**(2b)) sorts them exactly.
-    With x_(i) = a/c, the term x_(i)*n - (i-1) is (a*n - (i-1)*c)/c;
-    terms are compared by cross-multiplication, so no lcm is formed and
-    every product stays near the size of one point.
+    Distinct ratios with denominators below 2**b differ by more than
+    2**(-2b), reduced or not, so floor(num * 2**(2b) / den) sorts them
+    exactly; each point sorts as that key shifted past the width of its
+    index i, which reads nums[i] and dens[i] back.  With x_(i) = a/c the
+    term x_(i)*n - (i-1) is (a*n - (i-1)*c)/c; terms are compared by
+    cross-multiplication, so no lcm is formed and every product stays
+    near the size of one point.
     """
-    shift = 2 * max(x.denominator for x in points).bit_length()
+    shift = 2 * max(dens).bit_length()
+    width = len(nums).bit_length()
+    mask = (1 << width) - 1
     out = []
-    run: list[Fraction] = []
+    run: list[int] = []
     for n in lengths:
-        run.extend(points[len(run) : n])
-        run.sort(key=lambda x: (x.numerator << shift) // x.denominator)
-        high_num = low_num = run[0].numerator * n
-        high_den = low_den = run[0].denominator
-        for rank, x in enumerate(run):
-            den = x.denominator
-            left = x.numerator * n - rank * den
+        run.extend(
+            (((nums[i] << shift) // dens[i]) << width) | i for i in range(len(run), n)
+        )
+        run.sort()
+        i = run[0] & mask
+        high_num = low_num = nums[i] * n
+        high_den = low_den = dens[i]
+        for rank, key in enumerate(run):
+            i = key & mask
+            den = dens[i]
+            left = nums[i] * n - rank * den
             if left * high_den > high_num * den:
                 high_num, high_den = left, den
             elif left * low_den < low_num * den:
                 low_num, low_den = left, den
         # The right term i - x_(i)*n is 1 - left_i; both are in units of 1/n.
-        best = max(Fraction(high_num, high_den), 1 - Fraction(low_num, low_den))
-        out.append(best / n)
+        right_num = low_den - low_num
+        if right_num * high_den > high_num * low_den:
+            high_num, high_den = right_num, low_den
+        out.append(Fraction(high_num, high_den * n))
     return out
 
 
@@ -126,8 +138,8 @@ def star_discrepancy_ladder(
 
     Each point must satisfy 0 <= nums[i] < dens[i]; denominators need
     not be reduced.  ``prefix_lengths`` must be nondecreasing, from 1 to
-    len(nums).  Both lists are consumed: ``nums`` is rewritten in place
-    and ``dens`` emptied, so no second copy of the points is held.
+    len(nums).  Both lists are consumed and left empty, so no second
+    copy of the points is held.
 
     Each prefix is sorted by merging its new points into the sorted
     shorter prefix, then evaluated in integers by the closed form of
@@ -138,13 +150,15 @@ def star_discrepancy_ladder(
     Power-of-two denominators share one common denominator d, the
     largest: with X_i = x_i * d the terms are X_(i)*n - (i-1)*d and
     i*d - X_(i)*n over n*d, and one d serves the whole ladder.  Other
-    denominators keep each point over its own (``_fraction_ladder``):
+    denominators keep each point over its own (``_ratio_ladder``):
     their lcm can be far wider than any one point, so it is never
-    formed, and no input falls back to sorting by ``Fraction``
-    comparisons.
+    formed.  Those points sort by exact integer keys, and each prefix
+    forms one ``Fraction``, its result.
     """
     lengths = list(prefix_lengths)
     if not lengths:
+        nums.clear()
+        dens.clear()
         return []
     if lengths[0] < 1:
         raise ValueError("star discrepancy of an empty sequence is undefined")
@@ -156,13 +170,12 @@ def star_discrepancy_ladder(
         if not 0 <= num < den:
             raise ValueError(f"point {Fraction(num, den)} outside [0, 1)")
     if _dyadic(dens):
-        d = _shift_to_common(nums, dens)
+        out = _integer_ladder(nums, _shift_to_common(nums, dens), lengths)
+    else:
+        out = _ratio_ladder(nums, dens, lengths)
         dens.clear()
-        return _integer_ladder(nums, d, lengths)
-    for i, den in enumerate(dens):
-        nums[i] = Fraction(nums[i], den)
-    dens.clear()
-    return _fraction_ladder(nums, lengths)
+    nums.clear()
+    return out
 
 
 def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
@@ -440,10 +453,12 @@ def dn_diagnostic(
     ``nums`` holds the digits E_n and ``dens`` their bases q_n, as from
     ``expansion.level_points``; both lists are consumed, as by
     ``star_discrepancy_ladder``.  The whole ladder is one exact integer
-    sweep, and the proxies come from one running sum.  Power-of-two
-    bases put every ratio over one common denominator, the largest
-    base, by a shift; other bases keep each ratio over its own base and
-    never form an lcm.
+    sweep, and the proxies come from one running sum
+    (``window_reciprocal_sums``).  Power-of-two bases put every ratio
+    over one common denominator, the largest base, by a shift; other
+    bases sort their ratios by exact integer keys and compare them by
+    cross-multiplication, so no lcm is formed.  Each prefix forms one
+    ``Fraction``, its result.
 
     Each row carries the averaged-reciprocal proxy (1/N) sum 1/q_n: the
     equivalence between digit-ratio equidistribution and orbit

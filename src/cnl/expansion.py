@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .sequences import (
     BasicSequenceRule,
@@ -60,9 +60,9 @@ class DigitError(ValueError):
 class DigitStream:
     """Lazily generated digit sequence against a base rule.
 
-    Digits are produced by a pure position-indexed function and cached.
-    ``limit`` bounds the available positions for finitely described
-    sources.
+    Digits are produced by a pure position-indexed function and cached,
+    or given as a list (``from_list``).  ``limit`` bounds the available
+    positions for finitely described sources.
     """
 
     def __init__(
@@ -87,17 +87,10 @@ class DigitStream:
             raise DigitError(f"digit {n} unavailable (stream ends at {self._limit})")
         have = len(self._cache)
         if have < n:
-            # The new digits are range-checked against one walk of the rule.
-            bases = self.rule.iter_values(have + 1)
-            for pos in range(have + 1, n + 1):
-                value = self._fn(pos)
-                q = next(bases)
-                if not 0 <= value <= q - 1:
-                    raise DigitError(f"digit {value} out of range [0, {q - 1}] at position {pos}")
-                self._cache.append(value)
+            new = map(self._fn, range(have + 1, n + 1))
+            self._cache.extend(_checked(self.rule, new, have + 1))
             if n == self._limit:
-                # Every digit is cached; drop the function, so a list-backed
-                # stream does not hold its digits twice.
+                # Every digit is cached; drop the function and what it holds.
                 self._fn = None
         return self._cache[n - 1]
 
@@ -107,9 +100,22 @@ class DigitStream:
         return self._cache[:n]
 
     @staticmethod
-    def from_list(rule: BasicSequenceRule, digits: Sequence[int]) -> "DigitStream":
-        values = [int(d) for d in digits]
-        return DigitStream(rule, lambda n: values[n - 1], limit=len(values))
+    def from_list(rule: BasicSequenceRule, digits: Iterable[int]) -> "DigitStream":
+        """A finite stream of ``digits``, range-checked now along one walk
+        of ``rule``; the checked list is the stream's cache."""
+        stream = DigitStream(rule, None)
+        stream._cache = list(_checked(rule, map(int, digits), 1))
+        stream._limit = len(stream._cache)
+        return stream
+
+
+def _checked(rule: BasicSequenceRule, digits: Iterable[int], start: int) -> Iterator[int]:
+    """``digits``, the digits at positions start, start + 1, ..., each
+    checked against its base from one walk of ``rule``."""
+    for pos, (value, q) in enumerate(zip(digits, rule.iter_values(start)), start):
+        if not 0 <= value <= q - 1:
+            raise DigitError(f"digit {value} out of range [0, {q - 1}] at position {pos}")
+        yield value
 
 
 def expand(x: Fraction, rule: BasicSequenceRule, n_digits: int) -> DigitStream:
@@ -247,8 +253,9 @@ def level_points(
     ``spec.rule(j, k).block(n)`` read as one mixed-radix fraction; only
     complete blocks count.  dens equals ``spec.rule(j, k).values(len(dens))``,
     but the bases come from one walk of the base rule, each consumed by
-    the Horner step that packs its digit.  At level 1 the points are the
-    digits themselves.
+    the Horner step that packs its digit: a shift for a power-of-two
+    base, whose exponent is summed, and a multiply for any other.  At
+    level 1 the points are the digits themselves.
     """
     rule = spec.rule(j, k)
     total = stream.limit
@@ -262,12 +269,18 @@ def level_points(
     width = rule.k
     nums, dens = [], []
     for _ in range(rule.blocks_in(total)):
-        num, den = 0, 1
+        num, den, e = 0, 1, 0
         for digit, q in zip(islice(digits, width), bases):
-            num = num * q + digit
-            den *= q
+            shift = q.bit_length() - 1
+            if q == 1 << shift:
+                # The Horner step by 2**shift is a shift; den keeps the exponent.
+                num = (num << shift) + digit
+                e += shift
+            else:
+                num = num * q + digit
+                den *= q
         nums.append(num)
-        dens.append(den)
+        dens.append(den << e)
         width = rule.s
     return nums, dens
 
@@ -330,6 +343,4 @@ def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
             raise DigitError(f"bad digit file {path}: {exc!r}") from exc
     if not digits:
         raise DigitError(f"digit file {path} holds no digits")
-    stream = DigitStream.from_list(rule or file_rule, digits)
-    stream.prefix(len(digits))
-    return stream
+    return DigitStream.from_list(rule or file_rule, digits)

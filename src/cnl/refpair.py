@@ -26,11 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .equidist import dn_diagnostic
 from .expansion import DigitStream, level_points, transcode, transcode_inverse
 from .numeric import format_decimal
-from .sequences import BlockRepetitionRule, ChainSpec, ConstantRule, ContractionRule
+from .sequences import (
+    BasicSequenceRule, BlockRepetitionRule, ChainSpec, ConstantRule, ContractionRule
+)
 
 __all__ = [
     "fine_base_rule",
@@ -85,6 +89,20 @@ def coarse_digit(n: int) -> int:
     """Equal steps inside each block: ratios 0, 1/m, ..., (m-1)/m."""
     m, t = _COARSE_BLOCKS.block_of(n)
     return (t - 1) * 4 * m
+
+
+def _fine_digits() -> Iterator[int]:
+    """fine_digit(1), fine_digit(2), ... from one walk over the blocks."""
+    for m in count(1):
+        for low in range(m):
+            yield low
+            yield m + low
+
+
+def _coarse_digits() -> Iterator[int]:
+    """coarse_digit(1), coarse_digit(2), ... from one walk over the blocks."""
+    for m in count(1):
+        yield from range(0, 4 * m * m, 4 * m)
 
 
 def fine_stream() -> DigitStream:
@@ -164,7 +182,7 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     spec = ChainSpec(base=fine_rule, s=ConstantRule(2), depth=2)
     # x's fine digits run as far as (b) and (d) read its coarse digits.
     coarse_span = max(orbit_horizon + _MAX_ENCLOSURE_DEPTH, len(REFERENCE_X_COARSE_DIGITS))
-    x_fine = DigitStream(fine_rule, fine_digit, limit=2 * coarse_span)
+    x_fine = DigitStream.from_list(fine_rule, islice(_fine_digits(), 2 * coarse_span))
     y_coarse = coarse_stream()
 
     # (a) contraction values against the listed coarse bases.
@@ -226,28 +244,30 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
         f"worst upper bound {worst_hi} ({format_decimal(worst_hi)})",
     )
 
-    # (e) digit-ratio discrepancy trends.  Nothing reads x's stream after
-    # its own trend, so popping each entry drops it before y's points are
-    # built.
+    # (e) digit-ratio discrepancy trends.  The sweep empties each digit
+    # list, and y's digits are built only after x's stream is dropped, so
+    # one stream's points are held at a time.
     samples = [10, 100, 1000, orbit_horizon]
     samples = sorted(set(s for s in samples if s <= orbit_horizon))
-    trends = [
-        ("x in fine base", x_fine, fine_rule),
-        ("y in coarse base", y_coarse, coarse_rule),
-    ]
+    x_digits = x_fine.prefix(orbit_horizon)
     del x_fine, x_coarse
-    while trends:
-        label, stream, rule = trends.pop(0)
-        bases = rule.values(orbit_horizon)
-        rep = dn_diagnostic(stream.prefix(orbit_horizon), bases, samples)
-        first, last = rep.rows[0], rep.rows[-1]
-        trend_ok = last.dstar < first.dstar and last.dstar <= Fraction(1, 10)
-        detail = ", ".join(
-            f"D*({row.n}) = {format_decimal(row.dstar, 6)}" for row in rep.rows
-        )
-        report.record(f"digit-ratio discrepancy shrinks for {label}", trend_ok, detail)
-        report.note(
-            f"  averaged reciprocal base proxy at N={last.n}: "
-            f"{format_decimal(last.proxy, 10)}"
-        )
+    _record_trend(report, "x in fine base", x_digits, fine_rule, samples)
+    y_digits = list(islice(_coarse_digits(), orbit_horizon))
+    _record_trend(report, "y in coarse base", y_digits, coarse_rule, samples)
     return report
+
+
+def _record_trend(
+    report: RefPairReport, label: str, digits: list[int], rule: BasicSequenceRule,
+    samples: list[int],
+) -> None:
+    """Record whether the digit-ratio discrepancy of ``digits`` in ``rule``
+    shrinks across ``samples``; ``digits`` is consumed."""
+    rep = dn_diagnostic(digits, rule.values(len(digits)), samples)
+    first, last = rep.rows[0], rep.rows[-1]
+    trend_ok = last.dstar < first.dstar and last.dstar <= Fraction(1, 10)
+    detail = ", ".join(f"D*({row.n}) = {format_decimal(row.dstar, 6)}" for row in rep.rows)
+    report.record(f"digit-ratio discrepancy shrinks for {label}", trend_ok, detail)
+    report.note(
+        f"  averaged reciprocal base proxy at N={last.n}: {format_decimal(last.proxy, 10)}"
+    )

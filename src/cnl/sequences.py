@@ -32,7 +32,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, groupby, islice, repeat
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -459,6 +459,18 @@ class ChainSpec:
         return self._cache[key]
 
 
+def _window_products(values: Iterator[int], k: int) -> Iterator[int]:
+    """q_j * ... * q_{j+k-1} for j = 1, 2, ..., each yielded as soon as
+    its last value is read."""
+    window = deque(islice(values, k - 1))
+    product = prod(window)
+    for q in values:
+        window.append(q)
+        product *= q
+        yield product
+        product //= window.popleft()
+
+
 def window_reciprocal_sums(
     bases: Iterable[int], k: int, stops: Iterable[int]
 ) -> list[Fraction]:
@@ -467,35 +479,35 @@ def window_reciprocal_sums(
     ``bases`` yields q_1, q_2, ... and is read only as far as the last
     stop needs (n + k - 1 values); ``stops`` must be nondecreasing, so
     one pass serves a whole prefix ladder.  Each run of equal window
-    products enters the sum as one ``Fraction(run_length, product)``.
+    products enters the sum once.  Products that are powers of two
+    2**e add up as one integer over 2**w, w the largest e so far; only
+    other products and each stop's sum are formed as ``Fraction``.
     """
     if k < 1:
         raise OutOfDomainError(f"window length must be >= 1, got {k}")
     values = iter(bases)
-    window: deque[int] = deque()
-    product = 1
-    total = Fraction(0)
+    # A window of one is its base: no product to form or copy.
+    products = values if k == 1 else _window_products(values, k)
+    other = Fraction(0)
+    dyadic, width = 0, 0  # the power-of-two terms: dyadic / 2**width
     covered = 0
-    run, run_product = 0, 1
     sums = []
     for n in stops:
-        while covered < n:
-            covered += 1
-            while len(window) < k:
-                q = next(values)
-                # An empty window's product is q itself: no copy to hold.
-                product = product * q if window else q
-                window.append(q)
-            if product != run_product:
-                if run:
-                    total += Fraction(run, run_product)
-                run, run_product = 0, product
-            run += 1
-            product //= window.popleft()
-        if run:
-            total += Fraction(run, run_product)
-            run = 0
-        sums.append(total)
+        if n > covered:
+            for product, run in groupby(islice(products, n - covered)):
+                length = len(list(run))
+                covered += length
+                e = product.bit_length() - 1
+                if product != 1 << e:
+                    other += Fraction(length, product)
+                    continue
+                if e > width:
+                    dyadic <<= e - width
+                    width = e
+                dyadic += length << (width - e)
+            if covered < n:
+                raise OutOfDomainError(f"stop {n} needs {n + k - 1} bases; fewer were given")
+        sums.append(other + Fraction(dyadic, 1 << width))
     return sums
 
 

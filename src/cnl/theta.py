@@ -399,9 +399,7 @@ def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) ->
         policy.pick(digit_candidates(schedule, info.n, info, q), info.n)
         for info, q in islice(schedule.walk(), n)
     ]
-    stream = DigitStream.from_list(schedule.spec.base, digits)
-    stream.prefix(n)
-    return stream
+    return DigitStream.from_list(schedule.spec.base, digits)
 
 
 def extract_y(
@@ -541,9 +539,11 @@ def prefix_bound_check(
     ``nums`` and ``dens`` are level j's sampled points, as from
     ``extract_y_prefix``.  Both are consumed and left empty, so no
     caller holds the points past the check.  The discrepancies of all
-    prefixes come from one exact integer sweep: power-of-two bases put
-    every point over one common denominator, the largest base; other bases keep
-    each point over its own base and never form an lcm.  Each row
+    prefixes come from one exact integer sweep,
+    ``star_discrepancy_ladder``: power-of-two bases put every point
+    over one common denominator, the largest base; other bases sort
+    their points by exact integer keys and compare them by
+    cross-multiplication, never forming an lcm.  Each row
     checks D*(prefix) <= f <= ebar exactly.  Prefixes shorter
     than the accounting horizon L_j/S_j get the trivial bound 1 and a
     "below-horizon" certificate.  Violating rows are flagged fatal; the
@@ -561,7 +561,6 @@ def prefix_bound_check(
     if lengths and not 1 <= lengths[0] <= lengths[-1] <= len(nums):
         raise ScheduleError(f"prefix lengths must lie in 1..{len(nums)} sampled points")
     dstars = star_discrepancy_ladder(nums, dens, lengths)
-    nums.clear()
     for n, dstar in zip(lengths, dstars):
         if n < horizon:
             report.rows.append(

@@ -130,6 +130,68 @@ class TestStarDiscrepancyLadder:
             brute_force_star_discrepancy([Fraction(1, 4), Fraction(3, 4), Fraction(1, 3)]),
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(mixed_fractions, st.integers(1, 12)), min_size=1, max_size=25
+        )
+    )
+    def test_unreduced_non_dyadic_points_match_brute_force(self, scaled):
+        # Each point scaled by its own factor: one value may come in
+        # several forms, and no denominator need be reduced.
+        nums = [p.numerator * c for p, c in scaled]
+        dens = [p.denominator * c for p, c in scaled]
+        points = [p for p, _ in scaled]
+        lengths = list(range(1, len(points) + 1))
+        assert star_discrepancy_ladder(nums, dens, lengths) == [
+            brute_force_star_discrepancy(points[:n]) for n in lengths
+        ]
+
+    def test_equal_values_in_unreduced_forms(self):
+        # 1/2 = 2/4 = 3/6 and 1/3 = 2/6 = 3/9: ties between forms, inside
+        # a prefix and across the prefixes of the ladder.
+        nums = [1, 2, 1, 3, 2, 3, 0, 5, 4]
+        dens = [2, 4, 3, 6, 6, 9, 9, 6, 8]
+        points = [Fraction(a, b) for a, b in zip(nums, dens)]
+        lengths = [1, 2, 2, 3, 5, 6, 9]
+        assert star_discrepancy_ladder(nums, dens, lengths) == [
+            brute_force_star_discrepancy(points[:n]) for n in lengths
+        ]
+
+    def test_denominators_up_to_two_to_the_300(self):
+        # (2**300 - 1) / 3 over 2**300 - 1 and 2**298 over 3 * 2**298 are
+        # both 1/3, unreduced; the next points sit within 2**-299 of it.
+        # The last two are Farey neighbours, 1/((2**300 - 1)(2**300 - 3))
+        # apart, listed larger first, so only a key of 2b bits orders them.
+        big = 2**300
+        upper = pow(big - 1, -1, big - 3)
+        lower = (upper * (big - 1) - 1) // (big - 3)
+        pairs = [
+            ((big - 1) // 3, big - 1),
+            (1, 3),
+            ((big - 3) // 3, big - 3),
+            (big // 4, 3 * big // 4),
+            ((big - 1) // 3 + 1, big - 1),
+            (big // 3, big),
+            (big // 2 - 1, big - 1),
+            (1, 2),
+            (upper, big - 3),
+            (lower, big - 1),
+        ]
+        nums = [a for a, _ in pairs]
+        dens = [b for _, b in pairs]
+        points = [Fraction(a, b) for a, b in pairs]
+        lengths = list(range(1, len(pairs) + 1))
+        assert star_discrepancy_ladder(nums, dens, lengths) == [
+            brute_force_star_discrepancy(points[:n]) for n in lengths
+        ]
+
+    @pytest.mark.parametrize("dens", [[2, 4, 8], [2, 3, 4], [7, 3**50, 2**80 - 1]])
+    def test_both_lists_are_emptied(self, dens):
+        nums = [1, 1, 1]
+        star_discrepancy_ladder(nums, dens, [1, 3])
+        assert nums == [] and dens == []
+
     def test_repeated_lengths_give_repeated_rows(self):
         points = [Fraction(k, 7) for k in (3, 1, 6, 1, 0)]
         assert ladder_of(points, [2, 2, 5]) == [

@@ -131,6 +131,31 @@ class TestEvaluate:
             past_end.prefix(3)
 
 
+class TestFromList:
+    def test_digit_out_of_range(self):
+        with pytest.raises(DigitError, match=r"digit 3 out of range \[0, 2\] at position 2"):
+            DigitStream.from_list(ExplicitListRule([2, 3, 4]), [1, 3, 0])
+
+    def test_digits_past_the_rule_end(self):
+        with pytest.raises(OutOfDomainError, match="position 3 past end"):
+            DigitStream.from_list(ExplicitListRule([2, 3]), [1, 1, 1])
+
+    def test_any_iterable_of_integers(self):
+        stream = DigitStream.from_list(ConstantRule(10), iter(("7", 3, True)))
+        assert stream.limit == 3 and stream.prefix(3) == [7, 3, 1]
+        with pytest.raises(DigitError, match="unavailable"):
+            stream.digit(4)
+        empty = DigitStream.from_list(ConstantRule(10), [])
+        assert empty.limit == 0 and empty.prefix(0) == []
+
+    def test_checks_along_one_walk(self):
+        base = CountingListRule([3, 5, 7, 9])
+        stream = DigitStream.from_list(base, [2, 4, 6, 8])
+        assert base.calls == 4
+        assert stream.prefix(4) == [2, 4, 6, 8]
+        assert base.calls == 4
+
+
 class TestEnclosure:
     def test_zero_tail(self):
         rule, stream = listed([2, 3, 4, 5], [0, 0, 0, 0])
@@ -320,6 +345,23 @@ class TestLevelPoints:
                         assert (nums[n - 1], dens[n - 1]) == mixed_radix(
                             stream, spec.base, block_positions(n, big_s, first)
                         )
+
+    def test_mixed_power_of_two_and_other_bases(self):
+        # Powers of two pack by shifts, the other bases by Horner steps,
+        # inside one block.
+        base = ExplicitListRule([2, 3, 4, 6, 8, 8, 12, 16] * 5 + [2**70, 3**40, 2**5])
+        rng = random.Random(37)
+        digits = [rng.choice((0, q - 1, rng.randrange(q))) for q in base.values(43)]
+        stream = DigitStream.from_list(base, digits)
+        spec = ChainSpec(base=base, s=ConstantRule(2), depth=4)
+        for j in range(1, spec.depth + 1):
+            big_s = spec.big_s(j)
+            for k in range(big_s):
+                nums, dens = level_points(stream, spec, j, k)
+                assert list(zip(nums, dens)) == [
+                    mixed_radix(stream, base, block_positions(n, big_s, k or big_s))
+                    for n in range(1, len(nums) + 1)
+                ]
 
     def test_unlimited_stream_raises(self, spec_a):
         stream = DigitStream(spec_a.base, lambda n: 1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -8,9 +9,12 @@ from cnl.refpair import (
     ORBIT_THRESHOLD,
     REFERENCE_X_COARSE_DIGITS,
     REFERENCE_Y_FINE_DIGITS,
+    _coarse_digits,
+    _fine_digits,
     _orbit_check,
     build_report,
     coarse_base_rule,
+    coarse_digit,
     coarse_stream,
     fine_base_rule,
     fine_digit,
@@ -43,6 +47,11 @@ class TestPatterns:
             assert 0 <= fine.digit(n) <= fine_base_rule().q(n) - 1
         for n in range(1, 500):
             assert 0 <= coarse.digit(n) <= coarse_base_rule().q(n) - 1
+
+    def test_block_walks_match_the_per_position_digits(self):
+        n = 20_000
+        assert list(islice(_fine_digits(), n)) == [fine_digit(p) for p in range(1, n + 1)]
+        assert list(islice(_coarse_digits(), n)) == [coarse_digit(p) for p in range(1, n + 1)]
 
 
 class TestCrossBaseStructure:

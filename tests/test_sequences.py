@@ -140,6 +140,30 @@ class TestWindowReciprocalSums:
                 direct_window_sum(values, n, k) for n in stops
             ]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_powers_of_two_mixed_with_other_products(self, k):
+        # Some window products are powers of two and some are not; the last
+        # stop reads every listed value, and the list's end is not touched.
+        rule = ExplicitListRule([2, 3, 4, 6, 8, 8, 12, 16])
+        values = rule.values(8)
+        stops = [0, *range(1, 10 - k), 9 - k]
+        got = window_reciprocal_sums(rule.iter_values(), k, stops)
+        assert got == [direct_window_sum(values, n, k) for n in stops]
+        assert all(type(total) is Fraction for total in got)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_power_of_two_products_in_any_order(self, k):
+        # Exponents that fall as well as rise; at k = 1, a run of equal ones.
+        values = [2**e for e in (3, 1, 7, 7, 2, 40, 1)]
+        stops = [1, 2, 4, 4, 6]
+        assert window_reciprocal_sums(values, k, stops) == [
+            direct_window_sum(values, n, k) for n in stops
+        ]
+
+    def test_rejects_too_few_bases(self):
+        with pytest.raises(OutOfDomainError, match="stop 2 needs 3 bases"):
+            window_reciprocal_sums([2, 3], 2, [1, 2])
+
     def test_rejects_empty_window(self):
         with pytest.raises(OutOfDomainError):
             window_reciprocal_sums([2, 3], 0, [1])
