@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from itertools import accumulate, islice
+from math import gcd
 from pathlib import Path
 
 from .dimension import GeometryError, theta_dimension_trace
@@ -31,7 +32,7 @@ from .expansion import (
     load_jsonl,
     save_jsonl,
 )
-from .numeric import IntTexts, format_decimal, fraction_text, int_text, log_bits
+from .numeric import IntTexts, format_ratio, fraction_text, int_text, log_bits
 from .refpair import build_report
 from .sequences import (
     ChainSpec,
@@ -286,6 +287,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if envelope_violations == 0 else EXIT_VERIFICATION
 
 
+def _lower(pair: tuple[int, int], low: tuple[int, int] | None) -> tuple[int, int]:
+    """The smaller of two ratios (num, den) with den > 0; ``low`` on a tie."""
+    return pair if low is None or pair[0] * low[1] < low[0] * pair[1] else low
+
+
 def cmd_dim(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
@@ -298,7 +304,8 @@ def cmd_dim(args) -> int:
     schedule = _covering_schedule(spec, args.n)
     out_dir = _out_dir(args)
     # Rows k = 2 .. n are written as they are made; the summary needs
-    # only the last one and the minima over the trailing window.
+    # only the last one and the minima over the trailing window, each
+    # ratio an integer pair (num, den > 0) compared by cross-multiplication.
     window = max(1, (args.n - 1) // 10)
     tail: dict = {}
     omega_text = IntTexts()
@@ -306,8 +313,8 @@ def cmd_dim(args) -> int:
     def write_row(row) -> None:
         fh.write(",".join(row.csv_fields(omega_text)) + "\n")
         if row.k > args.n - window:
-            tail["d_exact"] = min(tail.get("d_exact", row.d_exact), row.d_exact)
-            tail["d_bound"] = min(tail.get("d_bound", row.d_bound), row.d_bound)
+            tail["d_exact"] = _lower((row.d_exact_num, row.d_exact_den), tail.get("d_exact"))
+            tail["d_bound"] = _lower((row.d_bound_num, row.d_bound_den), tail.get("d_bound"))
             tail["last"] = row
 
     try:
@@ -318,21 +325,24 @@ def cmd_dim(args) -> int:
         print(f"dimension trace rejected: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    def write_ratio(k: int, ratio) -> None:
-        fh.write(f"{k},{ratio.numerator},{ratio.denominator},{format_decimal(ratio)}\n")
+    def write_ratio(k: int, num: int, den: int) -> None:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        fh.write(f"{k},{num},{den},{format_ratio(num, den)}\n")
 
     with atomic_write(out_dir / "growth_trace.csv") as fh:
         fh.write("k,ratio_num,ratio_den,ratio_decimal\n")
         growth_flag = growth_condition_trace(spec.base, args.n, bits, emit=write_ratio)
 
+    last = tail["last"]
     summary = {
         "command": "dim",
         "horizon": args.n,
         "trailing_window": window,
-        "trailing_min_d_exact": format_decimal(tail["d_exact"]),
-        "trailing_min_d_bound": format_decimal(tail["d_bound"]),
-        "final_d_exact": format_decimal(tail["last"].d_exact),
-        "final_d_bound": format_decimal(tail["last"].d_bound),
+        "trailing_min_d_exact": format_ratio(*tail["d_exact"]),
+        "trailing_min_d_bound": format_ratio(*tail["d_bound"]),
+        "final_d_exact": format_ratio(last.d_exact_num, last.d_exact_den),
+        "final_d_bound": format_ratio(last.d_bound_num, last.d_bound_den),
         "growth_flag": growth_flag,
         "log_rounding": "directed",
         "precision_bits": bits,

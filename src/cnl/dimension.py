@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, mixed_radix
-from .numeric import format_decimal, hp_ln, int_text
+from .numeric import format_ratio, hp_ln, int_text
 from .theta import ScheduleError, ThetaSchedule, digit_candidates
 
 __all__ = [
@@ -156,23 +156,39 @@ def falconer_lower_bound(
     return tuple(ds)
 
 
-@dataclass(frozen=True)
-class DimensionTraceRow:
+class DimensionTraceRow(NamedTuple):
+    """One trace row; each ratio is an unreduced integer pair (num, den), den > 0."""
+
     k: int
     level: int
     omega: int
-    log2_eps: Fraction
-    d_exact: Fraction
-    d_bound: Fraction
+    log2_eps_num: int
+    ln2_lo: int  # the denominator of log2_eps
+    d_exact_num: int
+    d_exact_den: int
+    d_bound_num: int
+    d_bound_den: int
+
+    @property
+    def log2_eps(self) -> Fraction:
+        return Fraction(self.log2_eps_num, self.ln2_lo)
+
+    @property
+    def d_exact(self) -> Fraction:
+        return Fraction(self.d_exact_num, self.d_exact_den)
+
+    @property
+    def d_bound(self) -> Fraction:
+        return Fraction(self.d_bound_num, self.d_bound_den)
 
     def csv_fields(self, omega_text: Callable[[int], str] = int_text) -> list[str]:
         return [
             str(self.k),
             str(self.level),
             omega_text(self.omega),
-            format_decimal(self.log2_eps),
-            format_decimal(self.d_exact),
-            format_decimal(self.d_bound),
+            format_ratio(self.log2_eps_num, self.ln2_lo),
+            format_ratio(self.d_exact_num, self.d_exact_den),
+            format_ratio(self.d_bound_num, self.d_bound_den),
         ]
 
 
@@ -191,7 +207,9 @@ def theta_dimension_trace(
     variants; rows start at k = 2.  Every sum of ``hp_ln`` enclosure
     ends rounds in the direction that keeps each d_k a lower bound.
 
-    Each row goes to ``emit`` as soon as it is made; none is kept.
+    Each ``DimensionTraceRow`` goes to ``emit`` as soon as it is made;
+    none is kept.  Its ratios are the integer pairs of the log sums, so
+    no ``Fraction`` is formed per row.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
@@ -217,12 +235,8 @@ def theta_dimension_trace(
                 raise GeometryError(f"no contraction to measure at k = {k}")
             emit(
                 DimensionTraceRow(
-                    k=k,
-                    level=info.level,
-                    omega=omega,
-                    log2_eps=Fraction(log_gap_factor - sum_log_q, ln2_lo),
-                    d_exact=Fraction(sum_log_omega, denom_exact),
-                    d_bound=Fraction(sum_log_bound, denom_bound),
+                    k, info.level, omega, log_gap_factor - sum_log_q, ln2_lo,
+                    sum_log_omega, denom_exact, sum_log_bound, denom_bound,
                 )
             )
         sum_log_q += q_hi

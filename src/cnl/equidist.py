@@ -13,8 +13,10 @@ defining conditions.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count, repeat
 from typing import Iterable, Optional, Sequence
 
 from .expansion import DigitStream, atomic_write, count_block
@@ -70,23 +72,34 @@ def _shift_to_common(nums: list[int], dens: list[int]) -> int:
 
 
 def _integer_ladder(scaled: list[int], d: int, lengths: Sequence[int]) -> list[Fraction]:
-    """The ladder over integer numerators X_i of points X_i/d."""
+    """The ladder over integer numerators X_i of points X_i/d, d = 2**w.
+
+    The terms are left_i = X_(i)*n - (i-1)*d and i*d - X_(i)*n = d - left_i.
+    Each prefix is swept on truncations first: with s = max(w - 62, 0) and
+    A_i = (X_(i) >> s)*n - (i-1)*(d >> s), A_i*2**s <= left_i < (A_i + n)*2**s,
+    so only ranks with A_i > max A - n can hold the largest left_i and only
+    ranks with A_i < min A + n the smallest; just those are evaluated exactly.
+    The A_i are regenerated per pass, never held.
+    """
+    s = max(d.bit_length() - 63, 0)
+    step = d >> s
     out = []
     run: list[int] = []
     for n in lengths:
         # The sorted shorter prefix stays one run, so each sort is a merge.
         run.extend(scaled[len(run) : n])
         run.sort()
-        # left_i = X_(i)*n - (i-1)*d; the right term i*d - X_(i)*n is d - left_i.
-        high = low = run[0] * n
-        offset = 0
-        for x in run:
-            left = x * n - offset
-            offset += d
-            if left > high:
-                high = left
-            elif left < low:
-                low = left
+
+        def truncated():
+            heads = map(operator.mul, map(operator.rshift, run, repeat(s)), repeat(n))
+            return map(operator.sub, heads, range(0, n * step, step))
+
+        def exact(cut, side):
+            ranks = compress(count(), map(side, truncated(), repeat(cut)))
+            return (run[i] * n - i * d for i in ranks)
+
+        high = max(exact(max(truncated()) - n, operator.gt))
+        low = min(exact(min(truncated()) + n, operator.lt))
         out.append(Fraction(max(high, d - low), n * d))
     return out
 

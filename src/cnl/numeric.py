@@ -140,16 +140,19 @@ def fraction_text(value: Fraction) -> str:
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
-def format_decimal(value: Fraction, digits: int = 12) -> str:
-    """Fixed-point decimal rendering, deterministic half-up rounding."""
+def format_ratio(num: int, den: int, digits: int = 12) -> str:
+    """Fixed-point decimal text of num/den, for den > 0 and any common factor,
+    rounded half away from zero."""
     if digits < 0:
-        raise ValueError(f"format_decimal needs digits >= 0, got {digits}")
-    num, den = value.numerator, value.denominator
-    negative = num < 0
-    num = abs(num)
-    scaled, rem = divmod(num * 10**digits, den)
+        raise ValueError(f"need digits >= 0, got {digits}")
+    scaled, rem = divmod(abs(num) * 10**digits, den)
     if 2 * rem >= den:
         scaled += 1
     text = str(scaled).rjust(digits + 1, "0")
     body = f"{text[:-digits]}.{text[-digits:]}" if digits else text
-    return f"-{body}" if negative and scaled else body
+    return f"-{body}" if num < 0 and scaled else body
+
+
+def format_decimal(value: Fraction, digits: int = 12) -> str:
+    """``format_ratio`` of a ``Fraction``."""
+    return format_ratio(value.numerator, value.denominator, digits)

@@ -520,27 +520,29 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
 
 def growth_condition_trace(
     rule: BasicSequenceRule, horizon: int, bits: int | None = None,
-    *, emit: Callable[[int, Fraction], None],
+    *, emit: Callable[[int, int, int], None],
 ) -> str:
     """Evidence for the slow-growth hypothesis log q_k = o(sum log q_n).
 
-    Hands ``emit`` each k = 2 .. horizon with hi(ln q_k) / sum_{n<k} lo(ln q_n),
-    an upper bound of the ratio.  Returns "decreasing at horizon" when the
-    final ratio has dropped below three quarters of the mid-horizon ratio,
-    which is what a ratio tending to zero looks like at any finite horizon,
-    and "not decreasing" otherwise."""
+    Calls ``emit(k, hi, running)`` for each k = 2 .. horizon, where
+    hi / running = hi(ln q_k) / sum_{n<k} lo(ln q_n) is an upper bound of
+    the ratio, as an unreduced integer pair with running > 0.  Returns
+    "decreasing at horizon" when the final ratio has dropped below three
+    quarters of the mid-horizon ratio, which is what a ratio tending to
+    zero looks like at any finite horizon, and "not decreasing" otherwise."""
     if horizon < 2:
         raise OutOfDomainError("growth trace needs horizon >= 2")
     values = rule.iter_values()
-    running = hp_ln(next(values), bits=bits)[0]
+    lo, running = hp_ln(next(values), bits=bits)[0], 0
     for k, q in enumerate(islice(values, horizon - 1), start=2):
-        lo, hi = hp_ln(q, bits=bits)
-        ratio = Fraction(hi, running)
-        emit(k, ratio)
-        if k == horizon // 2 + 1:  # the mid-horizon ratio
-            mid = ratio
         running += lo
-    return "decreasing at horizon" if ratio <= Fraction(3, 4) * mid else "not decreasing"
+        lo, hi = hp_ln(q, bits=bits)
+        emit(k, hi, running)
+        if k == horizon // 2 + 1:  # the mid-horizon ratio
+            mid_hi, mid_den = hi, running
+    # hi / running <= (3/4) * mid_hi / mid_den, cross-multiplied.
+    decreasing = 4 * hi * mid_den <= 3 * mid_hi * running
+    return "decreasing at horizon" if decreasing else "not decreasing"
 
 
 def rule_to_json(rule: BasicSequenceRule) -> dict:

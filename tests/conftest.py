@@ -50,9 +50,9 @@ def growth_ratios(rule, horizon: int, bits: int | None = None) -> tuple[list[Fra
     """The ratios ``growth_condition_trace`` emits for k = 2 .. horizon, and its flag."""
     ratios: list[Fraction] = []
 
-    def collect(k: int, ratio: Fraction) -> None:
-        assert k == len(ratios) + 2
-        ratios.append(ratio)
+    def collect(k: int, hi: int, running: int) -> None:
+        assert k == len(ratios) + 2 and running > 0
+        ratios.append(Fraction(hi, running))
 
     return ratios, growth_condition_trace(rule, horizon, bits, emit=collect)
 

@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 
 from cnl.dimension import (
+    DimensionTraceRow,
     GeometryError,
     LevelGeometry,
     basic_intervals,
     falconer_lower_bound,
     theta_geometry,
 )
+
+from cnl.numeric import format_decimal
 
 from .conftest import trace_rows
 
@@ -145,3 +148,25 @@ class TestDimensionTrace:
     def test_rejects_tiny_horizon(self, schedule_a):
         with pytest.raises(GeometryError):
             trace_rows(schedule_a, 1)
+
+    def test_rows_are_integer_pairs(self, schedule_a):
+        # Every field is an int; the properties are the Fractions of the pairs,
+        # and the CSV cells their format_decimal.
+        rows = trace_rows(schedule_a, 120)
+        for row in rows:
+            assert all(type(field) is int for field in row)
+            assert row.ln2_lo > 0 and row.d_exact_den > 0 and row.d_bound_den > 0
+            assert row.log2_eps == Fraction(row.log2_eps_num, row.ln2_lo)
+            assert row.d_exact == Fraction(row.d_exact_num, row.d_exact_den)
+            assert row.d_bound == Fraction(row.d_bound_num, row.d_bound_den)
+            ratios = (row.log2_eps, row.d_exact, row.d_bound)
+            assert row.csv_fields()[3:] == [format_decimal(r) for r in ratios]
+
+    def test_row_properties_of_unreduced_pairs(self):
+        row = DimensionTraceRow(5, 2, 16, -30, 20, 6, 9, -4, 8)
+        assert (row.log2_eps, row.d_exact, row.d_bound) == (
+            Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 2)
+        )
+        assert row.csv_fields() == [
+            "5", "2", "16", "-1.500000000000", "0.666666666667", "-0.500000000000"
+        ]

@@ -186,7 +186,10 @@ class TestStarDiscrepancyLadder:
             brute_force_star_discrepancy(points[:n]) for n in lengths
         ]
 
-    @pytest.mark.parametrize("dens", [[2, 4, 8], [2, 3, 4], [7, 3**50, 2**80 - 1]])
+    @pytest.mark.parametrize(
+        "dens",
+        [[2, 4, 8], [2, 3, 4], [7, 3**50, 2**80 - 1], [2**62] * 3, [2**63, 2**64, 2**300]],
+    )
     def test_both_lists_are_emptied(self, dens):
         nums = [1, 1, 1]
         star_discrepancy_ladder(nums, dens, [1, 3])
@@ -218,6 +221,78 @@ class TestStarDiscrepancyLadder:
     def test_rejects_bad_input(self, nums, dens, lengths):
         with pytest.raises(ValueError):
             star_discrepancy_ladder(nums, dens, lengths)
+
+
+def assert_dyadic_ladder(nums, w, lengths=None):
+    """The ladder of nums[i] / 2**w, every den unreduced, against the brute force."""
+    points = [Fraction(x, 1 << w) for x in nums]
+    lengths = lengths or list(range(1, len(nums) + 1))
+    dens = [1 << w] * len(nums)
+    got = star_discrepancy_ladder(list(nums), dens, lengths)
+    assert got == [brute_force_star_discrepancy(points[:n]) for n in lengths]
+    assert dens == []
+
+
+class TestTruncatedDyadicLadder:
+    """The dyadic sweep ranks points by their top 62 bits and settles the
+    ranks within n of the extremes exactly; these cases sit on that cut."""
+
+    @pytest.mark.parametrize("w", [6, 62, 63, 100, 300])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 40])
+    def test_exact_progressions_where_every_term_ties(self, w, count):
+        # X_i = (i * 2**w) // N: each left term is within one unit of the
+        # others, so every rank survives the truncated pass.
+        progression = [(i << w) // count for i in range(count)]
+        lengths = sorted({1, (count + 1) // 2, count})
+        assert_dyadic_ladder(progression, w, lengths)
+        assert_dyadic_ladder(progression[::-1], w, lengths)
+        random.Random(count * w).shuffle(progression)
+        assert_dyadic_ladder(progression, w, lengths)
+
+    @pytest.mark.parametrize("centre", [0, Fraction(1, 3), Fraction(1, 2), 1])
+    def test_points_clustered_within_two_to_the_minus_100(self, centre):
+        # 30 points in a window of 2**-100 over 2**300, with repeats, so the
+        # truncations to 62 bits coincide and only exact terms tell them apart.
+        w = 300
+        rng = random.Random(7)
+        base = min(int(centre * (1 << w)), (1 << w) - (1 << 200))
+        offsets = [rng.randrange(1 << 200) for _ in range(20)]
+        nums = [base + off for off in offsets + offsets[:10]]
+        rng.shuffle(nums)
+        assert_dyadic_ladder(nums, w)
+
+    @pytest.mark.parametrize("w", [63, 64, 100])
+    def test_maximum_one_below_the_truncated_maximum(self, w):
+        # Three points, s = w - 62: the second's truncated term is one below
+        # the first's, yet its cut-off low bits make its exact term larger.
+        s = w - 62
+        first = 1 << (w - 1)
+        second = first + ((1 << 62) - 1) // 3 * (1 << s) + (1 << s) - 1
+        left = [3 * first, 3 * second - (1 << w)]
+        assert left[1] > left[0]
+        assert_dyadic_ladder([first, second, second], w, [3])
+
+    @pytest.mark.parametrize("w", [61, 62, 63, 64, 65])
+    def test_widths_around_the_cut(self, w):
+        rng = random.Random(w)
+        nums = [rng.randrange(1 << w) for _ in range(25)]
+        nums += [0, (1 << w) - 1, (1 << w) - 2, 1, nums[0]]
+        assert_dyadic_ladder(nums, w)
+        # Narrower dens widened to 2**w in the ladder, mixed with full-width ones.
+        mixed = [rng.randrange(1 << (w - 3)) for _ in range(12)]
+        points = [Fraction(x, 1 << (w - 3)) for x in mixed] + [
+            Fraction(x, 1 << w) for x in nums[:12]
+        ]
+        lengths = list(range(1, len(points) + 1))
+        dens = [1 << (w - 3)] * 12 + [1 << w] * 12
+        got = star_discrepancy_ladder(mixed + nums[:12], dens, lengths)
+        assert got == [brute_force_star_discrepancy(points[:n]) for n in lengths]
+
+    @pytest.mark.parametrize("w", [0, 1, 61, 62, 63, 64, 65, 300])
+    def test_single_point_prefixes(self, w):
+        for x in {0, (1 << w) // 3, (1 << w) - 1}:
+            assert_dyadic_ladder([x], w, [1, 1])
+        assert_dyadic_ladder([(1 << w) - 1, 0, (1 << w) // 2], w, [1, 1, 2, 3])
 
 
 class TestVerifyAap:

@@ -4,12 +4,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnl import numeric
 from cnl.numeric import (
     IntTexts,
     _ln_int,
     format_decimal,
+    format_ratio,
     fraction_text,
     hp_ln,
     int_text,
@@ -154,6 +157,33 @@ class TestFormatDecimal:
     def test_rejects_negative_digits(self):
         with pytest.raises(ValueError):
             format_decimal(Fraction(1, 2), -1)
+
+
+class TestFormatRatio:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(1, 10**20),
+        st.integers(1, 10**6),
+        st.integers(0, 15),
+    )
+    def test_equals_format_decimal_of_the_fraction(self, num, den, factor, digits):
+        # Unreduced pairs: the common factor changes no digit.
+        text = format_decimal(Fraction(num, den), digits)
+        assert format_ratio(num, den, digits) == text
+        assert format_ratio(num * factor, den * factor, digits) == text
+
+    @pytest.mark.parametrize(
+        "num, den, text",
+        [(1, 8, "0.13"), (-1, 8, "-0.13"), (3, 24, "0.13"), (-3, 24, "-0.13"), (1, 200, "0.01")],
+    )
+    def test_ties_round_half_away_from_zero(self, num, den, text):
+        assert format_ratio(num, den, 2) == text
+        assert format_decimal(Fraction(num, den), 2) == text
+
+    def test_rejects_negative_digits(self):
+        with pytest.raises(ValueError):
+            format_ratio(1, 2, -1)
 
 
 class TestEnvPrecision:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnl.numeric import hp_ln
 from cnl.sequences import (
     BlockRepetitionRule,
     ChainSpec,
@@ -19,6 +20,7 @@ from cnl.sequences import (
     BasicSequenceRule,
     RuleError,
     block_positions,
+    growth_condition_trace,
     json_int,
     partial_sum_qnk,
     rule_from_json,
@@ -315,6 +317,42 @@ class TestGrowthTrace:
         ratios, flag = growth_ratios(rule, 12)
         assert ratios[-1] > Fraction(9, 10)
         assert flag == "not decreasing"
+
+
+def fraction_growth_trace(rule, horizon: int) -> tuple[list[Fraction], str]:
+    """The growth ratios and flag as ``Fraction``s, from the rule's first values."""
+    qs = list(islice(rule.iter_values(), horizon))
+    ratios = [
+        Fraction(hp_ln(qs[k - 1])[1], sum(hp_ln(q)[0] for q in qs[: k - 1]))
+        for k in range(2, horizon + 1)
+    ]
+    mid = ratios[horizon // 2 - 1]  # k = horizon // 2 + 1
+    decreasing = ratios[-1] <= Fraction(3, 4) * mid
+    return ratios, "decreasing at horizon" if decreasing else "not decreasing"
+
+
+class TestGrowthTracePairs:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            GeometricRule(8, 2),
+            GeometricRule(9, 3),
+            ExplicitListRule([2 ** (2**n) for n in range(1, 13)]),
+            ExplicitListRule([5, 3, 1000, 7, 7, 2, 10**6, 3, 4, 4, 9, 2**40, 6]),
+        ],
+    )
+    @pytest.mark.parametrize("horizon", [2, 3, 5, 8, 12])
+    def test_pairs_reduce_to_the_fraction_ratios_and_flag(self, rule, horizon):
+        pairs = []
+        flag = growth_condition_trace(
+            rule, horizon, emit=lambda k, hi, running: pairs.append((k, hi, running))
+        )
+        assert [k for k, _, _ in pairs] == list(range(2, horizon + 1))
+        for _, hi, running in pairs:
+            assert type(hi) is int and type(running) is int and running > 0
+        ratios, want = fraction_growth_trace(rule, horizon)
+        assert [Fraction(hi, running) for _, hi, running in pairs] == ratios
+        assert flag == want
 
 
 class TestJsonRoundtrip:
