@@ -38,7 +38,6 @@ from .sequences import (
     ChainSpec,
     OutOfDomainError,
     RuleError,
-    growth_condition_trace,
     json_int,
     rule_from_json,
 )
@@ -317,22 +316,23 @@ def cmd_dim(args) -> int:
             tail["d_bound"] = _lower((row.d_bound_num, row.d_bound_den), tail.get("d_bound"))
             tail["last"] = row
 
-    try:
-        with atomic_write(out_dir / "dim_trace.csv") as fh:
-            fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
-            theta_dimension_trace(schedule, args.n, bits, emit=write_row)
-    except GeometryError as exc:
-        print(f"dimension trace rejected: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-
     def write_ratio(k: int, num: int, den: int) -> None:
         g = gcd(num, den)
         num, den = num // g, den // g
-        fh.write(f"{k},{num},{den},{format_ratio(num, den)}\n")
+        gh.write(f"{k},{num},{den},{format_ratio(num, den)}\n")
 
-    with atomic_write(out_dir / "growth_trace.csv") as fh:
-        fh.write("k,ratio_num,ratio_den,ratio_decimal\n")
-        growth_flag = growth_condition_trace(spec.base, args.n, bits, emit=write_ratio)
+    # One walk writes both CSVs; an error in it leaves neither.
+    try:
+        with atomic_write(out_dir / "dim_trace.csv") as fh, \
+                atomic_write(out_dir / "growth_trace.csv") as gh:
+            fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
+            gh.write("k,ratio_num,ratio_den,ratio_decimal\n")
+            growth_flag = theta_dimension_trace(
+                schedule, args.n, bits, emit=write_row, growth=write_ratio
+            )
+    except GeometryError as exc:
+        print(f"dimension trace rejected: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
     last = tail["last"]
     summary = {

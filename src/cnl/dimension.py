@@ -15,13 +15,14 @@ the slow-growth hypothesis drives to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, mixed_radix
 from .numeric import format_ratio, hp_ln, int_text
+from .sequences import growth_condition_trace
 from .theta import ScheduleError, ThetaSchedule, digit_candidates
 
 __all__ = [
@@ -42,19 +43,23 @@ class GeometryError(ValueError):
     """Invalid nested-interval data."""
 
 
-@dataclass(frozen=True)
-class LevelGeometry:
-    """Children per parent and minimal child gap at one level."""
-
+class _Level(NamedTuple):
     k: int
     m: int
     eps: Fraction
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise GeometryError(f"level {self.k}: child count {self.m} < 1")
-        if self.eps <= 0:
-            raise GeometryError(f"level {self.k}: gap {self.eps} is not positive")
+
+class LevelGeometry(_Level):
+    """Children per parent and minimal child gap at one level."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, m: int, eps: Fraction):
+        if m < 1:
+            raise GeometryError(f"level {k}: child count {m} < 1")
+        if eps <= 0:
+            raise GeometryError(f"level {k}: gap {eps} is not positive")
+        return super().__new__(cls, k, m, eps)
 
 
 def basic_intervals(
@@ -198,7 +203,8 @@ def theta_dimension_trace(
     bits: int | None = None,
     *,
     emit: Callable[[DimensionTraceRow], None],
-) -> None:
+    growth: Optional[Callable[[int, int, int], None]] = None,
+) -> Optional[str]:
     """Exact-count and bound-substituted d_k traces to the horizon.
 
     Everything streams in log space so gap denominators (products of
@@ -209,36 +215,46 @@ def theta_dimension_trace(
 
     Each ``DimensionTraceRow`` goes to ``emit`` as soon as it is made;
     none is kept.  Its ratios are the integer pairs of the log sums, so
-    no ``Fraction`` is formed per row.
+    no ``Fraction`` is formed per row.  With ``growth``, the same walk's
+    ln q_n enclosures feed ``growth_condition_trace(..., emit=growth)``,
+    whose flag is returned; without it, None.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
     ln2_lo = hp_ln(2, bits)[0]
-    gap_logs = {1: 0}  # lo(ln((a^2 - 1)/a^2)) by a, one per level; 0 when a = 1
-    sum_log_q = 0  # sum of hi(ln q_n) for n < k
-    sum_log_omega = 0  # exact-count numerator
-    sum_log_bound = 0  # bound-substituted numerator
-    for info, q in islice(schedule.walk(), horizon):
-        k = info.n
-        omega = digit_candidates(schedule, k, info, q).count
-        q_lo, q_hi = hp_ln(q, bits)
-        log_omega = hp_ln(omega, bits)[0]
-        weighted = (info.level - 1) * q_lo // info.level  # rounded down
-        if k >= 2:
-            if info.a not in gap_logs:
-                a2 = info.a * info.a
-                gap_logs[info.a] = hp_ln(Fraction(a2 - 1, a2), bits)[0]
-            log_gap_factor = gap_logs[info.a]
-            denom_exact = sum_log_q - log_omega - log_gap_factor
-            denom_bound = sum_log_q - weighted
-            if denom_exact <= 0 or denom_bound <= 0:
-                raise GeometryError(f"no contraction to measure at k = {k}")
-            emit(
-                DimensionTraceRow(
-                    k, info.level, omega, log_gap_factor - sum_log_q, ln2_lo,
-                    sum_log_omega, denom_exact, sum_log_bound, denom_bound,
+
+    def enclosures() -> Iterator[tuple[int, int]]:
+        gap_logs = {1: 0}  # lo(ln((a^2 - 1)/a^2)) by a, one per level; 0 when a = 1
+        sum_log_q = 0  # sum of hi(ln q_n) for n < k
+        sum_log_omega = 0  # exact-count numerator
+        sum_log_bound = 0  # bound-substituted numerator
+        for info, q in islice(schedule.walk(), horizon):
+            k = info.n
+            omega = digit_candidates(schedule, k, info, q).count
+            q_lo, q_hi = hp_ln(q, bits)
+            log_omega = hp_ln(omega, bits)[0]
+            weighted = (info.level - 1) * q_lo // info.level  # rounded down
+            if k >= 2:
+                if info.a not in gap_logs:
+                    a2 = info.a * info.a
+                    gap_logs[info.a] = hp_ln(Fraction(a2 - 1, a2), bits)[0]
+                log_gap_factor = gap_logs[info.a]
+                denom_exact = sum_log_q - log_omega - log_gap_factor
+                denom_bound = sum_log_q - weighted
+                if denom_exact <= 0 or denom_bound <= 0:
+                    raise GeometryError(f"no contraction to measure at k = {k}")
+                emit(
+                    DimensionTraceRow(
+                        k, info.level, omega, log_gap_factor - sum_log_q, ln2_lo,
+                        sum_log_omega, denom_exact, sum_log_bound, denom_bound,
+                    )
                 )
-            )
-        sum_log_q += q_hi
-        sum_log_omega += log_omega
-        sum_log_bound += weighted
+            sum_log_q += q_hi
+            sum_log_omega += log_omega
+            sum_log_bound += weighted
+            yield q_lo, q_hi
+
+    if growth is None:
+        deque(enclosures(), maxlen=0)
+        return None
+    return growth_condition_trace(enclosures(), horizon, emit=growth)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, atomic_write, count_block
 from .numeric import int_text, sqrt_lower
@@ -204,8 +203,7 @@ def star_discrepancy(points: Sequence[Fraction]) -> Fraction:
     return star_discrepancy_ladder(nums, dens, [len(nums)])[0]
 
 
-@dataclass(frozen=True)
-class AAPCertificate:
+class AAPCertificate(NamedTuple):
     """Outcome of an almost-arithmetic-progression check.
 
     ``accepted`` implies the stored eta satisfies all three conditions
@@ -296,8 +294,7 @@ def verify_aap(
     )
 
 
-@dataclass(frozen=True)
-class AapBound:
+class AapBound(NamedTuple):
     """Discrepancy bounds implied by a progression certificate.
 
     ``fine`` is 1/N + delta/(1 + sqrt(1 - delta^2)) for positive delta
@@ -348,16 +345,14 @@ def concat_bound(blocks: Sequence[tuple[int, Fraction]]) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True)
-class NormalityRow:
+class NormalityRow(NamedTuple):
     block: tuple[int, ...]
     count: int
     expected: Fraction
     ratio: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     """Block-count ratios at a fixed prefix length.
 
     ``rows`` pairs each block with its count and count/expected ratio;
@@ -409,8 +404,7 @@ def normality_report(
     return NormalityReport(n=n, k=k, rows=rows, pairwise=pairwise)
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
+class DiscrepancyRow(NamedTuple):
     n: int
     dstar: Fraction
     bound: Optional[Fraction] = None
@@ -419,12 +413,12 @@ class DiscrepancyRow:
     envelope: Optional[Fraction] = None
 
 
-@dataclass
 class DiscrepancyReport:
     """Per-prefix star discrepancy rows with bounds and certificates."""
 
-    rows: list[DiscrepancyRow] = field(default_factory=list)
-    header_note: str = ""
+    def __init__(self, rows: Optional[list[DiscrepancyRow]] = None, header_note: str = ""):
+        self.rows = [] if rows is None else rows
+        self.header_note = header_note
 
     def all_pass(self) -> bool:
         return all(row.certificate != "fatal" for row in self.rows)

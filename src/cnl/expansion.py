@@ -22,11 +22,10 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .sequences import (
     BasicSequenceRule,
@@ -285,8 +284,7 @@ def level_points(
     return nums, dens
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     zero_count: int
     value_set: frozenset[int]
 

@@ -24,7 +24,6 @@ the listing's own arithmetic; the report prints both readings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator
@@ -113,10 +112,10 @@ def coarse_stream() -> DigitStream:
     return DigitStream(coarse_base_rule(), coarse_digit)
 
 
-@dataclass
 class RefPairReport:
-    checks: list[tuple[str, bool]] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[tuple[str, bool]] = []
+        self.lines: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -30,13 +30,12 @@ from __future__ import annotations
 import operator
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, groupby, islice, repeat
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Optional
 
-from .numeric import hp_ln
+from .numeric import hp_ln  # noqa: F401  bench/test_harness.py reads this binding
 
 __all__ = [
     "OutOfDomainError",
@@ -408,7 +407,6 @@ class ContractionRule(BasicSequenceRule):
         return params
 
 
-@dataclass(frozen=True)
 class ChainSpec:
     """A base sequence, a contraction-step sequence, and a chain depth.
 
@@ -419,14 +417,13 @@ class ChainSpec:
     S_j-contraction of the base rather than j-1 nested ones.
     """
 
-    base: BasicSequenceRule
-    s: BasicSequenceRule
-    depth: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if _index(self.depth, "chain depth") < 1:
-            raise RuleError(f"chain depth must be >= 1, got {self.depth}")
+    def __init__(self, base: BasicSequenceRule, s: BasicSequenceRule, depth: int):
+        if _index(depth, "chain depth") < 1:
+            raise RuleError(f"chain depth must be >= 1, got {depth}")
+        self.base = base
+        self.s = s
+        self.depth = depth
+        self._cache: dict = {}
 
     def s_value(self, j: int) -> int:
         return self.s.q(j)
@@ -519,12 +516,14 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
 
 
 def growth_condition_trace(
-    rule: BasicSequenceRule, horizon: int, bits: int | None = None,
+    enclosures: Iterable[tuple[int, int]], horizon: int,
     *, emit: Callable[[int, int, int], None],
 ) -> str:
     """Evidence for the slow-growth hypothesis log q_k = o(sum log q_n).
 
-    Calls ``emit(k, hi, running)`` for each k = 2 .. horizon, where
+    ``enclosures`` yields the ``hp_ln`` enclosures (lo, hi) of ln q_1,
+    ln q_2, ..., and is read for k = 1 .. horizon.  Calls
+    ``emit(k, hi, running)`` for each k = 2 .. horizon, where
     hi / running = hi(ln q_k) / sum_{n<k} lo(ln q_n) is an upper bound of
     the ratio, as an unreduced integer pair with running > 0.  Returns
     "decreasing at horizon" when the final ratio has dropped below three
@@ -532,14 +531,17 @@ def growth_condition_trace(
     zero looks like at any finite horizon, and "not decreasing" otherwise."""
     if horizon < 2:
         raise OutOfDomainError("growth trace needs horizon >= 2")
-    values = rule.iter_values()
-    lo, running = hp_ln(next(values), bits=bits)[0], 0
-    for k, q in enumerate(islice(values, horizon - 1), start=2):
+    logs = iter(enclosures)
+    lo = next(logs, (0, 0))[0]
+    running, k = 0, 1
+    for k, (q_lo, hi) in enumerate(islice(logs, horizon - 1), start=2):
         running += lo
-        lo, hi = hp_ln(q, bits=bits)
+        lo = q_lo
         emit(k, hi, running)
         if k == horizon // 2 + 1:  # the mid-horizon ratio
             mid_hi, mid_den = hi, running
+    if k < horizon:
+        raise OutOfDomainError(f"growth trace needs {horizon} enclosures; fewer were given")
     # hi / running <= (3/4) * mid_hi / mid_den, cross-multiplied.
     decreasing = 4 * hi * mid_den <= 3 * mid_hi * running
     return "decreasing at horizon" if decreasing else "not decreasing"

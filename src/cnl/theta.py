@@ -29,8 +29,6 @@ conventions.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -71,8 +69,12 @@ class TailCertificateError(ScheduleError):
     """Rule lacks the monotone-tail certificate threshold scans need."""
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
+class _Policy(NamedTuple):
+    kind: str
+    seed: Optional[int] = None
+
+
+class SelectionPolicy(_Policy):
     """Deterministic digit choice inside a candidate window.
 
     min, max, and mid probe the window extremes and middle; seeded
@@ -80,15 +82,15 @@ class SelectionPolicy:
     so runs are reproducible given the seed.
     """
 
-    kind: str
-    seed: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("min", "max", "mid", "seeded"):
-            raise ScheduleError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "seeded":
-            if self.seed is None or not 0 <= self.seed < 1 << 64:
+    def __new__(cls, kind: str, seed: Optional[int] = None):
+        if kind not in ("min", "max", "mid", "seeded"):
+            raise ScheduleError(f"unknown policy kind {kind!r}")
+        if kind == "seeded":
+            if seed is None or not 0 <= seed < 1 << 64:
                 raise ScheduleError("seeded policy needs a 64-bit seed")
+        return super().__new__(cls, kind, seed)
 
     def pick(self, candidates: "CandidateSet", n: int) -> int:
         if self.kind == "min":
@@ -97,6 +99,8 @@ class SelectionPolicy:
             return candidates.f_max
         if self.kind == "mid":
             return candidates.f_min + (candidates.count - 1) // 2
+        import hashlib  # only seeded draws load it
+
         digest = hashlib.sha256(f"{self.seed}:{n}".encode("ascii")).digest()
         draw = int.from_bytes(digest[:8], "big")
         return candidates.f_min + draw % candidates.count
@@ -105,8 +109,7 @@ class SelectionPolicy:
         return self.kind if self.kind != "seeded" else f"seeded:{self.seed}"
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     """Consecutive integers F with F / q_n inside the position window."""
 
     f_min: int
@@ -383,8 +386,10 @@ def digit_candidates(
     if info is None:
         info, q = schedule.phi_inv(n), schedule.q(n)
     lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
-    f_min = max(_ceil_div(q * lo, den), 1)
-    f_max = min(_ceil_div(q * hi, den) - 1, q - 1)
+    # ceil(q x / den) = whole x + ceil(part x / den), from one division of q.
+    whole, part = divmod(q, den)
+    f_min = max(whole * lo + _ceil_div(part * lo, den), 1)
+    f_max = min(whole * hi + _ceil_div(part * hi, den) - 1, q - 1)
     if f_min > f_max:
         raise ScheduleError(f"empty candidate window at position {n}")
     return CandidateSet(f_min, f_max)
@@ -479,8 +484,7 @@ def envelope_sup(schedule: ThetaSchedule, j: int, t: int) -> Fraction:
     return envelope(schedule, j, t, 0, span)
 
 
-@dataclass(frozen=True)
-class YPrefixDecomposition:
+class YPrefixDecomposition(NamedTuple):
     """Accounting coordinates of a sampled-point prefix length.
 
     ``level`` is the accounted level t, and prefix = L_{t-1}/S_j + m
@@ -520,8 +524,7 @@ def position_decomposition(
     )
 
 
-@dataclass
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     """Discrepancy-versus-envelope rows plus the envelope trend."""
 
     report: DiscrepancyReport

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cnl.dimension import DimensionTraceRow, theta_dimension_trace
+from cnl.numeric import hp_ln
 from cnl.sequences import ChainSpec, ConstantRule, GeometricRule, growth_condition_trace
 from cnl.theta import (
     SelectionPolicy,
@@ -46,6 +47,11 @@ def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[Dimensio
     return rows
 
 
+def ln_enclosures(rule, bits: int | None = None):
+    """``hp_ln(q, bits)`` for the rule's values q_1, q_2, ..."""
+    return (hp_ln(q, bits) for q in rule.iter_values())
+
+
 def growth_ratios(rule, horizon: int, bits: int | None = None) -> tuple[list[Fraction], str]:
     """The ratios ``growth_condition_trace`` emits for k = 2 .. horizon, and its flag."""
     ratios: list[Fraction] = []
@@ -54,7 +60,7 @@ def growth_ratios(rule, horizon: int, bits: int | None = None) -> tuple[list[Fra
         assert k == len(ratios) + 2 and running > 0
         ratios.append(Fraction(hi, running))
 
-    return ratios, growth_condition_trace(rule, horizon, bits, emit=collect)
+    return ratios, growth_condition_trace(ln_enclosures(rule, bits), horizon, emit=collect)
 
 
 def envelope_check(schedule, stream, j: int, lengths):

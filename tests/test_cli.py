@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import cnl
 from cnl import cli, dimension, theta
 from cnl.cli import main
 from cnl.dimension import DimensionTraceRow
@@ -11,7 +15,7 @@ from cnl.numeric import format_decimal
 from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
-from .conftest import trace_rows
+from .conftest import growth_ratios, trace_rows
 
 
 def write_config(tmp_path, depth=4, policy="min", name="config.json"):
@@ -351,6 +355,19 @@ class TestDim:
         assert summary["growth_flag"] == "decreasing at horizon"
         assert (out / "growth_trace.csv").exists()
 
+    def test_growth_rows_are_the_reduced_ratios(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        assert main(["dim", "--config", str(config), "--out", str(out), "--n", "60"]) == 0
+        header, *lines = (out / "growth_trace.csv").read_text().splitlines()
+        assert header == "k,ratio_num,ratio_den,ratio_decimal"
+        ratios, flag = growth_ratios(GeometricRule(8, 2), 60)
+        assert lines == [
+            f"{k},{r.numerator},{r.denominator},{format_decimal(r)}"
+            for k, r in enumerate(ratios, start=2)
+        ]
+        assert json.loads((out / "dim_summary.json").read_text())["growth_flag"] == flag
+
     def test_growth_violator_flagged(self, tmp_path):
         config = {
             "Q": {
@@ -635,3 +652,48 @@ class TestExitCodes:
              "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+
+# Runs one command in a fresh interpreter (pytest itself imports dataclasses),
+# then prints, last, its exit code and which of the heavy modules it loaded.
+COLD_START = """
+import sys
+from cnl.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *(m for m in ("dataclasses", "hashlib") if m in sys.modules))
+"""
+
+
+def cold_run(*argv) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(cnl.__file__).parents[1]))
+    # -S: no site-packages hooks, so only cnl and the stdlib it imports are seen.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.splitlines()[-1].split()
+
+
+class TestColdStart:
+    def test_import_loads_neither_dataclasses_nor_hashlib(self):
+        assert cold_run() == ["0"]
+
+    def test_commands_load_neither(self, tmp_path):
+        config = write_config(tmp_path)
+        assert cold_run("dim", "--config", config, "--out", tmp_path / "dim", "--n", "20") == ["0"]
+        assert cold_run("repro-sec1", "--out", tmp_path / "repro", "--n", "200") == ["0"]
+        assert main(["theta", "generate", "--config", str(config), "--out", str(tmp_path / "gen"),
+                     "--n", "20"]) == 0
+        assert cold_run(
+            "analyze", "--config", config, "--digits", tmp_path / "gen" / "digits.jsonl",
+            "--out", tmp_path / "analyze", "--levels", "1,2",
+        ) == ["0"]
+
+    def test_seeded_generate_loads_hashlib_and_matches_in_process(self, tmp_path):
+        config = write_config(tmp_path)
+        argv = ["theta", "generate", "--config", config, "--n", "50", "--policy", "seeded",
+                "--seed", "5", "--out"]
+        assert cold_run(*argv, tmp_path / "cold") == ["0", "hashlib"]
+        assert main([*map(str, argv), str(tmp_path / "warm")]) == 0
+        for name in ("digits.jsonl", "summary.json", "schedule.json"):
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()

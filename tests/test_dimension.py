@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cnl import dimension
 from cnl.dimension import (
     DimensionTraceRow,
     GeometryError,
@@ -13,19 +14,27 @@ from cnl.dimension import (
 
 from cnl.numeric import format_decimal
 
-from .conftest import trace_rows
+from .conftest import growth_ratios, trace_rows
 
 TOL = Fraction(1, 10**9)
 
 
 class TestLevelGeometry:
     def test_rejects_empty_levels(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=r"^level 1: child count 0 < 1$"):
             LevelGeometry(k=1, m=0, eps=Fraction(1, 2))
 
     def test_rejects_zero_gap(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=r"^level 1: gap 0 is not positive$"):
             LevelGeometry(k=1, m=2, eps=Fraction(0))
+        with pytest.raises(GeometryError, match=r"^level 3: gap -1/2 is not positive$"):
+            LevelGeometry(3, 2, Fraction(-1, 2))
+
+    def test_fields_equality_and_repr(self):
+        level = LevelGeometry(3, 2, Fraction(1, 8))
+        assert (level.k, level.m, level.eps) == (3, 2, Fraction(1, 8))
+        assert level == LevelGeometry(k=3, m=2, eps=Fraction(1, 8))
+        assert repr(level) == "LevelGeometry(k=3, m=2, eps=Fraction(1, 8))"
 
 
 class TestBasicIntervals:
@@ -144,6 +153,24 @@ class TestDimensionTrace:
         geoms = theta_geometry(schedule_a, 40)
         for row, d in zip(rows, falconer_lower_bound(geoms)):
             assert abs(row.d_exact - d) <= TOL
+
+    def test_growth_ratios_from_the_same_walk(self, schedule_a, monkeypatch):
+        # One hp_ln(q) and one hp_ln(omega) per position, plus ln 2 and one
+        # gap log per level; the growth trace reads the walk's own q enclosures.
+        calls = []
+        hp_ln = dimension.hp_ln
+        monkeypatch.setattr(dimension, "hp_ln", lambda x, bits=None: calls.append(x) or hp_ln(x, bits))
+        rows, pairs = [], []
+        flag = dimension.theta_dimension_trace(
+            schedule_a, 300, emit=rows.append, growth=lambda *pair: pairs.append(pair)
+        )
+        assert len(calls) <= 2 * 300 + 1 + schedule_a.levels
+        assert rows == trace_rows(schedule_a, 300)
+        ratios, want = growth_ratios(schedule_a.spec.base, 300)
+        assert [k for k, _, _ in pairs] == list(range(2, 301))
+        assert [Fraction(hi, running) for _, hi, running in pairs] == ratios
+        assert flag == want == "decreasing at horizon"
+        assert dimension.theta_dimension_trace(schedule_a, 10, emit=rows.append) is None
 
     def test_rejects_tiny_horizon(self, schedule_a):
         with pytest.raises(GeometryError):

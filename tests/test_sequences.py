@@ -28,7 +28,7 @@ from cnl.sequences import (
     window_reciprocal_sums,
 )
 
-from .conftest import doubling_spec, growth_ratios
+from .conftest import doubling_spec, growth_ratios, ln_enclosures
 
 
 def ramp_rule():
@@ -345,7 +345,7 @@ class TestGrowthTracePairs:
     def test_pairs_reduce_to_the_fraction_ratios_and_flag(self, rule, horizon):
         pairs = []
         flag = growth_condition_trace(
-            rule, horizon, emit=lambda k, hi, running: pairs.append((k, hi, running))
+            ln_enclosures(rule), horizon, emit=lambda k, hi, running: pairs.append((k, hi, running))
         )
         assert [k for k, _, _ in pairs] == list(range(2, horizon + 1))
         for _, hi, running in pairs:
@@ -353,6 +353,12 @@ class TestGrowthTracePairs:
         ratios, want = fraction_growth_trace(rule, horizon)
         assert [Fraction(hi, running) for _, hi, running in pairs] == ratios
         assert flag == want
+
+    @pytest.mark.parametrize("given", [0, 1, 4])
+    def test_too_few_enclosures(self, given):
+        enclosures = [(1, 2)] * given
+        with pytest.raises(OutOfDomainError, match="needs 5 enclosures"):
+            growth_condition_trace(enclosures, 5, emit=lambda *pair: None)
 
 
 class TestJsonRoundtrip:
