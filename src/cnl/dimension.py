@@ -15,7 +15,6 @@ the slow-growth hypothesis drives to 1.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -203,8 +202,8 @@ def theta_dimension_trace(
     bits: int | None = None,
     *,
     emit: Callable[[DimensionTraceRow], None],
-    growth: Optional[Callable[[int, int, int], None]] = None,
-) -> Optional[str]:
+    growth: Callable[[int, int, int], None],
+) -> str:
     """Exact-count and bound-substituted d_k traces to the horizon.
 
     Everything streams in log space so gap denominators (products of
@@ -215,9 +214,9 @@ def theta_dimension_trace(
 
     Each ``DimensionTraceRow`` goes to ``emit`` as soon as it is made;
     none is kept.  Its ratios are the integer pairs of the log sums, so
-    no ``Fraction`` is formed per row.  With ``growth``, the same walk's
-    ln q_n enclosures feed ``growth_condition_trace(..., emit=growth)``,
-    whose flag is returned; without it, None.
+    no ``Fraction`` is formed per row.  The same walk's ln q_n
+    enclosures feed ``growth_condition_trace(..., emit=growth)``, whose
+    flag is returned.
     """
     if not 2 <= horizon <= schedule.coverage:
         raise GeometryError(f"horizon must lie in 2..{schedule.coverage}")
@@ -254,7 +253,4 @@ def theta_dimension_trace(
             sum_log_bound += weighted
             yield q_lo, q_hi
 
-    if growth is None:
-        deque(enclosures(), maxlen=0)
-        return None
     return growth_condition_trace(enclosures(), horizon, emit=growth)

@@ -43,7 +43,7 @@ def stream_a(schedule_a):
 def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[DimensionTraceRow]:
     """The rows of ``theta_dimension_trace``, collected through its ``emit``."""
     rows: list[DimensionTraceRow] = []
-    theta_dimension_trace(schedule, horizon, bits, emit=rows.append)
+    theta_dimension_trace(schedule, horizon, bits, emit=rows.append, growth=lambda *_: None)
     return rows
 
 

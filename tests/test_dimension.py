@@ -170,7 +170,6 @@ class TestDimensionTrace:
         assert [k for k, _, _ in pairs] == list(range(2, 301))
         assert [Fraction(hi, running) for _, hi, running in pairs] == ratios
         assert flag == want == "decreasing at horizon"
-        assert dimension.theta_dimension_trace(schedule_a, 10, emit=rows.append) is None
 
     def test_rejects_tiny_horizon(self, schedule_a):
         with pytest.raises(GeometryError):
