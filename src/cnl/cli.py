@@ -95,10 +95,14 @@ def _policy_from_args(config: dict, args) -> SelectionPolicy:
         raise RuleError(str(exc)) from exc
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, summary: str) -> Path:
+    """The --out directory, made if missing, without the command's own
+    summary: a command writes that last, so it exists only after a run
+    that finished."""
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / summary).unlink(missing_ok=True)
     except OSError as exc:
         raise RuleError(f"cannot use --out {args.out}: {exc}") from exc
     return out_dir
@@ -141,7 +145,7 @@ def cmd_theta_generate(args) -> int:
     if args.n is None or args.n < 1:
         raise RuleError("--n must be a positive digit count")
     schedule = _covering_schedule(spec, args.n)
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, "summary.json")
     stream = generate_digits(schedule, policy, args.n)
     save_jsonl(stream, args.n, out_dir / "digits.jsonl")
     _write_json(out_dir / "schedule.json", schedule.dump_json())
@@ -217,7 +221,7 @@ def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> in
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, "analyze_summary.json")
     levels = _int_list(args.levels) if args.levels else [1]
     shifts = _int_list(args.shifts) if args.shifts else [0]
     for j in levels:
@@ -301,7 +305,7 @@ def cmd_dim(args) -> int:
     except ValueError as exc:
         raise RuleError(str(exc)) from exc
     schedule = _covering_schedule(spec, args.n)
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, "dim_summary.json")
     # Rows k = 2 .. n are written as they are made; the summary needs
     # only the last one and the minima over the trailing window, each
     # ratio an integer pair (num, den > 0) compared by cross-multiplication.
@@ -354,7 +358,7 @@ def cmd_dim(args) -> int:
 def cmd_repro(args) -> int:
     if args.n < 1:
         raise RuleError("--n must be a positive orbit horizon")
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, "repro_summary.json")
     report = build_report(orbit_horizon=args.n)
     with atomic_write(out_dir / "report.txt") as fh:
         fh.write(report.render())

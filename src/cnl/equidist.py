@@ -73,34 +73,49 @@ def _shift_to_common(nums: list[int], dens: list[int]) -> int:
 def _integer_ladder(scaled: list[int], d: int, lengths: Sequence[int]) -> list[Fraction]:
     """The ladder over integer numerators X_i of points X_i/d, d = 2**w.
 
-    The terms are left_i = X_(i)*n - (i-1)*d and i*d - X_(i)*n = d - left_i.
-    Each prefix is swept on truncations first: with s = max(w - 62, 0) and
-    A_i = (X_(i) >> s)*n - (i-1)*(d >> s), A_i*2**s <= left_i < (A_i + n)*2**s,
-    so only ranks with A_i > max A - n can hold the largest left_i and only
-    ranks with A_i < min A + n the smallest; just those are evaluated exactly.
-    The A_i are regenerated per pass, never held.
+    The terms are left_i = X_(i)*n - (i-1)*d and i*d - X_(i)*n = d - left_i,
+    and ``_extreme_terms`` gives the largest and smallest left_i of each
+    prefix.  ``scaled`` is emptied as the prefixes take its points.
     """
-    s = max(d.bit_length() - 63, 0)
-    step = d >> s
     out = []
     run: list[int] = []
     for n in lengths:
         # The sorted shorter prefix stays one run, so each sort is a merge.
-        run.extend(scaled[len(run) : n])
+        taken = n - len(run)
+        run.extend(scaled[:taken])
+        del scaled[:taken]
         run.sort()
-
-        def truncated():
-            heads = map(operator.mul, map(operator.rshift, run, repeat(s)), repeat(n))
-            return map(operator.sub, heads, range(0, n * step, step))
-
-        def exact(cut, side):
-            ranks = compress(count(), map(side, truncated(), repeat(cut)))
-            return (run[i] * n - i * d for i in ranks)
-
-        high = max(exact(max(truncated()) - n, operator.gt))
-        low = min(exact(min(truncated()) + n, operator.lt))
+        high, low = _extreme_terms(run, d)
         out.append(Fraction(max(high, d - low), n * d))
     return out
+
+
+def _extreme_terms(run: list[int], d: int) -> tuple[int, int]:
+    """max and min of left_i = X_(i)*n - (i-1)*d over a sorted run of n
+    numerators X_(i) of points over d = 2**w.
+
+    The run is swept on truncations first: with s = max(w + b - 63, 0), b
+    the bit length of n, and A_i = (X_(i) >> s)*n - (i-1)*(d >> s),
+    A_i*2**s <= left_i < (A_i + n)*2**s and |A_i| < 2**63, so only ranks
+    with A_i > max A - n can hold the largest left_i and only ranks with
+    A_i < min A + n the smallest; just those are evaluated exactly.  The A_i
+    are built once, as one array of 64-bit integers that lives only as
+    long as this call, and read by ``max``, ``min`` and the two rank scans.
+    """
+    from array import array  # a shared library; commands that sweep no dyadic ladder skip it
+
+    n = len(run)
+    s = max(d.bit_length() + n.bit_length() - 64, 0)
+    step = d >> s
+    heads = map(operator.mul, map(operator.rshift, run, repeat(s)), repeat(n))
+    truncated = array("q", map(operator.sub, heads, range(0, n * step, step)))
+
+    def exact(cut, side):
+        ranks = compress(count(), map(side, truncated, repeat(cut)))
+        return (run[i] * n - i * d for i in ranks)
+
+    high = max(exact(max(truncated) - n, operator.gt))
+    return high, min(exact(min(truncated) + n, operator.lt))
 
 
 def _ratio_ladder(nums: list[int], dens: list[int], lengths: Sequence[int]) -> list[Fraction]:

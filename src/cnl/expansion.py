@@ -20,6 +20,7 @@ position's base computed once.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from contextlib import contextmanager
 from fractions import Fraction
@@ -94,17 +95,32 @@ class DigitStream:
         return self._cache[n - 1]
 
     def prefix(self, n: int) -> list[int]:
-        if n >= 1:
-            self.digit(n)
-        return self._cache[:n]
+        return self.digits(range(1, n + 1))
+
+    def digits(self, positions: range) -> list[int]:
+        """The digits at ``positions``, a range of positions with a positive
+        step, as one slice of the cache."""
+        if not positions:
+            return []
+        self.digit(positions.start)
+        self.digit(positions[-1])
+        return self._cache[positions.start - 1 : positions[-1] : positions.step]
 
     @staticmethod
     def from_list(rule: BasicSequenceRule, digits: Iterable[int]) -> "DigitStream":
         """A finite stream of ``digits``, range-checked now along one walk
-        of ``rule``; the checked list is the stream's cache."""
+        of ``rule``; the checked list is the stream's cache.
+
+        The check is one ``min`` and one C-level comparison against the
+        walk; a digit out of range sends the list through ``_checked``,
+        which raises its error at its position.
+        """
+        values = list(map(int, digits))
+        if values and (min(values) < 0 or any(map(operator.ge, values, rule.iter_values(1)))):
+            values = list(_checked(rule, values, 1))
         stream = DigitStream(rule, None)
-        stream._cache = list(_checked(rule, map(int, digits), 1))
-        stream._limit = len(stream._cache)
+        stream._cache = values
+        stream._limit = len(values)
         return stream
 
 
@@ -310,6 +326,9 @@ def atomic_write(path, newline: Optional[str] = None) -> Iterator[TextIO]:
         raise
 
 
+_RECORD = '{"n": %d, "E": "%x"}\n'
+
+
 def save_jsonl(stream: DigitStream, n: int, path) -> None:
     """Header {"format": 2, "ints": "hex", "rule": <stream.rule>}, then one
     {"n": pos, "E": "<hex>"} per line, written through ``atomic_write``."""
@@ -317,12 +336,17 @@ def save_jsonl(stream: DigitStream, n: int, path) -> None:
     with atomic_write(path) as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for pos in range(1, n + 1):
-            fh.write('{"n": %d, "E": "%x"}\n' % (pos, stream.digit(pos)))
+            fh.write(_RECORD % (pos, stream.digit(pos)))
 
 
 def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
     """Read a digit file written by ``save_jsonl``.  A given ``rule`` must
-    serialize to the header's; each digit is checked against its base."""
+    serialize to the header's; each digit is checked against its base.
+
+    A record line that equals ``_RECORD % (pos, int(text, 16))`` for its own
+    digit text is read without a JSON parse; any other line, and so every
+    malformed one, goes through ``json.loads`` and keeps its error.
+    """
     digits: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -333,10 +357,16 @@ def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
             if rule is not None and rule_to_json(rule) != rule_to_json(file_rule):
                 raise DigitError("written for a different base rule")
             for pos, line in enumerate(fh, start=1):
-                record = json.loads(line)
-                if record["n"] != pos:
-                    raise DigitError(f"record {pos} carries position {record['n']!r}")
-                digits.append(int(record["E"], 16))
+                try:
+                    value = int(line[line.find('"E": "') + 6 : -3], 16)
+                except ValueError:
+                    value = None
+                if value is None or line != _RECORD % (pos, value):
+                    record = json.loads(line)
+                    if record["n"] != pos:
+                        raise DigitError(f"record {pos} carries position {record['n']!r}")
+                    value = int(record["E"], 16)
+                digits.append(value)
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DigitError(f"bad digit file {path}: {exc!r}") from exc
     if not digits:

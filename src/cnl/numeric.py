@@ -96,19 +96,42 @@ def sqrt_lower(x: Fraction, bits: int | None = None) -> Fraction:
     return Fraction(isqrt(shifted), 1 << bits)
 
 
+# Exact decimal arithmetic: any rounding raises instead of happening.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+# Integers up to this many bits convert directly; Decimal(int) is quadratic.
+_SPLIT_BITS = 8192
+
+
 def int_text(value: int) -> str:
-    """Exact decimal text of an integer of any size, in time quadratic in its
-    digits; ``IntTexts`` writes a run of related integers in linear time.
+    """Exact decimal text of an integer of any size; ``IntTexts`` writes a
+    run of related integers in linear time.
 
     ``str`` serves integers within the interpreter's limit on int-to-str
-    digits (4300 by default on 3.10.7+ and 3.11+) and raises
-    ``ValueError`` past it; those go through ``Decimal``, which converts
-    exactly and is not bound by the limit, which stays as it is.
+    digits (4300 by default on 3.10.7+ and 3.11+; the limit is left as it
+    is) and raises ``ValueError`` past it; those go through ``_decimal``,
+    which is exact, not bound by the limit, and subquadratic.
     """
     try:
         return str(value)
     except ValueError:
-        return str(Decimal(value))
+        return str(_decimal(value))
+
+
+def _decimal(value: int) -> Decimal:
+    """``Decimal(value)``, in time subquadratic in the digits: a wide value
+    is split at 2**k, k the largest power of two below its width, and the
+    halves' decimals are joined by an exact multiply by 2**k and an add."""
+    bits = value.bit_length()
+    if bits <= _SPLIT_BITS:
+        return Decimal(value)
+    k = 1 << ((bits - 1).bit_length() - 1)
+    high = _EXACT.multiply(_decimal(value >> k), _power_of_two(k))
+    return _EXACT.add(high, _decimal(value & ((1 << k) - 1)))
+
+
+@lru_cache(maxsize=None)
+def _power_of_two(k: int) -> Decimal:
+    return _EXACT.power(2, k)
 
 
 class IntTexts:
@@ -118,7 +141,6 @@ class IntTexts:
     one ``str``, both linear in the digits; others go through ``int_text``."""
 
     def __init__(self) -> None:
-        self._exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
         self._prev, self._decimal = 0, Decimal(0)
 
     def __call__(self, value: int) -> str:
@@ -126,7 +148,7 @@ class IntTexts:
         if prev and 0 <= value.bit_length() - prev.bit_length() <= 64:
             m, rem = divmod(value, prev)
             if not rem:
-                self._decimal = self._exact.multiply(self._decimal, m)
+                self._decimal = _EXACT.multiply(self._decimal, m)
                 return str(self._decimal)
         text = int_text(value)
         self._decimal = Decimal(text)

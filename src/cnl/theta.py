@@ -109,6 +109,9 @@ class SelectionPolicy(_Policy):
         return self.kind if self.kind != "seeded" else f"seeded:{self.seed}"
 
 
+_new_tuple = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
+
 class CandidateSet(NamedTuple):
     """Consecutive integers F with F / q_n inside the position window."""
 
@@ -186,20 +189,22 @@ class ThetaSchedule:
     def phi(self, j: int, b: int, c: int) -> int:
         if not 1 <= j <= self.levels:
             raise ScheduleError(f"level {j} outside 1..{self.levels}")
-        if not 1 <= b <= self.ell(j):
-            raise ScheduleError(f"block {b} outside 1..{self.ell(j)} at level {j}")
+        ell = self._ell[j - 1]
+        if not 1 <= b <= ell:
+            raise ScheduleError(f"block {b} outside 1..{ell} at level {j}")
         big_s = self.big_s(j)
         if not 1 <= c <= big_s:
             raise ScheduleError(f"offset {c} outside 1..{big_s} at level {j}")
-        return self.big_l(j - 1) + (b - 1) * big_s + c
+        return (self._big_l[j - 2] if j > 1 else 0) + (b - 1) * big_s + c
 
     def phi_inv(self, n: int) -> PositionInfo:
-        if not 1 <= n <= self.coverage:
-            raise ScheduleError(f"position {n} outside scheduled range 1..{self.coverage}")
+        big_l = self._big_l
+        if not 1 <= n <= big_l[-1]:
+            raise ScheduleError(f"position {n} outside scheduled range 1..{big_l[-1]}")
         level = 1
-        while n > self.big_l(level):
+        while n > big_l[level - 1]:
             level += 1
-        offset_in_level = n - self.big_l(level - 1)
+        offset_in_level = n - big_l[level - 2] if level > 1 else n
         big_s = self.big_s(level)
         block = (offset_in_level - 1) // big_s + 1
         offset = offset_in_level - (block - 1) * big_s
@@ -225,7 +230,7 @@ class ThetaSchedule:
             while block <= blocks:
                 while offset <= a:
                     q = next(bases)
-                    yield PositionInfo(n=n, level=level, block=block, offset=offset, a=a), q
+                    yield _new_tuple(PositionInfo, (n, level, block, offset, a)), q
                     n += 1
                     offset += 1
                 block += 1
@@ -353,10 +358,6 @@ def build_schedule(spec: ChainSpec, depth: Optional[int] = None) -> ThetaSchedul
     return schedule
 
 
-def _ceil_div(num: int, den: int) -> int:
-    return -(-num // den)
-
-
 def _window_bounds(level: int, offset: int, a: int, q: Optional[int]) -> tuple[int, int, int]:
     """The window of offset ``offset`` at level ``level`` (a = S_level),
     as in the module docstring; q, the position's base, is read at level 1."""
@@ -386,13 +387,20 @@ def digit_candidates(
     if info is None:
         info, q = schedule.phi_inv(n), schedule.q(n)
     lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
-    # ceil(q x / den) = whole x + ceil(part x / den), from one division of q.
+    # ceil(q x / den) = whole x + ceil(part x / den), from one division of q;
+    # with hi = lo + 1 the upper bound is the lower one plus whole and the
+    # difference of the two small ceilings.
     whole, part = divmod(q, den)
-    f_min = max(whole * lo + _ceil_div(part * lo, den), 1)
-    f_max = min(whole * hi + _ceil_div(part * hi, den) - 1, q - 1)
+    c_lo = -(-part * lo // den)
+    f_min = whole * lo + c_lo
+    f_max = f_min + whole + (-(-part * hi // den) - c_lo - 1)
+    if f_min < 1:
+        f_min = 1
+    if f_max >= q:
+        f_max = q - 1
     if f_min > f_max:
         raise ScheduleError(f"empty candidate window at position {n}")
-    return CandidateSet(f_min, f_max)
+    return _new_tuple(CandidateSet, (f_min, f_max))
 
 
 def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) -> DigitStream:
@@ -434,21 +442,25 @@ def extract_y_prefix(
 ) -> tuple[list[int], list[int]]:
     """Level j's sampled points at positions <= n, in position order, as
     (nums, dens), the digits and their bases: block offsets 1, 1 + S_j, ...
-    of the levels t > j, read from one walk that starts past level j."""
+    of the levels t > j.
+
+    Level t's blocks start at L_(t-1) + 1 + multiples of S_t, and S_j
+    divides S_t and L_(t-1) (the verified invariant "S_(j+1) divides L_j",
+    and S_j | S_(j+1) | ... as products of the steps), so those offsets are
+    exactly the positions L_j + 1, L_j + 1 + S_j, ... .  The digits are one
+    slice of the stream (``DigitStream.digits``) and the bases one strided
+    base walk, which runs through position n and so raises
+    ``OutOfDomainError`` where ``q`` would.
+    """
     if not 1 <= j <= schedule.levels:
         raise ScheduleError(f"level {j} outside 1..{schedule.levels}")
     if n > schedule.coverage:
         raise ScheduleError(f"position {n} beyond coverage {schedule.coverage}")
-    nums: list[int] = []
-    dens: list[int] = []
     start, step = schedule.big_l(j) + 1, schedule.big_s(j)
     if n < start:
-        return nums, dens
-    for info, q in islice(schedule.walk(start), n - start + 1):
-        if (info.offset - 1) % step == 0:
-            nums.append(stream.digit(info.n))
-            dens.append(q)
-    return nums, dens
+        return [], []
+    dens = list(islice(schedule.spec.base.iter_values(start), 0, n - start + 1, step))
+    return stream.digits(range(start, n + 1, step)), dens
 
 
 def envelope(schedule: ThetaSchedule, j: int, t: int, w: int, z: int) -> Fraction:

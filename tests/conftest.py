@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -67,6 +68,21 @@ def envelope_check(schedule, stream, j: int, lengths):
     """``prefix_bound_check`` over level j's sampled points in the whole stream."""
     nums, dens = extract_y_prefix(schedule, stream, j, stream.limit)
     return prefix_bound_check(schedule, j, nums, dens, lengths)
+
+
+def walk_filter_y_prefix(schedule, stream, j: int, n: int) -> tuple[list[int], list[int]]:
+    """Reference for ``extract_y_prefix``: walk every position past L_j up
+    to n and keep those at block offsets 1, 1 + S_j, ... ."""
+    nums: list[int] = []
+    dens: list[int] = []
+    start, step = schedule.big_l(j) + 1, schedule.big_s(j)
+    if n < start:
+        return nums, dens
+    for info, q in islice(schedule.walk(start), n - start + 1):
+        if (info.offset - 1) % step == 0:
+            nums.append(stream.digit(info.n))
+            dens.append(q)
+    return nums, dens
 
 
 def brute_force_star_discrepancy(points) -> Fraction:

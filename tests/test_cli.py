@@ -486,6 +486,55 @@ class TestRepro:
         assert summary["all_pass"] is True
 
 
+def stop(*args, **kwargs):
+    raise RuntimeError("stopped")
+
+
+class TestStoppedRunLeavesNoSummary:
+    """Each command removes its own summary before it writes anything and
+    writes it last, so a run that stops part way leaves none behind."""
+
+    def test_analyze_stopped_at_level_three(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(gen), "--n", "400"]
+        ) == 0
+        out = tmp_path / "rep"
+        argv = ["analyze", "--config", str(config), "--digits", str(gen / "digits.jsonl"),
+                "--out", str(out), "--levels", "1,2,3,4"]
+        assert main(argv) == 0
+        assert (out / "analyze_summary.json").is_file() and (out / "dn_j3.csv").is_file()
+        real = cli.level_points
+
+        def level_points(stream, spec, j, k=0):
+            return stop() if j == 3 else real(stream, spec, j, k)
+
+        monkeypatch.setattr(cli, "level_points", level_points)
+        assert main(argv) == 3
+        assert "internal error: RuntimeError: stopped" in capsys.readouterr().err
+        assert not (out / "analyze_summary.json").exists()
+        assert (out / "dn_j2.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "argv, summary, step",
+        [
+            (["theta", "generate", "--n", "20"], "summary.json", "save_jsonl"),
+            (["dim", "--n", "20"], "dim_summary.json", "theta_dimension_trace"),
+            (["repro-sec1", "--n", "200"], "repro_summary.json", "build_report"),
+        ],
+    )
+    def test_other_commands(self, tmp_path, monkeypatch, argv, summary, step):
+        argv = argv + ["--out", str(tmp_path / "out")]
+        if argv[0] != "repro-sec1":
+            argv += ["--config", str(write_config(tmp_path))]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / summary).is_file()
+        monkeypatch.setattr(cli, step, stop)
+        assert main(argv) == 3
+        assert not (tmp_path / "out" / summary).exists()
+
+
 class TestExitCodes:
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
         def broken(args):

@@ -234,8 +234,9 @@ def assert_dyadic_ladder(nums, w, lengths=None):
 
 
 class TestTruncatedDyadicLadder:
-    """The dyadic sweep ranks points by their top 62 bits and settles the
-    ranks within n of the extremes exactly; these cases sit on that cut."""
+    """The dyadic sweep ranks a prefix of n points by their top 63 - b bits,
+    b the bit length of n, and settles the ranks within n of the extremes
+    exactly; these cases sit on that cut."""
 
     @pytest.mark.parametrize("w", [6, 62, 63, 100, 300])
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 40])
@@ -272,7 +273,17 @@ class TestTruncatedDyadicLadder:
         assert left[1] > left[0]
         assert_dyadic_ladder([first, second, second], w, [3])
 
-    @pytest.mark.parametrize("w", [61, 62, 63, 64, 65])
+    def test_maximum_two_below_the_truncated_maximum(self):
+        # The same for s = w + 2 - 63, the cut of three points: the second's
+        # truncated term is two below the first's, within n = 3 of it.
+        for w in (63, 64, 100):
+            s = w - 61
+            first = 1 << (w - 1)
+            second = first + ((1 << 61) - 2) // 3 * (1 << s) + (1 << s) - 1
+            assert 3 * second - (1 << w) > 3 * first
+            assert_dyadic_ladder([first, second, second], w, [3])
+
+    @pytest.mark.parametrize("w", [57, 58, 59, 61, 62, 63, 64, 65])
     def test_widths_around_the_cut(self, w):
         rng = random.Random(w)
         nums = [rng.randrange(1 << w) for _ in range(25)]
@@ -287,6 +298,17 @@ class TestTruncatedDyadicLadder:
         dens = [1 << (w - 3)] * 12 + [1 << w] * 12
         got = star_discrepancy_ladder(mixed + nums[:12], dens, lengths)
         assert got == [brute_force_star_discrepancy(points[:n]) for n in lengths]
+
+    @pytest.mark.parametrize("w", [3, 20, 56, 57, 58, 59, 62, 63, 64, 90, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points_with_ties_zeros_and_repeated_lengths(self, w, seed):
+        # Draws from a small pool, so values repeat, with zeros and the
+        # largest point, over repeated and increasing prefix lengths.
+        rng = random.Random(1000 * w + seed)
+        pool = [0, (1 << w) - 1] + [rng.randrange(1 << w) for _ in range(6)]
+        nums = [rng.choice(pool) for _ in range(rng.randrange(1, 40))]
+        lengths = sorted(rng.randrange(1, len(nums) + 1) for _ in range(8))
+        assert_dyadic_ladder(nums, w, lengths + lengths[-1:] + [len(nums)])
 
     @pytest.mark.parametrize("w", [0, 1, 61, 62, 63, 64, 65, 300])
     def test_single_point_prefixes(self, w):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cnl.expansion import (
     DigitError,
     DigitStream,
+    _checked,
     count_block,
     digit_census,
     evaluate,
@@ -154,6 +155,42 @@ class TestFromList:
         assert base.calls == 4
         assert stream.prefix(4) == [2, 4, 6, 8]
         assert base.calls == 4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_first_bad_position_as_the_checked_walk(self, seed):
+        # Digits in range but for one to three bad ones (negative, or at or
+        # past their base), and sometimes more digits than the rule has.
+        rng = random.Random(seed)
+        bases = [rng.randrange(2, 40) for _ in range(60)]
+        digits = [rng.randrange(q) for q in bases]
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(digits))
+            digits[i] = rng.choice([-1, -bases[i], bases[i], bases[i] + 5])
+        if seed % 4 == 0:
+            digits += [0] * rng.randrange(1, 5)
+        rule = ExplicitListRule(bases)
+        with pytest.raises((DigitError, OutOfDomainError)) as fast:
+            DigitStream.from_list(rule, digits)
+        with pytest.raises((DigitError, OutOfDomainError)) as walk:
+            list(_checked(rule, digits, 1))
+        assert type(fast.value) is type(walk.value)
+        assert str(fast.value) == str(walk.value)
+
+
+class TestDigitsByRange:
+    def test_slices_of_the_cache(self):
+        stream = DigitStream(ConstantRule(10), lambda n: n % 10)
+        assert stream.digits(range(3, 12, 4)) == [3, 7, 1]
+        assert stream.digits(range(5, 5)) == [] and stream.digits(range(1, 0)) == []
+        assert stream.digits(range(1, 6)) == stream.prefix(5)
+
+    def test_positions_outside_the_stream(self):
+        stream = DigitStream.from_list(ConstantRule(10), [1, 2, 3, 4, 5])
+        assert stream.digits(range(2, 8, 3)) == [2, 5]
+        with pytest.raises(DigitError, match="start at 1"):
+            stream.digits(range(0, 3))
+        with pytest.raises(DigitError, match="digit 8 unavailable"):
+            stream.digits(range(2, 9, 3))
 
 
 class TestEnclosure:
@@ -393,6 +430,23 @@ class TestCensus:
         assert digit_census(stream_a.prefix(2000)).zero_count == 0
 
 
+def json_only_read(path, rule) -> list[int]:
+    """Reference for ``load_jsonl``'s records: every line through
+    ``json.loads``, each digit checked by ``_checked``."""
+    digits = []
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        try:
+            for pos, line in enumerate(fh, start=1):
+                record = json.loads(line)
+                if record["n"] != pos:
+                    raise DigitError(f"record {pos} carries position {record['n']!r}")
+                digits.append(int(record["E"], 16))
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DigitError(f"bad digit file {path}: {exc!r}") from exc
+    return list(_checked(rule, digits, 1))
+
+
 class TestJsonl:
     def test_roundtrip(self, tmp_path, spec_a, stream_a):
         path = tmp_path / "digits.jsonl"
@@ -433,6 +487,55 @@ class TestJsonl:
         path.write_text('{"n": 1, "q": "4", "E": "1"}\n')
         with pytest.raises(DigitError, match="format"):
             load_jsonl(path, rule=ConstantRule(4))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"n": 2, "E": "1f"}',
+            '{"n": 2, "E": "01f"}',
+            '{"n": 2, "E": "1F"}',
+            '{"n": 2, "E": "0x1f"}',
+            '{"n": 2, "E": " 1f"}',
+            '{"n": 2, "E": "1_f"}',
+            '{"n": 2, "E": "-1"}',
+            '{"n": 2, "E": "40"}',
+            '{"n": 2, "E": ""}',
+            '{"n": 2, "E": "1f", "x": 0}',
+            '{"E": "1f", "n": 2}',
+            '{"n":2,"E":"1f"}',
+            '{"n": 3, "E": "1f"}',
+            '{"n": 2, "E": 31}',
+            '{"n": 2}',
+            '{"n": 2, "E": "1f"',
+        ],
+    )
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_records_read_as_by_json_alone(self, tmp_path, record, final_newline):
+        rule = ConstantRule(64)
+        path = self.write(tmp_path, rule, '{"n": 1, "E": "3"}', record, '{"n": 3, "E": "2a"}')
+        if not final_newline:
+            path.write_text(path.read_text()[:-1])
+        try:
+            want = json_only_read(path, rule)
+        except DigitError as exc:
+            with pytest.raises(DigitError) as got:
+                load_jsonl(path, rule=rule)
+            assert str(got.value) == str(exc)
+        else:
+            assert load_jsonl(path, rule=rule).prefix(3) == want
+
+    def test_only_other_lines_are_parsed_as_json(self, tmp_path, monkeypatch, stream_a, spec_a):
+        path = tmp_path / "digits.jsonl"
+        save_jsonl(stream_a, 300, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace('"E": "', '"E": "0')  # a leading zero
+        lines[-1] = lines[-1].rstrip("\n")
+        path.write_text("".join(lines))
+        parsed = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or real(text))
+        assert load_jsonl(path, rule=spec_a.base).prefix(300) == stream_a.prefix(300)
+        assert parsed == [lines[0], lines[5], lines[-1]]
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         def digit(n):

@@ -246,6 +246,51 @@ class TestIntegerText:
         assert sys.get_int_max_str_digits() == old
 
 
+def decimal_digits(text: str) -> int:
+    """The integer with decimal ``text``, built 4000 digits at a time, so it
+    needs no conversion past the int-to-str digit limit."""
+    value = 0
+    for i in range(0, len(text), 4000):
+        chunk = text[i : i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestSplitIntegerText:
+    """Past the str limit, int_text splits at powers of two and joins the
+    halves' decimals exactly; ``str(Decimal(v))`` is the reference."""
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 9999, 40_000, 90_000])
+    def test_random_integers(self, digits):
+        rng = random.Random(digits)
+        for _ in range(3):
+            value = rng.randrange(10 ** (digits - 1), 10**digits)
+            assert int_text(value) == str(Decimal(value))
+            assert int_text(-value) == str(Decimal(-value))
+
+    @pytest.mark.parametrize("digits", [4300, 16_384, 87_000])
+    def test_powers_of_ten_and_their_neighbours(self, digits):
+        power = 10**digits
+        for value in (power - 1, power, power + 1, -power):
+            assert int_text(value) == str(Decimal(value))
+
+    def test_three_hundred_thousand_digits(self):
+        rng = random.Random(300_000)
+        text = str(rng.randrange(1, 10)) + "".join(
+            str(rng.randrange(10**9)).zfill(9) for _ in range(33_333)
+        ) + "42"
+        value = decimal_digits(text)
+        assert len(text) == 300_000
+        assert int_text(value) == text
+        assert int_text(-value) == "-" + text
+        assert int_text(10**300_000) == "1" + "0" * 300_000
+
+    @pytest.mark.parametrize("bits", [8191, 8192, 8193, 16_384, 16_385, 65_536])
+    def test_powers_of_two_at_the_split_widths(self, bits):
+        for value in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
+            assert str(numeric._decimal(value)) == str(Decimal(value))
+
+
 def int_text_runs():
     """Runs of integers for ``IntTexts``, each step of a kind it must handle."""
     start = 2**14270  # 4296 digits: doubling crosses 4300 within a few steps

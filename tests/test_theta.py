@@ -7,7 +7,7 @@ import pytest
 
 from cnl import theta
 from cnl.equidist import star_discrepancy, verify_aap
-from cnl.expansion import DigitError
+from cnl.expansion import DigitError, DigitStream
 from cnl.sequences import (
     BlockRepetitionRule,
     ChainSpec,
@@ -21,6 +21,7 @@ from cnl.theta import (
     ScheduleError,
     SelectionPolicy,
     TailCertificateError,
+    ThetaSchedule,
     build_schedule,
     compute_nu,
     digit_candidates,
@@ -33,7 +34,7 @@ from cnl.theta import (
     prefix_bound_check,
 )
 
-from .conftest import STREAM_LEN, doubling_spec, envelope_check
+from .conftest import STREAM_LEN, doubling_spec, envelope_check, walk_filter_y_prefix
 
 
 class TestComputeNu:
@@ -158,6 +159,18 @@ class TestCandidates:
                 hi = lo + Fraction(1, a * a)
             assert schedule_a.window(info.level, info.offset, n) == (lo, hi)
             cand = digit_candidates(schedule_a, n)
+            assert cand.f_min == max(math.ceil(q * lo), 1)
+            assert cand.f_max == min(math.ceil(q * hi) - 1, q - 1)
+
+    @pytest.mark.parametrize("ratio", [3, 5])
+    def test_integer_bounds_with_remainders(self, ratio):
+        # q_n = ratio**(n+1) leaves a remainder mod every a**2, so both
+        # ceilings of the window bounds are taken on nonzero parts.
+        spec = ChainSpec(base=GeometricRule(ratio, ratio), s=ConstantRule(2), depth=4)
+        schedule = build_schedule(spec)
+        for info, q in islice(schedule.walk(), 3000):
+            lo, hi = schedule.window(info.level, info.offset, info.n)
+            cand = digit_candidates(schedule, info.n, info, q)
             assert cand.f_min == max(math.ceil(q * lo), 1)
             assert cand.f_max == min(math.ceil(q * hi) - 1, q - 1)
 
@@ -389,6 +402,78 @@ class TestExtractY:
                 assert points[at : at + span] == extract_y(schedule_a, stream_a, j, t, b)
                 at += span
         assert at > 0 and len(points) - at < span
+
+
+def lazy_stream(rule):
+    """An unlimited stream whose digit at n is n mod 7, inside every base >= 8."""
+    return DigitStream(rule, lambda n: n % 7)
+
+
+STRIDE_SPECS = {
+    "readme": ChainSpec(base=GeometricRule(8, 2), s=ConstantRule(2), depth=4),
+    "ratio-3": ChainSpec(base=GeometricRule(9, 3), s=ConstantRule(2), depth=4),
+    "constant-s-3": ChainSpec(base=GeometricRule(27, 3), s=ConstantRule(3), depth=3),
+}
+
+
+class TestStrideYPrefix:
+    """extract_y_prefix takes positions L_j + 1, L_j + 1 + S_j, ... by stride;
+    the walk filter in conftest is the reference."""
+
+    @pytest.fixture(scope="class", params=sorted(STRIDE_SPECS))
+    def scheduled(self, request):
+        spec = STRIDE_SPECS[request.param]
+        return build_schedule(spec), lazy_stream(spec.base)
+
+    def test_matches_the_walk_filter_around_each_level_end(self, scheduled):
+        schedule, stream = scheduled
+        ends = [schedule.big_l(t) for t in range(1, schedule.levels + 1)]
+        for j in range(1, schedule.levels + 1):
+            for n in sorted({m for end in ends for m in (end - 1, end, end + 1)}):
+                if n > schedule.coverage:
+                    with pytest.raises(ScheduleError, match="beyond coverage"):
+                        extract_y_prefix(schedule, stream, j, n)
+                    continue
+                assert extract_y_prefix(schedule, stream, j, n) == walk_filter_y_prefix(
+                    schedule, stream, j, n
+                ), (j, n)
+
+    @pytest.mark.parametrize("length, n", [(100, 146), (11, 12), (11, 11), (10, 11)])
+    def test_a_base_that_ends_before_n(self, schedule_a, length, n):
+        # The schedule's tables over a base cut after ``length`` positions:
+        # the stride walks the base through n, as the filter does, so both
+        # raise where q would, also past the last sampled position.
+        short = ChainSpec(
+            base=ExplicitListRule(schedule_a.spec.base.values(length)),
+            s=ConstantRule(2),
+            depth=4,
+        )
+        schedule = ThetaSchedule(
+            short, schedule_a.levels, schedule_a._nu, schedule_a._ell, schedule_a._big_l
+        )
+        stream = lazy_stream(schedule_a.spec.base)
+        for j in (1, 2):
+            if n <= length or n <= schedule.big_l(j):
+                assert extract_y_prefix(schedule, stream, j, n) == walk_filter_y_prefix(
+                    schedule, stream, j, n
+                )
+                continue
+            with pytest.raises(OutOfDomainError) as stride:
+                extract_y_prefix(schedule, stream, j, n)
+            with pytest.raises(OutOfDomainError) as walk:
+                walk_filter_y_prefix(schedule, stream, j, n)
+            first = max(length, schedule.big_l(j)) + 1
+            assert str(stride.value) == str(walk.value) == (
+                f"position {first} past end of explicit-list rule (length {length})"
+            )
+
+    def test_a_stream_that_ends_before_a_sampled_position(self, schedule_a, stream_a):
+        short = DigitStream.from_list(schedule_a.spec.base, stream_a.prefix(150))
+        assert extract_y_prefix(schedule_a, short, 2, 150) == walk_filter_y_prefix(
+            schedule_a, short, 2, 150
+        )
+        with pytest.raises(DigitError, match="unavailable"):
+            extract_y_prefix(schedule_a, short, 2, 151)
 
 
 class TestEnvelope:
