@@ -95,14 +95,18 @@ def _policy_from_args(config: dict, args) -> SelectionPolicy:
         raise RuleError(str(exc)) from exc
 
 
-def _out_dir(args, summary: str) -> Path:
+def _out_dir(args, summary: str, *reports: str) -> Path:
     """The --out directory, made if missing, without the command's own
-    summary: a command writes that last, so it exists only after a run
-    that finished."""
+    summary, or any file matching the glob patterns of the ``reports`` it
+    writes: a command writes its summary last, so that exists only after
+    a run that finished, beside only that run's reports."""
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / summary).unlink(missing_ok=True)
+        for pattern in reports:
+            for path in out_dir.glob(pattern):
+                path.unlink()
     except OSError as exc:
         raise RuleError(f"cannot use --out {args.out}: {exc}") from exc
     return out_dir
@@ -221,7 +225,6 @@ def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> in
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config, args.depth)
-    out_dir = _out_dir(args, "analyze_summary.json")
     levels = _int_list(args.levels) if args.levels else [1]
     shifts = _int_list(args.shifts) if args.shifts else [0]
     for j in levels:
@@ -233,6 +236,9 @@ def cmd_analyze(args) -> int:
     for k in shifts:
         if not 0 <= k < widest:
             raise RuleError(f"shift {k} out of range 0..{widest - 1} at every requested level")
+    out_dir = _out_dir(
+        args, "analyze_summary.json", "dn_j[0-9]*.csv", "rn_j[0-9]*.csv", "envelope_j[0-9]*.csv"
+    )
 
     try:
         stream = load_jsonl(args.digits, rule=spec.base)

@@ -84,7 +84,7 @@ def basic_intervals(
         raise GeometryError(
             f"{candidates.count} intervals at level {k} exceed the guard {INTERVAL_GUARD}"
         )
-    num, den = mixed_radix(stream, schedule.spec.base, range(1, k - 1))
+    num, den = mixed_radix(stream, range(1, k - 1))
     prefix_value = Fraction(num, den)
     q_prod_prev = den * schedule.q(k - 1)
     intervals = []
@@ -172,18 +172,6 @@ class DimensionTraceRow(NamedTuple):
     d_exact_den: int
     d_bound_num: int
     d_bound_den: int
-
-    @property
-    def log2_eps(self) -> Fraction:
-        return Fraction(self.log2_eps_num, self.ln2_lo)
-
-    @property
-    def d_exact(self) -> Fraction:
-        return Fraction(self.d_exact_num, self.d_exact_den)
-
-    @property
-    def d_bound(self) -> Fraction:
-        return Fraction(self.d_bound_num, self.d_bound_den)
 
     def csv_fields(self, omega_text: Callable[[int], str] = int_text) -> list[str]:
         return [

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, atomic_write, count_block
 from .numeric import int_text, sqrt_lower
-from .sequences import BasicSequenceRule, partial_sum_qnk, window_reciprocal_sums
+from .sequences import partial_sum_qnk, window_reciprocal_sums
 
 __all__ = [
     "COND_START",
@@ -388,7 +388,6 @@ class NormalityReport(NamedTuple):
 
 def normality_report(
     stream: DigitStream,
-    rule: BasicSequenceRule,
     k: int,
     n: int,
     blocks: Sequence[Sequence[int]],
@@ -397,7 +396,7 @@ def normality_report(
     for blk in blocks:
         if len(blk) != k:
             raise ValueError(f"block {blk} does not have the stated length {k}")
-    expected = partial_sum_qnk(rule, n, k) if n > 0 else Fraction(0)
+    expected = partial_sum_qnk(stream.rule, n, k) if n > 0 else Fraction(0)
     counts = {blk: count_block(stream, blk, n) for blk in blocks}
     rows = tuple(
         NormalityRow(

@@ -12,9 +12,11 @@ is not finitely computable for an infinitely specified number, so
 like "T_n(x) < 1/2" become decidable whenever the upper edge clears
 the threshold.
 
+A ``DigitStream`` is a finite list of digits, checked against its base
+rule when it is built; functions that read a stream read its rule too.
 ``level_points`` is the one way to get packed points with their bases:
-a finite stream's digits at a chain level and shift, each packed
-position's base computed once.
+a stream's digits at a chain level and shift, each packed position's
+base computed once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .sequences import (
     BasicSequenceRule,
@@ -58,76 +60,46 @@ class DigitError(ValueError):
 
 
 class DigitStream:
-    """Lazily generated digit sequence against a base rule.
+    """A finite digit sequence against a base rule, checked when built.
 
-    Digits are produced by a pure position-indexed function and cached,
-    or given as a list (``from_list``).  ``limit`` bounds the available
-    positions for finitely described sources.
+    ``digits`` become a list of ints, range-checked along one walk of
+    ``rule`` by one ``min`` and one C-level comparison against the walk; a
+    digit out of range sends the list through ``_checked``, which raises
+    its error at its position.  ``limit`` is the number of digits.
     """
 
-    def __init__(
-        self,
-        rule: BasicSequenceRule,
-        digit_fn: Callable[[int], int],
-        limit: Optional[int] = None,
-    ):
+    def __init__(self, rule: BasicSequenceRule, digits: Iterable[int]):
+        values = list(map(int, digits))
+        if values and (min(values) < 0 or any(map(operator.ge, values, rule.iter_values(1)))):
+            values = list(_checked(rule, values))
         self.rule = rule
-        self._fn = digit_fn
-        self._limit = limit
-        self._cache: list[int] = []
-
-    @property
-    def limit(self) -> Optional[int]:
-        return self._limit
+        self.digit_list = values
+        self.limit = len(values)
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise DigitError(f"digit positions start at 1, got {n}")
-        if self._limit is not None and n > self._limit:
-            raise DigitError(f"digit {n} unavailable (stream ends at {self._limit})")
-        have = len(self._cache)
-        if have < n:
-            new = map(self._fn, range(have + 1, n + 1))
-            self._cache.extend(_checked(self.rule, new, have + 1))
-            if n == self._limit:
-                # Every digit is cached; drop the function and what it holds.
-                self._fn = None
-        return self._cache[n - 1]
+        if n > self.limit:
+            raise DigitError(f"digit {n} unavailable (stream ends at {self.limit})")
+        return self.digit_list[n - 1]
 
     def prefix(self, n: int) -> list[int]:
         return self.digits(range(1, n + 1))
 
     def digits(self, positions: range) -> list[int]:
         """The digits at ``positions``, a range of positions with a positive
-        step, as one slice of the cache."""
+        step, as one slice of the list."""
         if not positions:
             return []
         self.digit(positions.start)
         self.digit(positions[-1])
-        return self._cache[positions.start - 1 : positions[-1] : positions.step]
-
-    @staticmethod
-    def from_list(rule: BasicSequenceRule, digits: Iterable[int]) -> "DigitStream":
-        """A finite stream of ``digits``, range-checked now along one walk
-        of ``rule``; the checked list is the stream's cache.
-
-        The check is one ``min`` and one C-level comparison against the
-        walk; a digit out of range sends the list through ``_checked``,
-        which raises its error at its position.
-        """
-        values = list(map(int, digits))
-        if values and (min(values) < 0 or any(map(operator.ge, values, rule.iter_values(1)))):
-            values = list(_checked(rule, values, 1))
-        stream = DigitStream(rule, None)
-        stream._cache = values
-        stream._limit = len(values)
-        return stream
+        return self.digit_list[positions.start - 1 : positions[-1] : positions.step]
 
 
-def _checked(rule: BasicSequenceRule, digits: Iterable[int], start: int) -> Iterator[int]:
-    """``digits``, the digits at positions start, start + 1, ..., each
-    checked against its base from one walk of ``rule``."""
-    for pos, (value, q) in enumerate(zip(digits, rule.iter_values(start)), start):
+def _checked(rule: BasicSequenceRule, digits: Iterable[int]) -> Iterator[int]:
+    """``digits``, the digits at positions 1, 2, ..., each checked against
+    its base from one walk of ``rule``."""
+    for pos, (value, q) in enumerate(zip(digits, rule.iter_values()), 1):
         if not 0 <= value <= q - 1:
             raise DigitError(f"digit {value} out of range [0, {q - 1}] at position {pos}")
         yield value
@@ -149,36 +121,32 @@ def expand(x: Fraction, rule: BasicSequenceRule, n_digits: int) -> DigitStream:
     for q in islice(rule.iter_values(), n_digits):
         digit, num = divmod(num * q, den)
         digits.append(digit)
-    return DigitStream.from_list(rule, digits)
+    return DigitStream(rule, digits)
 
 
-def mixed_radix(
-    stream: DigitStream, rule: BasicSequenceRule, positions: range
-) -> tuple[int, int]:
+def mixed_radix(stream: DigitStream, positions: range) -> tuple[int, int]:
     """The digits at ``positions``, a range of consecutive positions, read
     as one mixed-radix fraction.
 
-    Returns (num, den): den is the product of the bases q_p of ``rule``,
-    read from one walk, and num / den = sum of E_p over the running base
-    products.
+    Returns (num, den): den is the product of the bases q_p of the
+    stream's rule, read from one walk, and num / den = sum of E_p over the
+    running base products.
     """
     num, den = 0, 1
-    for pos, q in zip(positions, rule.iter_values(positions.start)):
+    for pos, q in zip(positions, stream.rule.iter_values(positions.start)):
         num = num * q + stream.digit(pos)
         den *= q
     return num, den
 
 
-def evaluate(stream: DigitStream, rule: BasicSequenceRule, n: int) -> Fraction:
+def evaluate(stream: DigitStream, n: int) -> Fraction:
     """Exact value of the n-digit prefix, in [0, 1)."""
     if n < 0:
         raise DigitError("prefix length must be >= 0")
-    return Fraction(*mixed_radix(stream, rule, range(1, n + 1)))
+    return Fraction(*mixed_radix(stream, range(1, n + 1)))
 
 
-def t_enclosure(
-    stream: DigitStream, rule: BasicSequenceRule, n: int, depth: int
-) -> tuple[Fraction, Fraction]:
+def t_enclosure(stream: DigitStream, n: int, depth: int) -> tuple[Fraction, Fraction]:
     """Interval certain to contain T_n(x) for any tail extension.
 
     The lower edge is the value of the digits n+1 .. n+depth read in
@@ -186,7 +154,7 @@ def t_enclosure(
     """
     if depth < 1:
         raise DigitError("enclosure depth must be >= 1")
-    num, den = mixed_radix(stream, rule, range(n + 1, n + depth + 1))
+    num, den = mixed_radix(stream, range(n + 1, n + depth + 1))
     return Fraction(num, den), Fraction(num + 1, den)
 
 
@@ -211,58 +179,44 @@ def transcode(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
     """Digits of the same number in chain base j.
 
     Each coarse digit packs a block of S_j source digits with their
-    mixed-radix weights, so prefix values are preserved exactly.  Lazy,
-    so unlimited sources transcode too; ``level_points`` serves finite ones.
+    mixed-radix weights, so prefix values are preserved exactly.  Only
+    complete blocks count.  Independent of ``level_points``, which tests
+    read against it.
     """
     rule = spec.rule(j)
     if rule is spec.base:
         return stream
-
-    def packed_digit(n: int) -> int:
-        return mixed_radix(stream, spec.base, rule.block(n))[0]
-
-    limit = None if stream.limit is None else rule.blocks_in(stream.limit)
-    return DigitStream(rule, packed_digit, limit=limit)
+    blocks = map(rule.block, range(1, rule.blocks_in(stream.limit) + 1))
+    return DigitStream(rule, (mixed_radix(stream, block)[0] for block in blocks))
 
 
 def transcode_inverse(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
     """Base digits recovered from a level-j digit stream.
 
-    Inverse of ``transcode``: each coarse digit is decomposed by
-    successive division into its block of S_j base digits, once, with
-    the block's bases from one walk; the last block decomposed is kept
-    for the rest of its digits.
+    Inverse of ``transcode``: each coarse digit is decomposed once, by
+    successive division, into its block of S_j base digits, the bases
+    read from one walk of the base rule.
     """
     rule = spec.rule(j)
     if rule is spec.base:
         return stream
-    base = spec.base
-    decoded = (0, [])  # (block index, its base digits); blocks start at 1
-
-    def fine_digit(n: int) -> int:
-        nonlocal decoded
-        block, offset = divmod(n - 1, rule.s)
-        if decoded[0] != block + 1:
-            positions = rule.block(block + 1)
-            value = stream.digit(block + 1)
-            digits = []
-            for q in reversed(base.values(len(positions), positions.start)):
-                value, d = divmod(value, q)
-                digits.append(d)
-            if value:
-                raise DigitError(f"coarse digit at block {block + 1} exceeds its base")
-            digits.reverse()
-            decoded = (block + 1, digits)
-        return decoded[1][offset]
-
-    limit = None if stream.limit is None else stream.limit * rule.s
-    return DigitStream(base, fine_digit, limit=limit)
+    bases = spec.base.iter_values()
+    fine: list[int] = []
+    for block, value in enumerate(stream.digit_list, 1):
+        digits = []
+        for q in reversed(list(islice(bases, rule.s))):
+            value, d = divmod(value, q)
+            digits.append(d)
+        if value:
+            raise DigitError(f"coarse digit at block {block} exceeds its base")
+        fine.extend(reversed(digits))
+    return DigitStream(spec.base, fine)
 
 
 def level_points(
     stream: DigitStream, spec: ChainSpec, j: int, k: int = 0
 ) -> tuple[list[int], list[int]]:
-    """A finite stream's digits at chain level j and shift k, with their bases.
+    """The stream's digits at chain level j and shift k, with their bases.
 
     Point n is nums[n-1] / dens[n-1], the source digits at
     ``spec.rule(j, k).block(n)`` read as one mixed-radix fraction; only
@@ -274,12 +228,9 @@ def level_points(
     """
     rule = spec.rule(j, k)
     total = stream.limit
-    if total is None:
-        raise DigitError("level points need a finite stream")
     if rule is spec.base:
         return stream.prefix(total), spec.base.values(total)
-    stream.digit(total)  # range-check every digit, then read the cache in place
-    digits = iter(stream._cache)
+    digits = iter(stream.digit_list)
     bases = spec.base.iter_values()
     width = rule.k
     nums, dens = [], []
@@ -371,4 +322,4 @@ def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:
             raise DigitError(f"bad digit file {path}: {exc!r}") from exc
     if not digits:
         raise DigitError(f"digit file {path} holds no digits")
-    return DigitStream.from_list(rule or file_rule, digits)
+    return DigitStream(rule or file_rule, digits)

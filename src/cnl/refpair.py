@@ -104,12 +104,14 @@ def _coarse_digits() -> Iterator[int]:
         yield from range(0, 4 * m * m, 4 * m)
 
 
-def fine_stream() -> DigitStream:
-    return DigitStream(fine_base_rule(), fine_digit)
+def fine_stream(n: int) -> DigitStream:
+    """x's first n digits in the fine base."""
+    return DigitStream(fine_base_rule(), islice(_fine_digits(), n))
 
 
-def coarse_stream() -> DigitStream:
-    return DigitStream(coarse_base_rule(), coarse_digit)
+def coarse_stream(n: int) -> DigitStream:
+    """y's first n digits in the coarse base."""
+    return DigitStream(coarse_base_rule(), islice(_coarse_digits(), n))
 
 
 class RefPairReport:
@@ -179,10 +181,8 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     fine_rule = fine_base_rule()
     coarse_rule = coarse_base_rule()
     spec = ChainSpec(base=fine_rule, s=ConstantRule(2), depth=2)
-    # x's fine digits run as far as (b) and (d) read its coarse digits.
-    coarse_span = max(orbit_horizon + _MAX_ENCLOSURE_DEPTH, len(REFERENCE_X_COARSE_DIGITS))
-    x_fine = DigitStream.from_list(fine_rule, islice(_fine_digits(), 2 * coarse_span))
-    y_coarse = coarse_stream()
+    # x's fine digits run as far as (d) reads its coarse digits.
+    x_fine = fine_stream(2 * (orbit_horizon + _MAX_ENCLOSURE_DEPTH))
 
     # (a) contraction values against the listed coarse bases.
     computed = coarse_rule.values(len(REFERENCE_COARSE_BASES))
@@ -192,9 +192,9 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
         f"computed {computed}",
     )
 
-    # (b) contracted digits of x against the listing.
-    x_coarse = transcode(x_fine, spec, 2)
-    got = [x_coarse.digit(n) for n in range(1, 11)]
+    # (b) contracted digits of x against the listing, from the fine
+    # digits they pack.
+    got = transcode(fine_stream(2 * len(REFERENCE_X_COARSE_DIGITS)), spec, 2).digit_list
     tail_match = got[1:] == list(REFERENCE_X_COARSE_DIGITS[1:])
     report.record(
         "x contracted digits match listing at positions 2..10",
@@ -215,7 +215,8 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     )
 
     # (c) fine rewrite of y under the corrected tenth digit.
-    y10 = [y_coarse.digit(n) for n in range(1, 11)]
+    y_coarse = coarse_stream(len(REFERENCE_Y_COARSE_DIGITS))
+    y10 = y_coarse.digit_list
     report.note(
         f"  y coarse digit 10: pattern gives {y10[9]}, listing prints "
         f"{REFERENCE_Y_COARSE_DIGITS[9]}; 64 is not a digit for base 64 "
@@ -227,8 +228,7 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
         y10[:9] == list(REFERENCE_Y_COARSE_DIGITS[:9]) and y10[9] == 48,
         f"computed {y10}",
     )
-    y_fine = transcode_inverse(y_coarse, spec, 2)
-    fine20 = [y_fine.digit(n) for n in range(1, 21)]
+    fine20 = transcode_inverse(y_coarse, spec, 2).digit_list
     report.record(
         "y fine rewrite matches the listed 20 digits",
         fine20 == list(REFERENCE_Y_FINE_DIGITS),
@@ -249,7 +249,7 @@ def build_report(orbit_horizon: int = 5000) -> RefPairReport:
     samples = [10, 100, 1000, orbit_horizon]
     samples = sorted(set(s for s in samples if s <= orbit_horizon))
     x_digits = x_fine.prefix(orbit_horizon)
-    del x_fine, x_coarse
+    del x_fine
     _record_trend(report, "x in fine base", x_digits, fine_rule, samples)
     y_digits = list(islice(_coarse_digits(), orbit_horizon))
     _record_trend(report, "y in coarse base", y_digits, coarse_rule, samples)

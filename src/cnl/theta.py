@@ -412,7 +412,7 @@ def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) ->
         policy.pick(digit_candidates(schedule, info.n, info, q), info.n)
         for info, q in islice(schedule.walk(), n)
     ]
-    return DigitStream.from_list(schedule.spec.base, digits)
+    return DigitStream(schedule.spec.base, digits)
 
 
 def extract_y(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 import pytest
 
@@ -46,6 +47,21 @@ def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[Dimensio
     rows: list[DimensionTraceRow] = []
     theta_dimension_trace(schedule, horizon, bits, emit=rows.append, growth=lambda *_: None)
     return rows
+
+
+class Ratios(NamedTuple):
+    log2_eps: Fraction
+    d_exact: Fraction
+    d_bound: Fraction
+
+
+def row_ratios(row: DimensionTraceRow) -> Ratios:
+    """A trace row's integer pairs as ``Fraction``s."""
+    return Ratios(
+        Fraction(row.log2_eps_num, row.ln2_lo),
+        Fraction(row.d_exact_num, row.d_exact_den),
+        Fraction(row.d_bound_num, row.d_bound_den),
+    )
 
 
 def ln_enclosures(rule, bits: int | None = None):

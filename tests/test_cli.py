@@ -15,7 +15,7 @@ from cnl.numeric import format_decimal
 from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
-from .conftest import growth_ratios, trace_rows
+from .conftest import growth_ratios, row_ratios, trace_rows
 
 
 def write_config(tmp_path, depth=4, policy="min", name="config.json"):
@@ -231,7 +231,7 @@ class TestAnalyze:
         assert lines[0] == "n,block,count,expected_num,expected_den,ratio"
         for line in lines[1:]:
             n, block, count, num, den, ratio = line.split(",")
-            row = normality_report(coarse, spec.rule(2), 1, int(n), [(0,)]).rows[0]
+            row = normality_report(coarse, 1, int(n), [(0,)]).rows[0]
             assert (block, int(count)) == ("0", row.count)
             assert Fraction(int(num), int(den)) == row.expected
             assert Fraction(ratio) == row.ratio
@@ -436,13 +436,13 @@ class TestDim:
         summary = json.loads((out / "dim_summary.json").read_text())
         assert summary["trailing_window"] == window
         assert summary["trailing_min_d_exact"] == format_decimal(
-            min(r.d_exact for r in rows[-window:])
+            min(row_ratios(r).d_exact for r in rows[-window:])
         )
         assert summary["trailing_min_d_bound"] == format_decimal(
-            min(r.d_bound for r in rows[-window:])
+            min(row_ratios(r).d_bound for r in rows[-window:])
         )
-        assert summary["final_d_exact"] == format_decimal(rows[-1].d_exact)
-        assert summary["final_d_bound"] == format_decimal(rows[-1].d_bound)
+        assert summary["final_d_exact"] == format_decimal(row_ratios(rows[-1]).d_exact)
+        assert summary["final_d_bound"] == format_decimal(row_ratios(rows[-1]).d_bound)
 
     def test_geometry_error_mid_trace_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # A candidate count at k = 50 wider than the cylinder leaves nothing
@@ -533,6 +533,65 @@ class TestStoppedRunLeavesNoSummary:
         monkeypatch.setattr(cli, step, stop)
         assert main(argv) == 3
         assert not (tmp_path / "out" / summary).exists()
+
+
+class TestRerunLeavesOnlyItsReports:
+    """``analyze`` removes the reports an earlier run wrote into its --out,
+    and nothing else there."""
+
+    @staticmethod
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_fewer_levels_equal_a_fresh_run(self, tmp_path):
+        config = write_config(tmp_path, policy="seeded")
+        gen = tmp_path / "gen"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(gen), "--n", "400"]
+        ) == 0
+        base = ["analyze", "--config", str(config), "--digits", str(gen / "digits.jsonl")]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(base + ["--out", str(rerun), "--levels", "1,2,3", "--shifts", "0,1"]) == 0
+        assert {"dn_j2_k1.csv", "dn_j3.csv", "rn_j3.csv", "envelope_j2.csv"} <= set(
+            self.files(rerun)
+        )
+        assert main(base + ["--out", str(rerun), "--levels", "1"]) == 0
+        assert main(base + ["--out", str(fresh), "--levels", "1"]) == 0
+        assert self.files(rerun) == self.files(fresh)
+
+    def test_other_files_survive(self, tmp_path):
+        config = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(gen), "--n", "200"]
+        ) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        others = ["notes.txt", "dn_j.csv", "dn_jx.csv", "rn_j2.txt", "summary.json"]
+        for name in others:
+            (out / name).write_text(name)
+        (out / "dn_j9.csv").write_text("stale")
+        argv = ["analyze", "--config", str(config), "--digits", str(gen / "digits.jsonl"),
+                "--out", str(out), "--levels", "2"]
+        assert main(argv) == 0
+        assert all((out / name).read_text() == name for name in others)
+        assert not (out / "dn_j9.csv").exists()
+        assert (out / "dn_j2.csv").is_file()
+
+    @pytest.mark.parametrize("bad", [["--levels", "5"], ["--shifts", "2"]])
+    def test_bad_levels_or_shifts_leave_the_earlier_run(self, tmp_path, bad):
+        config = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(gen), "--n", "200"]
+        ) == 0
+        out = tmp_path / "out"
+        argv = ["analyze", "--config", str(config), "--digits", str(gen / "digits.jsonl"),
+                "--out", str(out), "--levels", "1,2"]
+        assert main(argv) == 0
+        before = self.files(out)
+        assert main(argv[:-2] + bad) == 2
+        assert self.files(out) == before
 
 
 class TestExitCodes:

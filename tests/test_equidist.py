@@ -427,8 +427,8 @@ class TestConcatBound:
 class TestNormalityReport:
     def test_alternating_stream(self):
         rule = ConstantRule(2)
-        stream = DigitStream(rule, lambda n: (n + 1) % 2)
-        rep = normality_report(stream, rule, 1, 100, [(0,), (1,)])
+        stream = DigitStream(rule, [(n + 1) % 2 for n in range(1, 101)])
+        rep = normality_report(stream, 1, 100, [(0,), (1,)])
         row = rep.rows[0]
         assert row.count == 50
         assert row.expected == 50
@@ -436,8 +436,8 @@ class TestNormalityReport:
 
     def test_empty_prefix_undefined(self):
         rule = ConstantRule(2)
-        stream = DigitStream(rule, lambda n: 0)
-        rep = normality_report(stream, rule, 1, 0, [(0,), (1,)])
+        stream = DigitStream(rule, [0])
+        rep = normality_report(stream, 1, 0, [(0,), (1,)])
         assert rep.rows[0].ratio is None
         assert rep.pairwise_ratio((0,), (1,)) is None
 
@@ -445,8 +445,8 @@ class TestNormalityReport:
         rng = random.Random(8)
         rule = ConstantRule(4)
         digits = [rng.randrange(0, 4) for _ in range(200)]
-        stream = DigitStream.from_list(rule, digits)
-        rep = normality_report(stream, rule, 1, 150, [(0,), (1,), (2,)])
+        stream = DigitStream(rule, digits)
+        rep = normality_report(stream, 1, 150, [(0,), (1,), (2,)])
         for a in ((0,), (1,), (2,)):
             for b in ((0,), (1,), (2,)):
                 if a == b:
@@ -458,15 +458,15 @@ class TestNormalityReport:
 
     def test_block_length_enforced(self):
         rule = ConstantRule(2)
-        stream = DigitStream(rule, lambda n: 0)
+        stream = DigitStream(rule, [0] * 11)
         with pytest.raises(ValueError):
-            normality_report(stream, rule, 2, 10, [(0,)])
+            normality_report(stream, 2, 10, [(0,)])
 
 
 class TestDnDiagnostic:
     def test_all_zero_stream(self):
         rule = ConstantRule(4)
-        stream = DigitStream(rule, lambda n: 0)
+        stream = DigitStream(rule, [0] * 20)
         rep = dn_diagnostic(stream.prefix(20), rule.values(20), [1, 5, 20])
         assert all(row.dstar == 1 for row in rep.rows)
 
@@ -485,7 +485,7 @@ class TestDnDiagnostic:
         if kind == "dyadic":
             stream, rule = stream_a, spec_a.base
         else:
-            stream, rule = fine_stream(), fine_base_rule()
+            stream, rule = fine_stream(500), fine_base_rule()
         lengths = [500, 1, 2, 5, 10, 2, 20, 50, 100, 200, 500]
         rep = dn_diagnostic(stream.prefix(500), rule.values(500), lengths)
         assert [row.n for row in rep.rows] == sorted(set(lengths))
@@ -496,7 +496,7 @@ class TestDnDiagnostic:
 
     def test_csv_round_digits(self, tmp_path):
         rule = ConstantRule(4)
-        stream = DigitStream(rule, lambda n: n % 4)
+        stream = DigitStream(rule, [n % 4 for n in range(1, 9)])
         rep = dn_diagnostic(stream.prefix(8), rule.values(8), [2, 8])
         path = tmp_path / "dn.csv"
         rep.write_csv(path)

@@ -37,8 +37,7 @@ from .conftest import doubling_spec
 
 
 def listed(values, digits):
-    rule = ExplicitListRule(values)
-    return rule, DigitStream.from_list(rule, digits)
+    return DigitStream(ExplicitListRule(values), digits)
 
 
 class TestExpand:
@@ -81,7 +80,7 @@ class TestExpand:
         x = Fraction(num % den, den)
         rule = ExplicitListRule(bases)
         stream = expand(x, rule, 10)
-        value = evaluate(stream, rule, 10)
+        value = evaluate(stream, 10)
         prod = 1
         for n in range(1, 11):
             prod *= rule.q(n)
@@ -94,7 +93,7 @@ class TestExpand:
             x = Fraction(rng.randrange(0, den), den)
             rule = ExplicitListRule([rng.randrange(2, 11) for _ in range(10)])
             stream = expand(x, rule, 10)
-            value = evaluate(stream, rule, 10)
+            value = evaluate(stream, 10)
             prod = 1
             for n in range(1, 11):
                 prod *= rule.q(n)
@@ -103,55 +102,47 @@ class TestExpand:
 
 class TestEvaluate:
     def test_all_zero(self):
-        rule, stream = listed([2, 3, 4], [0, 0, 0])
-        assert evaluate(stream, rule, 3) == 0
+        stream = listed([2, 3, 4], [0, 0, 0])
+        assert evaluate(stream, 3) == 0
 
     def test_small(self):
-        rule, stream = listed([2, 3], [1, 2])
-        assert evaluate(stream, rule, 2) == Fraction(5, 6)
+        stream = listed([2, 3], [1, 2])
+        assert evaluate(stream, 2) == Fraction(5, 6)
 
     def test_reference_y_prefix(self):
-        rule, stream = listed([4, 16, 16], [0, 0, 8])
-        assert evaluate(stream, rule, 3) == Fraction(1, 128)
+        stream = listed([4, 16, 16], [0, 0, 8])
+        assert evaluate(stream, 3) == Fraction(1, 128)
 
     def test_digit_out_of_range(self):
-        rule = ExplicitListRule([2, 3])
-        stream = DigitStream(rule, lambda n: 5)
-        with pytest.raises(DigitError):
-            evaluate(stream, rule, 1)
+        # Such a digit never reaches evaluate: its stream is not built.
+        with pytest.raises(DigitError, match="out of range"):
+            evaluate(DigitStream(ExplicitListRule([2, 3]), [5]), 1)
 
 
-    def test_bulk_read_checks_each_digit_against_its_base(self):
-        ramp = BlockRepetitionRule(value_affine=(2, 0), repeat_affine=(2, 0))
-        stream = DigitStream(ramp, lambda n: 6 if n == 7 else ramp.q(n) - 1)
-        with pytest.raises(DigitError, match=r"digit 6 out of range \[0, 5\] at position 7"):
-            stream.prefix(30)
-        assert stream.prefix(6) == [1, 1, 3, 3, 3, 3]
-        past_end = DigitStream(ExplicitListRule([2, 3]), lambda n: 1)
-        with pytest.raises(OutOfDomainError, match="position 3 past end"):
-            past_end.prefix(3)
-
-
-class TestFromList:
+class TestConstructor:
     def test_digit_out_of_range(self):
         with pytest.raises(DigitError, match=r"digit 3 out of range \[0, 2\] at position 2"):
-            DigitStream.from_list(ExplicitListRule([2, 3, 4]), [1, 3, 0])
+            DigitStream(ExplicitListRule([2, 3, 4]), [1, 3, 0])
+        ramp = BlockRepetitionRule(value_affine=(2, 0), repeat_affine=(2, 0))
+        digits = [6 if n == 7 else q - 1 for n, q in enumerate(ramp.values(30), 1)]
+        with pytest.raises(DigitError, match=r"digit 6 out of range \[0, 5\] at position 7"):
+            DigitStream(ramp, digits)
 
     def test_digits_past_the_rule_end(self):
         with pytest.raises(OutOfDomainError, match="position 3 past end"):
-            DigitStream.from_list(ExplicitListRule([2, 3]), [1, 1, 1])
+            DigitStream(ExplicitListRule([2, 3]), [1, 1, 1])
 
     def test_any_iterable_of_integers(self):
-        stream = DigitStream.from_list(ConstantRule(10), iter(("7", 3, True)))
+        stream = DigitStream(ConstantRule(10), iter(("7", 3, True)))
         assert stream.limit == 3 and stream.prefix(3) == [7, 3, 1]
         with pytest.raises(DigitError, match="unavailable"):
             stream.digit(4)
-        empty = DigitStream.from_list(ConstantRule(10), [])
+        empty = DigitStream(ConstantRule(10), [])
         assert empty.limit == 0 and empty.prefix(0) == []
 
     def test_checks_along_one_walk(self):
         base = CountingListRule([3, 5, 7, 9])
-        stream = DigitStream.from_list(base, [2, 4, 6, 8])
+        stream = DigitStream(base, [2, 4, 6, 8])
         assert base.calls == 4
         assert stream.prefix(4) == [2, 4, 6, 8]
         assert base.calls == 4
@@ -170,22 +161,22 @@ class TestFromList:
             digits += [0] * rng.randrange(1, 5)
         rule = ExplicitListRule(bases)
         with pytest.raises((DigitError, OutOfDomainError)) as fast:
-            DigitStream.from_list(rule, digits)
+            DigitStream(rule, digits)
         with pytest.raises((DigitError, OutOfDomainError)) as walk:
-            list(_checked(rule, digits, 1))
+            list(_checked(rule, digits))
         assert type(fast.value) is type(walk.value)
         assert str(fast.value) == str(walk.value)
 
 
 class TestDigitsByRange:
-    def test_slices_of_the_cache(self):
-        stream = DigitStream(ConstantRule(10), lambda n: n % 10)
+    def test_slices_of_the_list(self):
+        stream = DigitStream(ConstantRule(10), [n % 10 for n in range(1, 13)])
         assert stream.digits(range(3, 12, 4)) == [3, 7, 1]
         assert stream.digits(range(5, 5)) == [] and stream.digits(range(1, 0)) == []
         assert stream.digits(range(1, 6)) == stream.prefix(5)
 
     def test_positions_outside_the_stream(self):
-        stream = DigitStream.from_list(ConstantRule(10), [1, 2, 3, 4, 5])
+        stream = DigitStream(ConstantRule(10), [1, 2, 3, 4, 5])
         assert stream.digits(range(2, 8, 3)) == [2, 5]
         with pytest.raises(DigitError, match="start at 1"):
             stream.digits(range(0, 3))
@@ -195,13 +186,13 @@ class TestDigitsByRange:
 
 class TestEnclosure:
     def test_zero_tail(self):
-        rule, stream = listed([2, 3, 4, 5], [0, 0, 0, 0])
-        assert t_enclosure(stream, rule, 1, 3) == (Fraction(0), Fraction(1, 60))
+        stream = listed([2, 3, 4, 5], [0, 0, 0, 0])
+        assert t_enclosure(stream, 1, 3) == (Fraction(0), Fraction(1, 60))
 
     def test_five_sixths(self):
         rule = ExplicitListRule([2, 3])
         stream = expand(Fraction(5, 6), rule, 2)
-        assert t_enclosure(stream, rule, 1, 1) == (Fraction(2, 3), Fraction(1))
+        assert t_enclosure(stream, 1, 1) == (Fraction(2, 3), Fraction(1))
 
     def test_contains_true_orbit_for_rationals(self):
         rng = random.Random(11)
@@ -213,28 +204,28 @@ class TestEnclosure:
             for n in range(1, 7):
                 prod *= rule.q(n)
             orbit = (prod * x) % 1
-            lo, hi = t_enclosure(stream, rule, 6, 8)
+            lo, hi = t_enclosure(stream, 6, 8)
             assert lo <= orbit <= hi
 
 
 class TestBlocks:
     def test_empty_prefix(self):
-        rule, stream = listed([2, 2, 2, 2], [0, 1, 0, 1])
+        stream = listed([2, 2, 2, 2], [0, 1, 0, 1])
         assert count_block(stream, (0,), 0) == 0
 
     def test_single_digit_block(self):
-        rule, stream = listed([2, 2, 2, 2], [0, 1, 0, 1])
+        stream = listed([2, 2, 2, 2], [0, 1, 0, 1])
         assert count_block(stream, (0,), 3) == 2
 
     def test_pair_block(self):
-        rule, stream = listed([2, 2, 2, 2, 2], [0, 1, 0, 1, 0])
+        stream = listed([2, 2, 2, 2, 2], [0, 1, 0, 1, 0])
         assert count_block(stream, (0, 1), 3) == 2
 
     def test_monotone_and_additive(self):
         rng = random.Random(3)
         rule = ConstantRule(3)
         digits = [rng.randrange(0, 3) for _ in range(60)]
-        stream = DigitStream.from_list(rule, digits)
+        stream = DigitStream(rule, digits)
         prev = 0
         for n in range(1, 50):
             cur = count_block(stream, (1,), n)
@@ -250,7 +241,7 @@ class TestBlocks:
 class TestTranscode:
     def test_level_one_identity(self):
         spec = doubling_spec()
-        rule, stream = listed([16, 32], [3, 7])
+        stream = listed([16, 32], [3, 7])
         assert transcode(stream, spec, 1) is stream
 
     def test_value_preservation(self, schedule_a, stream_a, spec_a):
@@ -258,8 +249,8 @@ class TestTranscode:
             coarse = transcode(stream_a, spec_a, j)
             big_s = spec_a.big_s(j)
             for n_blocks in (1, 3, 20):
-                lhs = evaluate(coarse, spec_a.rule(j), n_blocks)
-                rhs = evaluate(stream_a, spec_a.base, big_s * n_blocks)
+                lhs = evaluate(coarse, n_blocks)
+                rhs = evaluate(stream_a, big_s * n_blocks)
                 assert lhs == rhs
 
     def test_random_stream_preservation(self):
@@ -267,21 +258,34 @@ class TestTranscode:
         base = ExplicitListRule([rng.randrange(2, 7) for _ in range(240)])
         spec = ChainSpec(base=base, s=ConstantRule(2), depth=3)
         digits = [rng.randrange(0, base.q(n)) for n in range(1, 241)]
-        stream = DigitStream.from_list(base, digits)
+        stream = DigitStream(base, digits)
         for j in (2, 3):
             coarse = transcode(stream, spec, j)
             n = 240 // spec.big_s(j)
-            assert evaluate(coarse, spec.rule(j), n) == evaluate(
-                stream, base, n * spec.big_s(j)
-            )
+            assert evaluate(coarse, n) == evaluate(stream, n * spec.big_s(j))
 
     def test_inverse_roundtrip(self, spec_a, stream_a):
         coarse = transcode(stream_a, spec_a, 3)
         back = transcode_inverse(coarse, spec_a, 3)
         assert back.prefix(40) == stream_a.prefix(40)
 
+    def test_complete_blocks_only(self, stream_a):
+        # Lengths at every remainder mod S_j: a partial last block is
+        # dropped both ways.
+        for spec, full in counting_cases(stream_a):
+            for j in range(2, spec.depth + 1):
+                rule, big_s = spec.rule(j), spec.big_s(j)
+                for length in range(full.limit - big_s, full.limit + 1):
+                    stream = DigitStream(spec.base, full.prefix(length))
+                    coarse = transcode(stream, spec, j)
+                    assert coarse.rule is rule
+                    assert coarse.limit == rule.blocks_in(length) == length // big_s
+                    assert coarse.digit_list == level_points(stream, spec, j)[0]
+                    back = transcode_inverse(coarse, spec, j)
+                    assert back.digit_list == full.prefix(coarse.limit * big_s)
+
     def test_shifted_first_digit_packs_prefix(self, spec_a, stream_a):
-        finite = DigitStream.from_list(spec_a.base, stream_a.prefix(8))
+        finite = DigitStream(spec_a.base, stream_a.prefix(8))
         nums, _ = level_points(finite, spec_a, 2, 1)
         assert nums[0] == stream_a.digit(1)
         assert nums[1] == stream_a.digit(2) * spec_a.base.q(3) + stream_a.digit(3)
@@ -316,13 +320,13 @@ def counting_cases(stream_a):
     min-policy doubling stream, and a random stream over a listed base.
     Lengths are not multiples of the widest block, so partial blocks occur."""
     doubling = CountingGeometricRule(8, 2)
-    yield ChainSpec(base=doubling, s=ConstantRule(2), depth=4), DigitStream.from_list(
+    yield ChainSpec(base=doubling, s=ConstantRule(2), depth=4), DigitStream(
         doubling, stream_a.prefix(203)
     )
     rng = random.Random(29)
     listed_base = CountingListRule([rng.randrange(2, 9) for _ in range(150)])
     digits = [rng.randrange(0, listed_base.q(n)) for n in range(1, 148)]
-    yield ChainSpec(base=listed_base, s=ConstantRule(3), depth=3), DigitStream.from_list(
+    yield ChainSpec(base=listed_base, s=ConstantRule(3), depth=3), DigitStream(
         listed_base, digits
     )
 
@@ -335,11 +339,9 @@ class TestTranscodeInverseReads:
         # decomposing a whole block for every fine digit read 8 * 64.
         base = CountingGeometricRule(8, 2)
         spec = ChainSpec(base=base, s=ConstantRule(2), depth=4)
-        coarse = DigitStream.from_list(
-            spec_a.rule(4), transcode(stream_a, spec_a, 4).prefix(8)
-        )
+        coarse = transcode(DigitStream(spec_a.base, stream_a.prefix(64)), spec_a, 4)
         base.calls = 0
-        DigitStream.from_list(base, stream_a.prefix(64)).prefix(64)
+        DigitStream(base, stream_a.prefix(64)).prefix(64)
         range_check = base.calls
         assert range_check == 64
         base.calls = 0
@@ -355,18 +357,18 @@ class TestTranscodeInverseReads:
 
     def test_oversized_coarse_digit_rejected(self, spec_a):
         rule = spec_a.rule(2)
-        coarse = DigitStream.from_list(rule, [rule.q(1) - 1, rule.q(2) - 1])
+        coarse = DigitStream(rule, [rule.q(1) - 1, rule.q(2) - 1])
         assert transcode_inverse(coarse, spec_a, 2).prefix(4) == [15, 31, 63, 127]
-        with pytest.raises(DigitError, match="exceeds its base"):
-            oversized = DigitStream(ConstantRule(10**6), lambda n: 16 * 32)
-            transcode_inverse(oversized, spec_a, 2).digit(1)
+        # Block 3's base is 256 * 512; a stream in a wider base can carry it.
+        oversized = DigitStream(ConstantRule(10**6), [0, rule.q(2) - 1, rule.q(3)])
+        with pytest.raises(DigitError, match="coarse digit at block 3 exceeds its base"):
+            transcode_inverse(oversized, spec_a, 2)
 
 
 class TestLevelPoints:
     def test_every_level_and_shift(self, stream_a):
         for spec, stream in counting_cases(stream_a):
             total = stream.limit
-            stream.prefix(total)  # range-check every digit before counting
             for j in range(1, spec.depth + 1):
                 big_s = spec.big_s(j)
                 for k in range(big_s):
@@ -377,10 +379,10 @@ class TestLevelPoints:
                     assert spec.base.calls == first + (len(nums) - 1) * big_s
                     assert dens == spec.rule(j, k).values(len(dens))
                     if k == 0:
-                        assert nums == transcode(stream, spec, j).prefix(len(nums))
+                        assert nums == transcode(stream, spec, j).digit_list
                     for n in (1, len(nums)):
                         assert (nums[n - 1], dens[n - 1]) == mixed_radix(
-                            stream, spec.base, block_positions(n, big_s, first)
+                            stream, block_positions(n, big_s, first)
                         )
 
     def test_mixed_power_of_two_and_other_bases(self):
@@ -389,24 +391,19 @@ class TestLevelPoints:
         base = ExplicitListRule([2, 3, 4, 6, 8, 8, 12, 16] * 5 + [2**70, 3**40, 2**5])
         rng = random.Random(37)
         digits = [rng.choice((0, q - 1, rng.randrange(q))) for q in base.values(43)]
-        stream = DigitStream.from_list(base, digits)
+        stream = DigitStream(base, digits)
         spec = ChainSpec(base=base, s=ConstantRule(2), depth=4)
         for j in range(1, spec.depth + 1):
             big_s = spec.big_s(j)
             for k in range(big_s):
                 nums, dens = level_points(stream, spec, j, k)
                 assert list(zip(nums, dens)) == [
-                    mixed_radix(stream, base, block_positions(n, big_s, k or big_s))
+                    mixed_radix(stream, block_positions(n, big_s, k or big_s))
                     for n in range(1, len(nums) + 1)
                 ]
 
-    def test_unlimited_stream_raises(self, spec_a):
-        stream = DigitStream(spec_a.base, lambda n: 1)
-        with pytest.raises(DigitError, match="finite"):
-            level_points(stream, spec_a, 2)
-
     def test_level_and_shift_out_of_range(self, spec_a, stream_a):
-        finite = DigitStream.from_list(spec_a.base, stream_a.prefix(8))
+        finite = DigitStream(spec_a.base, stream_a.prefix(8))
         with pytest.raises(OutOfDomainError):
             level_points(finite, spec_a, 5)
         with pytest.raises(OutOfDomainError):
@@ -415,13 +412,13 @@ class TestLevelPoints:
 
 class TestCensus:
     def test_all_zero(self):
-        rule, stream = listed([2, 2, 2, 2, 2], [0, 0, 0, 0, 0])
+        stream = listed([2, 2, 2, 2, 2], [0, 0, 0, 0, 0])
         census = digit_census(stream.prefix(5))
         assert census.zero_count == 5
         assert census.value_set == frozenset()
 
     def test_mixed(self):
-        rule, stream = listed([2, 2, 4, 4, 4, 4], [0, 1, 0, 2, 1, 3])
+        stream = listed([2, 2, 4, 4, 4, 4], [0, 1, 0, 2, 1, 3])
         census = digit_census(stream.prefix(6))
         assert census.zero_count == 2
         assert census.value_set == frozenset({1, 2, 3})
@@ -444,7 +441,7 @@ def json_only_read(path, rule) -> list[int]:
                 digits.append(int(record["E"], 16))
         except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DigitError(f"bad digit file {path}: {exc!r}") from exc
-    return list(_checked(rule, digits, 1))
+    return list(_checked(rule, digits))
 
 
 class TestJsonl:
@@ -538,12 +535,7 @@ class TestJsonl:
         assert parsed == [lines[0], lines[5], lines[-1]]
 
     def test_failed_save_leaves_no_file(self, tmp_path):
-        def digit(n):
-            if n == 5:
-                raise DigitError("no digit at 5")
-            return 1
-
-        stream = DigitStream(ConstantRule(4), digit)
-        with pytest.raises(DigitError, match="no digit at 5"):
+        stream = DigitStream(ConstantRule(4), [1, 1, 1, 1])
+        with pytest.raises(DigitError, match="digit 5 unavailable"):
             save_jsonl(stream, 10, tmp_path / "digits.jsonl")
         assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -9,8 +8,6 @@ from cnl.refpair import (
     ORBIT_THRESHOLD,
     REFERENCE_X_COARSE_DIGITS,
     REFERENCE_Y_FINE_DIGITS,
-    _coarse_digits,
-    _fine_digits,
     _orbit_check,
     build_report,
     coarse_base_rule,
@@ -37,12 +34,11 @@ class TestPatterns:
         assert digits == [0, 1, 0, 2, 1, 3, 0, 3, 1, 4, 2, 5, 0, 4, 1, 5, 2, 6, 3, 7]
 
     def test_coarse_digit_ramp(self):
-        stream = coarse_stream()
-        assert stream.prefix(10) == [0, 0, 8, 0, 12, 24, 0, 16, 32, 48]
+        assert coarse_stream(10).digit_list == [0, 0, 8, 0, 12, 24, 0, 16, 32, 48]
 
     def test_digits_stay_in_range(self):
-        fine = fine_stream()
-        coarse = coarse_stream()
+        fine = fine_stream(2000)
+        coarse = coarse_stream(500)
         for n in range(1, 2000):
             assert 0 <= fine.digit(n) <= fine_base_rule().q(n) - 1
         for n in range(1, 500):
@@ -50,14 +46,14 @@ class TestPatterns:
 
     def test_block_walks_match_the_per_position_digits(self):
         n = 20_000
-        assert list(islice(_fine_digits(), n)) == [fine_digit(p) for p in range(1, n + 1)]
-        assert list(islice(_coarse_digits(), n)) == [coarse_digit(p) for p in range(1, n + 1)]
+        assert fine_stream(n).digit_list == [fine_digit(p) for p in range(1, n + 1)]
+        assert coarse_stream(n).digit_list == [coarse_digit(p) for p in range(1, n + 1)]
 
 
 class TestCrossBaseStructure:
     def test_x_transcodes_to_listed_tail(self):
         spec = ChainSpec(base=fine_base_rule(), s=ConstantRule(2), depth=2)
-        coarse = transcode(fine_stream(), spec, 2)
+        coarse = transcode(fine_stream(20), spec, 2)
         assert coarse.prefix(10)[1:] == list(REFERENCE_X_COARSE_DIGITS[1:])
         assert coarse.digit(1) == 1
 
@@ -65,21 +61,18 @@ class TestCrossBaseStructure:
         spec = ChainSpec(base=fine_base_rule(), s=ConstantRule(2), depth=2)
         from cnl.expansion import transcode_inverse
 
-        y = coarse_stream()
+        y = coarse_stream(10)
         fine = transcode_inverse(y, spec, 2)
         assert fine.prefix(20) == list(REFERENCE_Y_FINE_DIGITS)
-        assert evaluate(fine, fine_base_rule(), 20) == evaluate(
-            y, coarse_base_rule(), 10
-        )
+        assert evaluate(fine, 20) == evaluate(y, 10)
 
     def test_orbit_stays_low_sample(self):
         spec = ChainSpec(base=fine_base_rule(), s=ConstantRule(2), depth=2)
-        coarse = transcode(fine_stream(), spec, 2)
-        rule = coarse_base_rule()
+        coarse = transcode(fine_stream(2 * (200 + _MAX_ENCLOSURE_DEPTH)), spec, 2)
         for n in range(0, 200):
             depth = 1
             while True:
-                lo, hi = t_enclosure(coarse, rule, n, depth)
+                lo, hi = t_enclosure(coarse, n, depth)
                 if hi < Fraction(1, 2) or depth > 6:
                     break
                 depth += 1
@@ -106,12 +99,11 @@ def enclosure_loop(x_coarse, horizon):
     """Check (d) by its first definition: per n, ``t_enclosure`` at depth
     1, 2, ... until its upper edge drops below the threshold.  Returns
     (orbit_ok, worst upper bound, deepest depth used)."""
-    rule = coarse_base_rule()
     worst_hi, deepest = Fraction(0), 0
     for n in range(0, horizon + 1):
         depth = 1
         while True:
-            _, hi = t_enclosure(x_coarse, rule, n, depth)
+            _, hi = t_enclosure(x_coarse, n, depth)
             if hi < ORBIT_THRESHOLD:
                 break
             depth += 1
@@ -128,7 +120,8 @@ class TestOrbitCheck:
 
     @pytest.mark.parametrize("horizon", [1, 200, 3000])
     def test_report_matches_the_enclosure_loop(self, horizon):
-        ok, worst, deepest = enclosure_loop(transcode(fine_stream(), self.spec, 2), horizon)
+        x_fine = fine_stream(2 * (horizon + _MAX_ENCLOSURE_DEPTH))
+        ok, worst, deepest = enclosure_loop(transcode(x_fine, self.spec, 2), horizon)
         assert ok and deepest >= 2  # n = 0 already needs depth 2
         report = build_report(orbit_horizon=horizon)
         name = f"orbit enclosure upper bound < 1/2 for all n <= {horizon}"
@@ -142,15 +135,12 @@ class TestOrbitCheck:
         # Maximal fine digits at positions 41, 42 make coarse digit 21
         # maximal, so no depth certifies T_20(x) < 1/2.
         rule = fine_base_rule()
-
-        def digit(n):
-            return rule.q(n) - 1 if n in (41, 42) else fine_digit(n)
-
         horizon = 100
-        ok, worst, _ = enclosure_loop(transcode(DigitStream(rule, digit), self.spec, 2), horizon)
+        values = rule.values(2 * (horizon + _MAX_ENCLOSURE_DEPTH))
+        digits = [q - 1 if n in (41, 42) else fine_digit(n) for n, q in enumerate(values, 1)]
+        x_fine = DigitStream(rule, digits)
+        x_coarse = transcode(x_fine, self.spec, 2)
+        ok, worst, _ = enclosure_loop(x_coarse, horizon)
         assert not ok and worst > 0
-        finite = DigitStream(rule, digit, limit=2 * (horizon + _MAX_ENCLOSURE_DEPTH))
-        assert _orbit_check(finite, self.spec, horizon) == (False, worst)
-        assert _orbit_check(finite, self.spec, 19) == enclosure_loop(
-            transcode(DigitStream(rule, digit), self.spec, 2), 19
-        )[:2]
+        assert _orbit_check(x_fine, self.spec, horizon) == (False, worst)
+        assert _orbit_check(x_fine, self.spec, 19) == enclosure_loop(x_coarse, 19)[:2]

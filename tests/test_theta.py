@@ -404,9 +404,9 @@ class TestExtractY:
         assert at > 0 and len(points) - at < span
 
 
-def lazy_stream(rule):
-    """An unlimited stream whose digit at n is n mod 7, inside every base >= 8."""
-    return DigitStream(rule, lambda n: n % 7)
+def periodic_stream(rule, length):
+    """A stream whose digit at n is n mod 7, inside every base >= 8."""
+    return DigitStream(rule, [n % 7 for n in range(1, length + 1)])
 
 
 STRIDE_SPECS = {
@@ -422,8 +422,8 @@ class TestStrideYPrefix:
 
     @pytest.fixture(scope="class", params=sorted(STRIDE_SPECS))
     def scheduled(self, request):
-        spec = STRIDE_SPECS[request.param]
-        return build_schedule(spec), lazy_stream(spec.base)
+        schedule = build_schedule(STRIDE_SPECS[request.param])
+        return schedule, periodic_stream(schedule.spec.base, schedule.coverage)
 
     def test_matches_the_walk_filter_around_each_level_end(self, scheduled):
         schedule, stream = scheduled
@@ -451,7 +451,7 @@ class TestStrideYPrefix:
         schedule = ThetaSchedule(
             short, schedule_a.levels, schedule_a._nu, schedule_a._ell, schedule_a._big_l
         )
-        stream = lazy_stream(schedule_a.spec.base)
+        stream = periodic_stream(schedule_a.spec.base, n)
         for j in (1, 2):
             if n <= length or n <= schedule.big_l(j):
                 assert extract_y_prefix(schedule, stream, j, n) == walk_filter_y_prefix(
@@ -468,7 +468,7 @@ class TestStrideYPrefix:
             )
 
     def test_a_stream_that_ends_before_a_sampled_position(self, schedule_a, stream_a):
-        short = DigitStream.from_list(schedule_a.spec.base, stream_a.prefix(150))
+        short = DigitStream(schedule_a.spec.base, stream_a.prefix(150))
         assert extract_y_prefix(schedule_a, short, 2, 150) == walk_filter_y_prefix(
             schedule_a, short, 2, 150
         )
