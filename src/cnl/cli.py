@@ -95,16 +95,15 @@ def _policy_from_args(config: dict, args) -> SelectionPolicy:
         raise RuleError(str(exc)) from exc
 
 
-def _out_dir(args, summary: str, *reports: str) -> Path:
-    """The --out directory, made if missing, without the command's own
-    summary, or any file matching the glob patterns of the ``reports`` it
-    writes: a command writes its summary last, so that exists only after
+def _out_dir(args, *stale: str) -> Path:
+    """The --out directory, made if missing, without any file matching the
+    glob patterns ``stale``: the command's own summary and the reports it
+    writes.  A command writes its summary last, so that exists only after
     a run that finished, beside only that run's reports."""
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / summary).unlink(missing_ok=True)
-        for pattern in reports:
+        for pattern in stale:
             for path in out_dir.glob(pattern):
                 path.unlink()
     except OSError as exc:
@@ -150,24 +149,27 @@ def cmd_theta_generate(args) -> int:
         raise RuleError("--n must be a positive digit count")
     schedule = _covering_schedule(spec, args.n)
     out_dir = _out_dir(args, "summary.json")
-    stream = generate_digits(schedule, policy, args.n)
-    save_jsonl(stream, args.n, out_dir / "digits.jsonl")
-    _write_json(out_dir / "schedule.json", schedule.dump_json())
+    digit_ok = roundtrip_ok = omega_ok = True
 
-    digit_ok = True
-    roundtrip_ok = True
-    omega_ok = True
-    for info, q in islice(schedule.walk(), args.n):
-        n = info.n
-        # The walk's coordinates must be phi_inv's, and phi must invert them.
-        if schedule.phi_inv(n) != info or schedule.phi(info.level, info.block, info.offset) != n:
-            roundtrip_ok = False
-        cand = digit_candidates(schedule, n, info, q)
-        digit = stream.digit(n)
-        if digit == 0 or digit not in cand:
-            digit_ok = False
-        if info.level >= 2 and cand.count < max(1, q // (info.a * info.a)):
-            omega_ok = False
+    def checked(digits):
+        """``digits``, each checked on a second walk as it goes to the file."""
+        nonlocal digit_ok, roundtrip_ok, omega_ok
+        # The digits go first, so the walk never steps past position n.
+        for digit, (info, q) in zip(digits, schedule.walk()):
+            n = info.n
+            # The walk's coordinates must be phi_inv's, and phi must invert them.
+            if schedule.phi_inv(n) != info or schedule.phi(info.level, info.block, info.offset) != n:
+                roundtrip_ok = False
+            cand = digit_candidates(schedule, n, info, q)
+            if digit == 0 or digit not in cand:
+                digit_ok = False
+            if info.level >= 2 and cand.count < max(1, q // (info.a * info.a)):
+                omega_ok = False
+            yield digit
+
+    digits = checked(generate_digits(schedule, policy, args.n))
+    save_jsonl(spec.base, digits, out_dir / "digits.jsonl")
+    _write_json(out_dir / "schedule.json", schedule.dump_json())
     checks = [
         {"name": name, "ok": ok, "detail": detail}
         for name, ok, detail in [
@@ -236,10 +238,7 @@ def cmd_analyze(args) -> int:
     for k in shifts:
         if not 0 <= k < widest:
             raise RuleError(f"shift {k} out of range 0..{widest - 1} at every requested level")
-    out_dir = _out_dir(
-        args, "analyze_summary.json", "dn_j[0-9]*.csv", "rn_j[0-9]*.csv", "envelope_j[0-9]*.csv"
-    )
-
+    _out_dir(args)  # an unusable --out is reported before the digit file is read
     try:
         stream = load_jsonl(args.digits, rule=spec.base)
     except DigitError as exc:
@@ -247,6 +246,10 @@ def cmd_analyze(args) -> int:
         return EXIT_VERIFICATION
     except OSError as exc:
         raise RuleError(f"cannot read digit file: {exc}") from exc
+    # Only a readable digit file clears the earlier run.
+    out_dir = _out_dir(
+        args, "analyze_summary.json", "dn_j[0-9]*.csv", "rn_j[0-9]*.csv", "envelope_j[0-9]*.csv"
+    )
     total = stream.limit
 
     conformant = False  # true only once the schedule is built and every digit fits it
@@ -276,10 +279,10 @@ def cmd_analyze(args) -> int:
             nums, dens = extract_y_prefix(schedule, stream, j, min(total, schedule.coverage))
             if nums:
                 env = prefix_bound_check(schedule, j, nums, dens, _sample_prefixes(len(nums)))
-                env.report.write_csv(out_dir / f"envelope_j{j}.csv")
-                fatal = sum(1 for r in env.report.rows if r.certificate == "fatal")
+                env.write_csv(out_dir / f"envelope_j{j}.csv")
+                fatal = sum(1 for r in env.rows if r.certificate == "fatal")
                 envelope_violations += fatal
-                level_info["envelope_rows"] = len(env.report.rows)
+                level_info["envelope_rows"] = len(env.rows)
                 level_info["envelope_fatal"] = fatal
         for k in shifts:
             if k == 0:

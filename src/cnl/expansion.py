@@ -280,14 +280,15 @@ def atomic_write(path, newline: Optional[str] = None) -> Iterator[TextIO]:
 _RECORD = '{"n": %d, "E": "%x"}\n'
 
 
-def save_jsonl(stream: DigitStream, n: int, path) -> None:
-    """Header {"format": 2, "ints": "hex", "rule": <stream.rule>}, then one
-    {"n": pos, "E": "<hex>"} per line, written through ``atomic_write``."""
-    header = {"format": 2, "ints": "hex", "rule": rule_to_json(stream.rule)}
+def save_jsonl(rule: BasicSequenceRule, digits: Iterable[int], path) -> None:
+    """Header {"format": 2, "ints": "hex", "rule": <rule>}, then one
+    {"n": pos, "E": "<hex>"} per digit, written through ``atomic_write``
+    as ``digits`` yields it; the digits are not checked here, and
+    ``load_jsonl`` checks them against the rule."""
+    header = {"format": 2, "ints": "hex", "rule": rule_to_json(rule)}
     with atomic_write(path) as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for pos in range(1, n + 1):
-            fh.write(_RECORD % (pos, stream.digit(pos)))
+        fh.writelines(_RECORD % record for record in enumerate(digits, 1))
 
 
 def load_jsonl(path, rule: Optional[BasicSequenceRule] = None) -> DigitStream:

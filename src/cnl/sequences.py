@@ -31,7 +31,7 @@ import operator
 from collections import deque
 from contextlib import suppress
 from fractions import Fraction
-from itertools import count, groupby, islice, repeat
+from itertools import groupby, islice, repeat
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -106,15 +106,14 @@ class BasicSequenceRule:
     def iter_values(self, start: int = 1) -> Iterator[int]:
         """q(start), q(start + 1), ... as one sequential walk.
 
-        Rule kinds override this with a walk cheaper than one ``q`` call
-        per value; every walk raises where ``q`` would.
+        Each rule kind gives a walk cheaper than one ``q`` call per
+        value; every walk raises where ``q`` would.
         """
-        for n in count(start):
-            yield self.q(n)
+        raise NotImplementedError
 
-    def values(self, count: int, start: int = 1) -> list[int]:
-        """The first ``count`` values of ``iter_values(start)``."""
-        return list(islice(self.iter_values(start), count))
+    def values(self, count: int) -> list[int]:
+        """q(1) .. q(count), from one walk."""
+        return list(islice(self.iter_values(), count))
 
     def params_json(self) -> dict:
         raise NotImplementedError

@@ -54,7 +54,6 @@ __all__ = [
     "envelope_sup",
     "YPrefixDecomposition",
     "position_decomposition",
-    "EnvelopeReport",
     "prefix_bound_check",
 ]
 
@@ -329,18 +328,15 @@ def compute_nu(spec: ChainSpec, j: int) -> int:
     return probe + 1
 
 
-def build_schedule(spec: ChainSpec, depth: Optional[int] = None) -> ThetaSchedule:
-    """Compute and verify the level tables for the given chain depth.
+def build_schedule(spec: ChainSpec) -> ThetaSchedule:
+    """Compute and verify the level tables for the chain depth.
 
     Depth J yields levels 1 .. J-1 (a depth-1 build still schedules the
     first level, whose block count depends only on the first
     contraction step).  The build fails loudly if any structural
     identity is violated.
     """
-    depth = spec.depth if depth is None else depth
-    if depth < 1:
-        raise ScheduleError(f"depth must be >= 1, got {depth}")
-    levels = max(1, depth - 1)
+    levels = max(1, spec.depth - 1)
     nu = {j: compute_nu(spec, j) for j in range(2, levels + 2)}
     ell = [spec.s_value(1) * nu[2]]
     big_l = [ell[0]]
@@ -403,16 +399,17 @@ def digit_candidates(
     return _new_tuple(CandidateSet, (f_min, f_max))
 
 
-def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) -> DigitStream:
+def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) -> Iterator[int]:
     """The first n digits, each drawn by ``policy`` from its position
-    window along one walk, as a finite range-checked stream."""
+    window as one walk reaches it.  A bad n raises here, not on the first
+    read; ``DigitStream(schedule.spec.base, ...)`` holds the digits for
+    random access."""
     if not 1 <= n <= schedule.coverage:
         raise ScheduleError(f"requested {n} digits; schedule covers 1..{schedule.coverage}")
-    digits = [
+    return (
         policy.pick(digit_candidates(schedule, info.n, info, q), info.n)
         for info, q in islice(schedule.walk(), n)
-    ]
-    return DigitStream(schedule.spec.base, digits)
+    )
 
 
 def extract_y(
@@ -536,19 +533,9 @@ def position_decomposition(
     )
 
 
-class EnvelopeReport(NamedTuple):
-    """Discrepancy-versus-envelope rows plus the envelope trend."""
-
-    report: DiscrepancyReport
-    ebar_trend: list[tuple[int, Fraction]]
-
-    def all_pass(self) -> bool:
-        return self.report.all_pass()
-
-
 def prefix_bound_check(
     schedule: ThetaSchedule, j: int, nums: list[int], dens: list[int], prefix_lengths: Sequence[int]
-) -> EnvelopeReport:
+) -> DiscrepancyReport:
     """Pair exact prefix discrepancies with their envelope bounds.
 
     ``nums`` and ``dens`` are level j's sampled points, as from
@@ -595,7 +582,4 @@ def prefix_bound_check(
                 envelope=ebar,
             )
         )
-    trend = [
-        (t, envelope_sup(schedule, j, t)) for t in range(j + 1, schedule.levels + 2)
-    ]
-    return EnvelopeReport(report=report, ebar_trend=trend)
+    return report

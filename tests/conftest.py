@@ -9,8 +9,15 @@ from typing import NamedTuple
 import pytest
 
 from cnl.dimension import DimensionTraceRow, theta_dimension_trace
+from cnl.expansion import DigitStream
 from cnl.numeric import hp_ln
-from cnl.sequences import ChainSpec, ConstantRule, GeometricRule, growth_condition_trace
+from cnl.sequences import (
+    ChainSpec,
+    ConstantRule,
+    ExplicitListRule,
+    GeometricRule,
+    growth_condition_trace,
+)
 from cnl.theta import (
     SelectionPolicy,
     build_schedule,
@@ -27,6 +34,13 @@ def doubling_spec(depth: int = 4) -> ChainSpec:
     return ChainSpec(base=GeometricRule(8, 2), s=ConstantRule(2), depth=depth)
 
 
+def short_list_spec(length=200):
+    """The doubling base cut to ``length`` values: the schedule builds (its
+    level openings and thresholds lie inside the list) but covers 36288."""
+    base = ExplicitListRule([2 ** (n + 3) for n in range(1, length + 1)], monotone_tail_from=1)
+    return ChainSpec(base=base, s=ConstantRule(2), depth=4)
+
+
 @pytest.fixture(scope="session")
 def spec_a() -> ChainSpec:
     return doubling_spec()
@@ -39,7 +53,12 @@ def schedule_a(spec_a):
 
 @pytest.fixture(scope="session")
 def stream_a(schedule_a):
-    return generate_digits(schedule_a, SelectionPolicy("min"), STREAM_LEN)
+    return generated(schedule_a, SelectionPolicy("min"), STREAM_LEN)
+
+
+def generated(schedule, policy, n: int) -> DigitStream:
+    """The first n digits ``generate_digits`` draws, held for random access."""
+    return DigitStream(schedule.spec.base, generate_digits(schedule, policy, n))
 
 
 def trace_rows(schedule, horizon: int, bits: int | None = None) -> list[DimensionTraceRow]:

@@ -112,7 +112,7 @@ def test_criterion_4_equidistribution_suite(spec_a, schedule_a, stream_a):
     rep1 = envelope_check(schedule_a, stream_a, 1, lengths_j1)
     assert rep1.all_pass()
     assert all(
-        row.dstar <= row.bound for row in rep1.report.rows
+        row.dstar <= row.bound for row in rep1.rows
     )
     rep2 = envelope_check(schedule_a, stream_a, 2, [72, 73, 100, 500, 1000, 2428])
     assert rep2.all_pass()

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from decimal import Decimal
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from cnl.numeric import format_decimal
 from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
-from .conftest import growth_ratios, row_ratios, trace_rows
+from .conftest import growth_ratios, row_ratios, short_list_spec, trace_rows
 
 
 def write_config(tmp_path, depth=4, policy="min", name="config.json"):
@@ -110,19 +112,65 @@ class TestThetaGenerate:
         assert code == 2
 
     def test_past_4300_decimal_digits(self, tmp_path, spec_a):
-        """q_n passes 4300 decimal digits at n = 14282."""
+        """q_n passes 4300 decimal digits at n = 14282.  The digits go to
+        the file as they are drawn, so the run's traced peak stays far
+        below the 13.7 MiB that holding all of them took."""
         from cnl.expansion import load_jsonl
         from cnl.theta import SelectionPolicy, build_schedule, generate_digits
 
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(
-            ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "14300"]
-        ) == 0
+        tracemalloc.start()
+        try:
+            code = main(
+                ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "14300"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20
         assert json.loads((out / "summary.json").read_text())["all_pass"] is True
         loaded = load_jsonl(out / "digits.jsonl", rule=spec_a.base)
         want = generate_digits(build_schedule(spec_a), SelectionPolicy("min"), 14300)
-        assert loaded.digit(14300) == want.digit(14300)
+        assert loaded.digit(14300) == deque(want, maxlen=1)[0]
+
+    def test_base_ending_before_n_leaves_no_file(self, tmp_path, capsys):
+        spec = short_list_spec()  # 200 base values, coverage 36288
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps(
+            {"Q": rule_to_json(spec.base), "S": rule_to_json(spec.s), "depth": spec.depth}
+        ))
+        argv = ["theta", "generate", "--config", str(config)]
+        # The checks' walk stops with the digits, so all 200 values serve.
+        assert main(argv + ["--out", str(tmp_path / "full"), "--n", "200"]) == 0
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out), "--n", "201"]) == 1
+        assert "position 201 past end" in capsys.readouterr().err
+        # No digits.jsonl, no temporary file beside it, and no summary.
+        assert list(out.iterdir()) == []
+
+    def test_digit_outside_its_checked_window_fails(self, tmp_path, monkeypatch):
+        """The checks read their own windows: one that leaves out the drawn
+        digit fails the run, and the file holds the same digits."""
+        config = write_config(tmp_path)
+        argv = ["theta", "generate", "--config", str(config), "--n", "300"]
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert main(argv + ["--out", str(good)]) == 0
+        real = cli.digit_candidates
+
+        def shifted(schedule, n, info=None, q=None):
+            cand = real(schedule, n, info, q)
+            # The min policy draws f_min; the window moved up by one drops it.
+            return CandidateSet(cand.f_min + 1, cand.f_max + 1) if n == 150 else cand
+
+        monkeypatch.setattr(cli, "digit_candidates", shifted)
+        assert main(argv + ["--out", str(bad)]) == 1
+        checks = json.loads((bad / "summary.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == [
+            "digits nonzero and inside their windows"
+        ]
+        assert (bad / "digits.jsonl").read_bytes() == (good / "digits.jsonl").read_bytes()
 
     def test_byte_identical_runs(self, tmp_path):
         config = write_config(tmp_path)
@@ -257,7 +305,7 @@ class TestAnalyze:
         config = write_config(tmp_path)
         stream = expand(Fraction(1, 16), GeometricRule(8, 2), 60)
         digits = tmp_path / "rational.jsonl"
-        save_jsonl(stream, 60, digits)
+        save_jsonl(stream.rule, stream.digit_list, digits)
         out = tmp_path / "analysis"
         code = main(
             ["analyze", "--config", str(config), "--digits", str(digits),
@@ -542,6 +590,27 @@ class TestRerunLeavesOnlyItsReports:
     @staticmethod
     def files(out):
         return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_unreadable_digit_file_keeps_the_earlier_run(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        gen = tmp_path / "gen"
+        assert main(
+            ["theta", "generate", "--config", str(config), "--out", str(gen), "--n", "400"]
+        ) == 0
+        out = tmp_path / "rep"
+        base = ["analyze", "--config", str(config), "--out", str(out), "--levels", "1,2"]
+        assert main(base + ["--digits", str(gen / "digits.jsonl")]) == 0
+        before = self.files(out)
+        assert "analyze_summary.json" in before and "envelope_j2.csv" in before
+        header, _, *records = (gen / "digits.jsonl").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(header + '{"n": 1, "E": "99"}\n' + "".join(records))  # 153 >= q_1
+        assert main(base + ["--digits", str(bad)]) == 1
+        assert "out of range" in capsys.readouterr().err
+        assert self.files(out) == before
+        assert main(base + ["--digits", str(tmp_path / "missing.jsonl")]) == 2
+        assert "cannot read digit file" in capsys.readouterr().err
+        assert self.files(out) == before
 
     def test_fewer_levels_equal_a_fresh_run(self, tmp_path):
         config = write_config(tmp_path, policy="seeded")

@@ -447,7 +447,7 @@ def json_only_read(path, rule) -> list[int]:
 class TestJsonl:
     def test_roundtrip(self, tmp_path, spec_a, stream_a):
         path = tmp_path / "digits.jsonl"
-        save_jsonl(stream_a, 50, path)
+        save_jsonl(stream_a.rule, stream_a.prefix(50), path)
         loaded = load_jsonl(path, rule=spec_a.base)
         assert loaded.prefix(50) == stream_a.prefix(50)
 
@@ -523,7 +523,7 @@ class TestJsonl:
 
     def test_only_other_lines_are_parsed_as_json(self, tmp_path, monkeypatch, stream_a, spec_a):
         path = tmp_path / "digits.jsonl"
-        save_jsonl(stream_a, 300, path)
+        save_jsonl(stream_a.rule, stream_a.prefix(300), path)
         lines = path.read_text().splitlines(keepends=True)
         lines[5] = lines[5].replace('"E": "', '"E": "0')  # a leading zero
         lines[-1] = lines[-1].rstrip("\n")
@@ -535,7 +535,10 @@ class TestJsonl:
         assert parsed == [lines[0], lines[5], lines[-1]]
 
     def test_failed_save_leaves_no_file(self, tmp_path):
-        stream = DigitStream(ConstantRule(4), [1, 1, 1, 1])
+        def digits():
+            yield from [1, 1, 1, 1]
+            raise DigitError("digit 5 unavailable")
+
         with pytest.raises(DigitError, match="digit 5 unavailable"):
-            save_jsonl(stream, 10, tmp_path / "digits.jsonl")
+            save_jsonl(ConstantRule(4), digits(), tmp_path / "digits.jsonl")
         assert list(tmp_path.iterdir()) == []

@@ -34,7 +34,14 @@ from cnl.theta import (
     prefix_bound_check,
 )
 
-from .conftest import STREAM_LEN, doubling_spec, envelope_check, walk_filter_y_prefix
+from .conftest import (
+    STREAM_LEN,
+    doubling_spec,
+    envelope_check,
+    generated,
+    short_list_spec,
+    walk_filter_y_prefix,
+)
 
 
 class TestComputeNu:
@@ -95,7 +102,7 @@ class TestBuildSchedule:
         schedule = build_schedule(doubling_spec(depth=1))
         assert schedule.levels == 1
         assert schedule.coverage == 2
-        stream = generate_digits(schedule, SelectionPolicy("min"), 2)
+        stream = generated(schedule, SelectionPolicy("min"), 2)
         assert stream.prefix(2) == [1, 1]
 
     def test_dump_shape(self, schedule_a):
@@ -215,13 +222,6 @@ def walk_starts(schedule):
     return sorted(n for n in starts if n <= schedule.coverage)
 
 
-def short_list_spec(length=200):
-    """The doubling base cut to ``length`` values: the schedule builds (its
-    level openings and thresholds lie inside the list) but covers 36288."""
-    base = ExplicitListRule([2 ** (n + 3) for n in range(1, length + 1)], monotone_tail_from=1)
-    return ChainSpec(base=base, s=ConstantRule(2), depth=4)
-
-
 class TestWalk:
     def test_geometric_base_every_start(self):
         schedule = build_schedule(doubling_spec(depth=3))
@@ -299,24 +299,24 @@ class TestGenerate:
         assert stream_a.prefix(4) == [1, 1, 16, 96]
 
     def test_max_policy(self, schedule_a):
-        stream = generate_digits(schedule_a, SelectionPolicy("max"), 4)
+        stream = generated(schedule_a, SelectionPolicy("max"), 4)
         assert stream.digit(3) == 31
 
     def test_mid_policy(self, schedule_a):
-        stream = generate_digits(schedule_a, SelectionPolicy("mid"), 4)
+        stream = generated(schedule_a, SelectionPolicy("mid"), 4)
         assert stream.digit(3) == 16 + 7
 
     def test_seeded_policy_deterministic(self, schedule_a):
-        a = generate_digits(schedule_a, SelectionPolicy("seeded", seed=42), 100)
-        b = generate_digits(schedule_a, SelectionPolicy("seeded", seed=42), 100)
-        c = generate_digits(schedule_a, SelectionPolicy("seeded", seed=43), 100)
+        a = generated(schedule_a, SelectionPolicy("seeded", seed=42), 100)
+        b = generated(schedule_a, SelectionPolicy("seeded", seed=42), 100)
+        c = generated(schedule_a, SelectionPolicy("seeded", seed=43), 100)
         assert a.prefix(100) == b.prefix(100)
         assert a.prefix(100) != c.prefix(100)
 
     def test_all_digits_in_window_and_nonzero(self, schedule_a):
         for policy in (SelectionPolicy("min"), SelectionPolicy("max"),
                        SelectionPolicy("mid"), SelectionPolicy("seeded", seed=7)):
-            stream = generate_digits(schedule_a, policy, 300)
+            stream = generated(schedule_a, policy, 300)
             for n in range(1, 301):
                 digit = stream.digit(n)
                 assert digit != 0
@@ -328,20 +328,23 @@ class TestGenerate:
         assert count_block(stream_a, (0,), 2000) == 0
 
     def test_coverage_guard(self, schedule_a):
-        with pytest.raises(ScheduleError):
-            generate_digits(schedule_a, SelectionPolicy("min"), schedule_a.coverage + 1)
+        # A bad count raises at the call, before any digit is read.
+        for n in (0, schedule_a.coverage + 1):
+            with pytest.raises(ScheduleError):
+                generate_digits(schedule_a, SelectionPolicy("min"), n)
 
     def test_stream_ends_at_n(self, schedule_a):
-        stream = generate_digits(schedule_a, SelectionPolicy("min"), 50)
+        stream = generated(schedule_a, SelectionPolicy("min"), 50)
         assert stream.limit == 50
         with pytest.raises(DigitError):
             stream.digit(51)
 
     def test_base_ending_early_raises(self):
         schedule = build_schedule(short_list_spec())
-        assert generate_digits(schedule, SelectionPolicy("min"), 200).limit == 200
+        assert len(list(generate_digits(schedule, SelectionPolicy("min"), 200))) == 200
+        digits = generate_digits(schedule, SelectionPolicy("min"), 201)  # raises on the read
         with pytest.raises(OutOfDomainError, match="position 201 past end"):
-            generate_digits(schedule, SelectionPolicy("min"), 201)
+            list(digits)
 
 
 class TestExtractY:
@@ -548,7 +551,7 @@ class TestPositionDecomposition:
 class TestPrefixBoundCheck:
     def test_short_prefix_trivial_envelope(self, schedule_a, stream_a):
         rep = envelope_check(schedule_a, stream_a, 1, [2])
-        row = rep.report.rows[0]
+        row = rep.rows[0]
         assert row.dstar == Fraction(1, 4)
         assert row.bound == 1
         assert row.certificate == "pass"
@@ -557,7 +560,7 @@ class TestPrefixBoundCheck:
         lengths = [2, 3, 4, 16, 142, 143, 144, 145, 500, 1024, 4096, 4998]
         rep = envelope_check(schedule_a, stream_a, 1, lengths)
         assert rep.all_pass()
-        for row in rep.report.rows:
+        for row in rep.rows:
             assert row.dstar <= row.bound
             if row.envelope is not None:
                 assert row.bound <= row.envelope
@@ -565,10 +568,10 @@ class TestPrefixBoundCheck:
     def test_rows_equal_star_discrepancy_of_each_prefix(self, schedule_a, stream_a):
         lengths = [600, 3, 1, 144, 3, 145, 600, 2]
         rep = envelope_check(schedule_a, stream_a, 1, lengths)
-        assert [row.n for row in rep.report.rows] == sorted(set(lengths))
+        assert [row.n for row in rep.rows] == sorted(set(lengths))
         nums, dens = extract_y_prefix(schedule_a, stream_a, 1, STREAM_LEN)
         points = [Fraction(num, den) for num, den in zip(nums, dens)]
-        for row in rep.report.rows:
+        for row in rep.rows:
             assert row.dstar == star_discrepancy(points[: row.n])
 
     def test_prefix_beyond_the_samples_rejected(self, schedule_a, stream_a):
@@ -578,12 +581,12 @@ class TestPrefixBoundCheck:
             envelope_check(schedule_a, stream_a, 1, [STREAM_LEN - 1])
 
     def test_trend_reported(self, schedule_a, stream_a):
-        rep = envelope_check(schedule_a, stream_a, 1, [4])
-        assert rep.ebar_trend == [
-            (2, Fraction(1)),
-            (3, Fraction(1)),
-            (4, Fraction(18224, 36296)),
-        ]
+        trend = {t: envelope_sup(schedule_a, 1, t) for t in (2, 3, 4)}
+        assert trend == {2: Fraction(1), 3: Fraction(1), 4: Fraction(18224, 36296)}
+        # Each row past the horizon carries the supremum of its accounted level.
+        rep = envelope_check(schedule_a, stream_a, 1, [4, 100, 500, 4998])
+        for row in rep.rows:
+            assert row.envelope == trend[position_decomposition(schedule_a, 1, row.n).level]
 
     def test_deep_prefix_strictly_inside_informative_envelope(
         self, schedule_a, stream_a
@@ -618,13 +621,13 @@ class TestOtherConfigurations:
         schedule = build_schedule(spec)
         assert schedule.levels == 4
         horizon = schedule.big_l(3) + 400
-        stream = generate_digits(schedule, SelectionPolicy("min"), horizon)
+        stream = generated(schedule, SelectionPolicy("min"), horizon)
         nums, dens = extract_y_prefix(schedule, stream, 1, horizon)
         n_points = len(nums)
         rep = prefix_bound_check(schedule, 1, nums, dens, [n_points])
         assert (nums, dens) == ([], [])  # consumed, so no caller holds the points
         assert rep.all_pass()
-        row = rep.report.rows[0]
+        row = rep.rows[0]
         decomp = position_decomposition(schedule, 1, n_points)
         assert decomp.level == 4
         sup = envelope_sup(schedule, 1, 4)
@@ -634,7 +637,7 @@ class TestOtherConfigurations:
     def test_triple_contraction_chain(self):
         spec = ChainSpec(base=GeometricRule(27, 3), s=ConstantRule(3), depth=3)
         schedule = build_schedule(spec)
-        stream = generate_digits(schedule, SelectionPolicy("min"), schedule.big_l(2))
+        stream = generated(schedule, SelectionPolicy("min"), schedule.big_l(2))
         for n in range(1, schedule.big_l(2) + 1):
             assert stream.digit(n) != 0
         rep = envelope_check(schedule, stream, 1, [schedule.big_l(1), schedule.big_l(2) // 3])
