@@ -11,7 +11,7 @@ input, 3 internal error (any other exception, reported with its type).
 Outputs are deterministic for a fixed config and seed: reports
 carry no timestamps, and digit selection is a pure function of the
 policy, seed, and position.  CNL_PRECISION_BITS (default 64) sets the
-fractional bits used wherever logarithms enter.
+fractional bits of the logarithms in ``dim``, the one command that takes any.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ def _load_config(path: str) -> dict:
         raise RuleError(f"cannot read config {path}: {exc}") from exc
 
 
-def _spec_from_config(config: dict, depth_override=None) -> ChainSpec:
+def _spec_from_config(config: dict) -> ChainSpec:
     try:
         base = rule_from_json(config["Q"])
         steps = rule_from_json(config["S"])
-        depth = json_int(config["depth"], "depth") if depth_override is None else depth_override
+        depth = json_int(config["depth"], "depth")
     except (AttributeError, KeyError, TypeError) as exc:
         raise RuleError(f"config needs Q, S, and depth: {exc}") from exc
     return ChainSpec(base=base, s=steps, depth=depth)
@@ -84,12 +84,9 @@ def _spec_from_config(config: dict, depth_override=None) -> ChainSpec:
 def _policy_from_args(config: dict, args) -> SelectionPolicy:
     kind = args.policy or config.get("policy", "min")
     seed = args.seed
+    if kind == "seeded" and seed is None:
+        seed = json_int(config.get("seed", 0), "seed")
     try:
-        if isinstance(kind, dict):
-            seed = json_int(kind.get("seed", 0), "policy seed") if seed is None else seed
-            kind = kind.get("kind", "seeded")
-        if kind == "seeded" and seed is None:
-            seed = json_int(config.get("seed", 0), "seed")
         return SelectionPolicy(kind=kind, seed=seed)
     except ScheduleError as exc:
         raise RuleError(str(exc)) from exc
@@ -143,7 +140,7 @@ def _covering_schedule(spec: ChainSpec, n: int):
 
 def cmd_theta_generate(args) -> int:
     config = _load_config(args.config)
-    spec = _spec_from_config(config, args.depth)
+    spec = _spec_from_config(config)
     policy = _policy_from_args(config, args)
     if args.n is None or args.n < 1:
         raise RuleError("--n must be a positive digit count")
@@ -203,15 +200,13 @@ def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> in
     nums, dens = level_points(stream, spec, j, k)
     if not nums:
         return None
-    zero_count = nums.count(0)
     samples = _sample_prefixes(len(nums))
-    if k:
-        dn_diagnostic(nums, dens, samples).write_csv(out_dir / f"dn_j{j}_k{k}.csv")
-        return zero_count
     windows = zip([0, *samples], samples)
     zero_counts = list(accumulate(nums[lo:hi].count(0) for lo, hi in windows))
     dn = dn_diagnostic(nums, dens, samples)
-    dn.write_csv(out_dir / f"dn_j{j}.csv")
+    dn.write_csv(out_dir / (f"dn_j{j}_k{k}.csv" if k else f"dn_j{j}.csv"))
+    if k:
+        return zero_counts[-1]
     # Zero-block ratios; expected = proxy * n = sum_{i <= n} 1/q_i.
     with atomic_write(out_dir / f"rn_j{j}.csv") as fh:
         fh.write("n,block,count,expected_num,expected_den,ratio\n")
@@ -221,12 +216,12 @@ def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> in
                 f"{row.n},0,{count},{int_text(expected.numerator)},"
                 f"{int_text(expected.denominator)},{fraction_text(count / expected)}\n"
             )
-    return zero_count
+    return zero_counts[-1]
 
 
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
-    spec = _spec_from_config(config, args.depth)
+    spec = _spec_from_config(config)
     levels = _int_list(args.levels) if args.levels else [1]
     shifts = _int_list(args.shifts) if args.shifts else [0]
     for j in levels:
@@ -269,12 +264,19 @@ def cmd_analyze(args) -> int:
         "schedule_conformant": conformant,
     }
     envelope_violations = 0
-    for j in levels:
+    for j in dict.fromkeys(levels):
         level_info = {}
-        zeros = _level_reports(stream, spec, j, 0, out_dir)
-        if zeros is not None:
-            level_info["zero_count"] = zeros
-            level_info["zero_digit_found"] = zeros > 0
+        for k in dict.fromkeys([0, *shifts]):
+            if k >= spec.big_s(j):
+                level_info[f"shift_{k}_skipped"] = f"needs S_{j} > {k}"
+                continue
+            zeros = _level_reports(stream, spec, j, k, out_dir)
+            if zeros is None:
+                continue
+            if k:
+                level_info[f"shift_{k}_zero_count"] = zeros
+            else:
+                level_info.update(zero_count=zeros, zero_digit_found=zeros > 0)
         if conformant and j <= schedule.levels:
             nums, dens = extract_y_prefix(schedule, stream, j, min(total, schedule.coverage))
             if nums:
@@ -284,15 +286,6 @@ def cmd_analyze(args) -> int:
                 envelope_violations += fatal
                 level_info["envelope_rows"] = len(env.rows)
                 level_info["envelope_fatal"] = fatal
-        for k in shifts:
-            if k == 0:
-                continue
-            if k >= spec.big_s(j):
-                level_info[f"shift_{k}_skipped"] = f"needs S_{j} > {k}"
-                continue
-            zeros = _level_reports(stream, spec, j, k, out_dir)
-            if zeros is not None:
-                level_info[f"shift_{k}_zero_count"] = zeros
         summary["levels"][str(j)] = level_info
     summary["envelope_violations"] = envelope_violations
     _write_json(out_dir / "analyze_summary.json", summary)
@@ -306,7 +299,7 @@ def _lower(pair: tuple[int, int], low: tuple[int, int] | None) -> tuple[int, int
 
 def cmd_dim(args) -> int:
     config = _load_config(args.config)
-    spec = _spec_from_config(config, args.depth)
+    spec = _spec_from_config(config)
     if args.n is None or args.n < 2:
         raise RuleError("--n must be at least 2")
     try:
@@ -422,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--config", required=True, help="chain config JSON")
     cmd.add_argument("--out", required=True, help="output directory")
-    cmd.add_argument("--depth", type=int, default=None, help="chain depth override")
 
 
 def main(argv=None) -> int:

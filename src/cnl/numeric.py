@@ -22,7 +22,7 @@ _MIN_BITS = 8
 
 
 def log_bits() -> int:
-    """Fractional bits used for logarithm fixed points (env override)."""
+    """CNL_PRECISION_BITS, or 64: the ``bits`` that ``cnl dim`` passes down."""
     raw = os.environ.get(_ENV_BITS)
     if raw is None:
         return _DEFAULT_BITS
@@ -38,9 +38,9 @@ def hp_ln(x: int | Fraction, bits: int | None = None) -> tuple[int, int]:
 
     Numerator and denominator are each n = 2**e * y with y in [1, 2), and
     ln y = 2 atanh((y - 1)/(y + 1)) is summed in integers with guard bits.
+    ``bits`` None means 64.
     """
-    if bits is None:
-        bits = log_bits()
+    bits = _DEFAULT_BITS if bits is None else bits
     num, den = x.numerator, x.denominator  # an int is num / 1
     if num <= 0:
         raise ValueError("hp_ln requires a positive argument")
@@ -87,9 +87,9 @@ def _atanh_series(num: int, den: int, work: int) -> tuple[int, int]:
 
 
 def sqrt_lower(x: Fraction, bits: int | None = None) -> Fraction:
-    """A rational lower bound for sqrt(x), within 2**-bits of the truth."""
-    if bits is None:
-        bits = log_bits()
+    """A rational lower bound for sqrt(x), within 2**-bits of the truth;
+    ``bits`` None means 64."""
+    bits = _DEFAULT_BITS if bits is None else bits
     if x < 0:
         raise ValueError("sqrt_lower requires a nonnegative argument")
     shifted = (x.numerator << (2 * bits)) // x.denominator

@@ -260,6 +260,25 @@ class TestAnalyze:
         assert not (out / "dn_j2_k3.csv").exists()
         assert (out / "dn_j3_k3.csv").exists()
 
+    def test_repeated_levels_and_shifts_run_once(self, tmp_path, generated, monkeypatch):
+        config, digits = generated
+        argv = ["analyze", "--config", str(config), "--digits", str(digits), "--out"]
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert main(argv + [str(once), "--levels", "2", "--shifts", "1"]) == 0
+        calls = []
+        real = cli.level_points
+
+        def level_points(stream, spec, j, k=0):
+            calls.append((j, k))
+            return real(stream, spec, j, k)
+
+        monkeypatch.setattr(cli, "level_points", level_points)
+        assert main(argv + [str(twice), "--levels", "2,2", "--shifts", "1,1"]) == 0
+        assert sorted(calls) == [(2, 0), (2, 1)]
+        assert sorted(p.name for p in twice.iterdir()) == sorted(p.name for p in once.iterdir())
+        for path in once.iterdir():
+            assert (twice / path.name).read_bytes() == path.read_bytes()
+
     def test_rn_rows_match_normality_report(self, tmp_path, generated):
         from fractions import Fraction
 
@@ -492,6 +511,18 @@ class TestDim:
         assert summary["final_d_exact"] == format_decimal(row_ratios(rows[-1]).d_exact)
         assert summary["final_d_bound"] == format_decimal(row_ratios(rows[-1]).d_bound)
 
+    def test_precision_bits_from_the_environment(self, tmp_path, schedule_a, monkeypatch):
+        # dim reads CNL_PRECISION_BITS and passes it down; a library trace
+        # without bits stays at 64 under the same environment.
+        monkeypatch.setenv("CNL_PRECISION_BITS", "32")
+        config = write_config(tmp_path)
+        out = tmp_path / "dim"
+        assert main(["dim", "--config", str(config), "--out", str(out), "--n", "60"]) == 0
+        assert json.loads((out / "dim_summary.json").read_text())["precision_bits"] == 32
+        lines = (out / "dim_trace.csv").read_text().splitlines()[1:]
+        assert lines == [",".join(row.csv_fields()) for row in trace_rows(schedule_a, 60, 32)]
+        assert lines != [",".join(row.csv_fields()) for row in trace_rows(schedule_a, 60)]
+
     def test_geometry_error_mid_trace_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # A candidate count at k = 50 wider than the cylinder leaves nothing
         # to contract; rows 2..49 were already written when the trace stops.
@@ -685,6 +716,7 @@ class TestExitCodes:
             {"policy": "seeded", "seed": [1]},
             {"policy": "seeded", "seed": -1},
             {"policy": "bogus"},
+            {"policy": {"kind": "seeded", "seed": 3}},
         ],
     )
     def test_bad_policy_exits_two(self, tmp_path, extra):
@@ -735,6 +767,16 @@ class TestExitCodes:
             main(["analyze", "--config", str(config), "--digits", "d.jsonl",
                   "--out", str(tmp_path / "x"), "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["theta", "generate", "--n", "5"], ["analyze", "--digits", "d.jsonl"], ["dim", "--n", "10"]]
+    )
+    def test_depth_comes_from_the_config_only(self, tmp_path, argv):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(config), "--out", str(tmp_path / "x"), "--depth", "4"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -192,12 +192,16 @@ class TestEnvPrecision:
         assert log_bits() == 64
 
     def test_override_flows_into_logs(self, monkeypatch):
+        # The override reaches a logarithm only through log_bits, which
+        # `cnl dim` reads; a library call without bits stays at 64.
         monkeypatch.setenv("CNL_PRECISION_BITS", "32")
         assert log_bits() == 32
-        assert hp_ln(2) == hp_ln(2, bits=32)
-        assert hp_ln(3) == hp_ln(3, bits=32)
+        assert hp_ln(2) == hp_ln(2, bits=64)
+        assert hp_ln(3) == hp_ln(3, bits=64)
         for end in hp_ln(2):
-            assert abs(end - (LN2_NUM >> 32)) <= 1
+            assert abs(end - LN2_NUM) <= 1
+        x = Fraction(2, 3)
+        assert sqrt_lower(x) == sqrt_lower(x, bits=64) != sqrt_lower(x, bits=32)
 
     def test_rejects_tiny(self, monkeypatch):
         monkeypatch.setenv("CNL_PRECISION_BITS", "4")
