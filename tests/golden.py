@@ -99,14 +99,14 @@ def digests(root: Path, names) -> dict[str, str]:
     out = {}
     for name in names:
         path = root / name
-        files = sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+        files = [p for p in path.rglob("*") if p.is_file()] if path.is_dir() else [path]
         for file in files:
             sha = hashlib.sha256()
             with open(file, "rb") as fh:
                 while chunk := fh.read(1 << 20):
                     sha.update(chunk)
             out[file.relative_to(root).as_posix()] = sha.hexdigest()
-    return dict(sorted(out.items()))
+    return out
 
 
 def small_digests(root: Path, config_dir: Path) -> dict[str, str]:
