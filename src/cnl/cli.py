@@ -83,11 +83,11 @@ def _spec_from_config(config: dict) -> ChainSpec:
 
 def _policy_from_args(config: dict, args) -> SelectionPolicy:
     kind = args.policy or config.get("policy", "min")
-    seed = args.seed
-    if kind == "seeded" and seed is None:
-        seed = json_int(config.get("seed", 0), "seed")
+    seed = json_int(config.get("seed", 0), "seed")  # read whatever the policy
+    if args.seed is not None and kind != "seeded":
+        raise RuleError(f"--seed needs the seeded policy, not {kind!r}")
     try:
-        return SelectionPolicy(kind=kind, seed=seed)
+        return SelectionPolicy(kind=kind, seed=seed if args.seed is None else args.seed)
     except ScheduleError as exc:
         raise RuleError(str(exc)) from exc
 
@@ -109,10 +109,14 @@ def _out_dir(args, *stale: str) -> Path:
 
 
 def _int_list(raw: str) -> list[int]:
+    """The integers of a comma-separated list; a list of none is bad input."""
     try:
-        return [int(part) for part in raw.split(",") if part != ""]
-    except ValueError as exc:
-        raise RuleError(f"expected comma-separated integers, got {raw!r}") from exc
+        values = [int(part) for part in raw.split(",") if part != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise RuleError(f"expected comma-separated integers, got {raw!r}")
+    return values
 
 
 def _sample_prefixes(limit: int) -> list[int]:
@@ -222,8 +226,8 @@ def _level_reports(stream, spec: ChainSpec, j: int, k: int, out_dir: Path) -> in
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config)
-    levels = _int_list(args.levels) if args.levels else [1]
-    shifts = _int_list(args.shifts) if args.shifts else [0]
+    levels = _int_list(args.levels)
+    shifts = _int_list(args.shifts)
     for j in levels:
         if not 1 <= j <= spec.depth:
             raise RuleError(f"level {j} outside chain depth 1..{spec.depth}")

@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import operator
 from fractions import Fraction
-from itertools import compress, count, repeat
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import compress, count, islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, atomic_write, count_block
 from .numeric import int_text, sqrt_lower
@@ -70,91 +70,49 @@ def _shift_to_common(nums: list[int], dens: list[int]) -> int:
     return d
 
 
-def _integer_ladder(scaled: list[int], d: int, lengths: Sequence[int]) -> list[Fraction]:
-    """The ladder over integer numerators X_i of points X_i/d, d = 2**w.
+def _popped(values: list[int]) -> Iterator[int]:
+    """The items of ``values`` in order, each removed from the list as it
+    is taken, so the list shrinks as a ladder's run grows."""
+    values.reverse()
+    return iter(values.pop, None)
 
-    The terms are left_i = X_(i)*n - (i-1)*d and i*d - X_(i)*n = d - left_i,
-    and ``_extreme_terms`` gives the largest and smallest left_i of each
-    prefix.  ``scaled`` is emptied as the prefixes take its points.
+
+def _ladder(keys: Iterator[int], w: int, lengths: Sequence[int], exact, one) -> list[Fraction]:
+    """The star discrepancy of each prefix of points x_i, sorted by
+    integer keys K_i <= x_i*2**w < K_i + 1 taken lazily from ``keys``;
+    ``exact(K)`` is one*x for the point x of key K.
+
+    With rank i counted from 0, D*_n = max(max left, 1 - min left)/n for
+    left_i = x_(i)*n - i.  Each prefix is swept on truncations first: with
+    s = max(w + b - 63, 0), b the bit length of n, and A_i = (K_(i) >> s)*n
+    - i*2**(w - s), |A_i| < 2**63 and 2**w*left_i - A_i*2**s lies in
+    [0, n*2**s), since the floor in K_(i) loses less than 1 and the s bits
+    cut off at most 2**s - 1.  So only ranks with A_i > max A - n can hold
+    the largest left_i and only ranks with A_i < min A + n the smallest;
+    just those are settled by ``exact``.  The A_i are one array of 64-bit
+    integers per prefix, read by ``max``, ``min`` and the two rank scans.
     """
+    from array import array  # a shared library; commands that sweep no ladder skip it
+
     out = []
     run: list[int] = []
     for n in lengths:
         # The sorted shorter prefix stays one run, so each sort is a merge.
-        taken = n - len(run)
-        run.extend(scaled[:taken])
-        del scaled[:taken]
+        run.extend(islice(keys, n - len(run)))
         run.sort()
-        high, low = _extreme_terms(run, d)
-        out.append(Fraction(max(high, d - low), n * d))
-    return out
+        s = max(w + n.bit_length() - 63, 0)
+        step = 1 << (w - s)
+        heads = map(operator.mul, map(operator.rshift, run, repeat(s)), repeat(n))
+        truncated = array("q", map(operator.sub, heads, range(0, n * step, step)))
 
+        def settled(cut, side):
+            ranks = compress(count(), map(side, truncated, repeat(cut)))
+            return (exact(run[i]) * n - i * one for i in ranks)
 
-def _extreme_terms(run: list[int], d: int) -> tuple[int, int]:
-    """max and min of left_i = X_(i)*n - (i-1)*d over a sorted run of n
-    numerators X_(i) of points over d = 2**w.
-
-    The run is swept on truncations first: with s = max(w + b - 63, 0), b
-    the bit length of n, and A_i = (X_(i) >> s)*n - (i-1)*(d >> s),
-    A_i*2**s <= left_i < (A_i + n)*2**s and |A_i| < 2**63, so only ranks
-    with A_i > max A - n can hold the largest left_i and only ranks with
-    A_i < min A + n the smallest; just those are evaluated exactly.  The A_i
-    are built once, as one array of 64-bit integers that lives only as
-    long as this call, and read by ``max``, ``min`` and the two rank scans.
-    """
-    from array import array  # a shared library; commands that sweep no dyadic ladder skip it
-
-    n = len(run)
-    s = max(d.bit_length() + n.bit_length() - 64, 0)
-    step = d >> s
-    heads = map(operator.mul, map(operator.rshift, run, repeat(s)), repeat(n))
-    truncated = array("q", map(operator.sub, heads, range(0, n * step, step)))
-
-    def exact(cut, side):
-        ranks = compress(count(), map(side, truncated, repeat(cut)))
-        return (run[i] * n - i * d for i in ranks)
-
-    high = max(exact(max(truncated) - n, operator.gt))
-    return high, min(exact(min(truncated) + n, operator.lt))
-
-
-def _ratio_ladder(nums: list[int], dens: list[int], lengths: Sequence[int]) -> list[Fraction]:
-    """The ladder for any denominators, each point nums[i]/dens[i] over its own.
-
-    Distinct ratios with denominators below 2**b differ by more than
-    2**(-2b), reduced or not, so floor(num * 2**(2b) / den) sorts them
-    exactly; each point sorts as that key shifted past the width of its
-    index i, which reads nums[i] and dens[i] back.  With x_(i) = a/c the
-    term x_(i)*n - (i-1) is (a*n - (i-1)*c)/c; terms are compared by
-    cross-multiplication, so no lcm is formed and every product stays
-    near the size of one point.
-    """
-    shift = 2 * max(dens).bit_length()
-    width = len(nums).bit_length()
-    mask = (1 << width) - 1
-    out = []
-    run: list[int] = []
-    for n in lengths:
-        run.extend(
-            (((nums[i] << shift) // dens[i]) << width) | i for i in range(len(run), n)
-        )
-        run.sort()
-        i = run[0] & mask
-        high_num = low_num = nums[i] * n
-        high_den = low_den = dens[i]
-        for rank, key in enumerate(run):
-            i = key & mask
-            den = dens[i]
-            left = nums[i] * n - rank * den
-            if left * high_den > high_num * den:
-                high_num, high_den = left, den
-            elif left * low_den < low_num * den:
-                low_num, low_den = left, den
-        # The right term i - x_(i)*n is 1 - left_i; both are in units of 1/n.
-        right_num = low_den - low_num
-        if right_num * high_den > high_num * low_den:
-            high_num, high_den = right_num, low_den
-        out.append(Fraction(high_num, high_den * n))
+        high = max(settled(max(truncated) - n, operator.gt))
+        low = min(settled(min(truncated) + n, operator.lt))
+        del truncated  # before the next prefix builds its own
+        out.append(Fraction(max(high, one - low), n * one))
     return out
 
 
@@ -169,18 +127,21 @@ def star_discrepancy_ladder(
     copy of the points is held.
 
     Each prefix is sorted by merging its new points into the sorted
-    shorter prefix, then evaluated in integers by the closed form of
-    Kuipers and Niederreiter,
+    shorter prefix, then evaluated by the closed form of Kuipers and
+    Niederreiter,
 
-        D*_n = max_i max(x_(i) - (i-1)/n, i/n - x_(i)).
+        D*_n = max_i max(x_(i) - (i-1)/n, i/n - x_(i)),
 
-    Power-of-two denominators share one common denominator d, the
-    largest: with X_i = x_i * d the terms are X_(i)*n - (i-1)*d and
-    i*d - X_(i)*n over n*d, and one d serves the whole ladder.  Other
-    denominators keep each point over its own (``_ratio_ladder``):
-    their lcm can be far wider than any one point, so it is never
-    formed.  Those points sort by exact integer keys, and each prefix
-    forms one ``Fraction``, its result.
+    in one sweep (``_ladder``) over integer keys K_i < 2**w that sort
+    the points.  Power-of-two denominators share one common denominator
+    d = 2**w, the largest, and their keys are the exact numerators
+    X_i = x_i*d.  Other denominators, whose lcm can be far wider than
+    any one point, take floor keys K_i = floor(x_i*2**w) with w = 2b + 1,
+    b the widest denominator's bit length.  Distinct points with
+    denominators below 2**b differ by more than 2**(-2b), so these keys
+    sort them, and x_i is the one such fraction within 2**(-2b-1) of
+    K_i/2**w: ``limit_denominator`` recovers it for the few ranks settled
+    exactly.  Each prefix forms one ``Fraction``, its result.
     """
     lengths = list(prefix_lengths)
     if not lengths:
@@ -197,11 +158,16 @@ def star_discrepancy_ladder(
         if not 0 <= num < den:
             raise ValueError(f"point {Fraction(num, den)} outside [0, 1)")
     if _dyadic(dens):
-        out = _integer_ladder(nums, _shift_to_common(nums, dens), lengths)
+        d = _shift_to_common(nums, dens)
+        out = _ladder(_popped(nums), d.bit_length() - 1, lengths, lambda x: x, d)
     else:
-        out = _ratio_ladder(nums, dens, lengths)
-        dens.clear()
+        top = (1 << max(dens).bit_length()) - 1
+        w = 2 * top.bit_length() + 1
+        heads = map(operator.lshift, _popped(nums), repeat(w))
+        keys = map(operator.floordiv, heads, _popped(dens))
+        out = _ladder(keys, w, lengths, lambda k: Fraction(k, 1 << w).limit_denominator(top), 1)
     nums.clear()
+    dens.clear()
     return out
 
 
@@ -477,9 +443,9 @@ def dn_diagnostic(
     sweep, and the proxies come from one running sum
     (``window_reciprocal_sums``).  Power-of-two bases put every ratio
     over one common denominator, the largest base, by a shift; other
-    bases sort their ratios by exact integer keys and compare them by
-    cross-multiplication, so no lcm is formed.  Each prefix forms one
-    ``Fraction``, its result.
+    bases sort their ratios by floor keys over 2**(2b+1), b the widest
+    base's bit length, which recover the few ratios settled exactly, so
+    no lcm is formed.  Each prefix forms one ``Fraction``, its result.
 
     Each row carries the averaged-reciprocal proxy (1/N) sum 1/q_n: the
     equivalence between digit-ratio equidistribution and orbit

@@ -544,8 +544,8 @@ def prefix_bound_check(
     prefixes come from one exact integer sweep,
     ``star_discrepancy_ladder``: power-of-two bases put every point
     over one common denominator, the largest base; other bases sort
-    their points by exact integer keys and compare them by
-    cross-multiplication, never forming an lcm.  Each row
+    their points by floor keys over 2**(2b+1), b the widest base's bit
+    length, never forming an lcm.  Each row
     checks D*(prefix) <= f <= ebar exactly.  Prefixes shorter
     than the accounting horizon L_j/S_j get the trivial bound 1 and a
     "below-horizon" certificate.  Violating rows are flagged fatal; the

@@ -245,6 +245,17 @@ class TestAnalyze:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--levels", "--shifts"])
+    @pytest.mark.parametrize("raw", [",", ",,", ""])
+    def test_list_of_no_integer_exits_two_before_out(self, tmp_path, generated, flag, raw, capsys):
+        config, digits = generated
+        out = tmp_path / "x"
+        code = main(["analyze", "--config", str(config), "--digits", str(digits),
+                     "--out", str(out), flag, raw])
+        assert code == 2
+        assert "expected comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shift_too_large_for_one_level_is_skipped_there(self, tmp_path, generated):
         config, digits = generated
         out = tmp_path / "analysis"
@@ -724,6 +735,31 @@ class TestExitCodes:
         config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
         code = main(["theta", "generate", "--config", str(config), "--out", str(tmp_path / "o"), "--n", "5"])
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [{"seed": "notanint"}, {"policy": "mid", "seed": 1.5}])
+    def test_bad_seed_exits_two_whatever_the_policy(self, tmp_path, extra):
+        # A seed no policy reads is still an integer field of the config.
+        config = write_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
+        out = tmp_path / "o"
+        assert main(["theta", "generate", "--config", str(config), "--out", str(out), "--n", "5"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", [[], ["--policy", "min"], ["--policy", "mid"]])
+    def test_seed_flag_without_the_seeded_policy_exits_two(self, tmp_path, policy, capsys):
+        config = write_config(tmp_path)  # "policy": "min"
+        out = tmp_path / "o"
+        argv = ["theta", "generate", "--config", str(config), "--out", str(out), "--n", "5"]
+        assert main(argv + policy + ["--seed", "5"]) == 2
+        assert "--seed needs the seeded policy" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_with_a_seeded_config_policy(self, tmp_path):
+        config = write_config(tmp_path, policy="seeded")
+        out = tmp_path / "o"
+        assert main(["theta", "generate", "--config", str(config), "--out", str(out),
+                     "--n", "5", "--seed", "5"]) == 0
+        assert json.loads((out / "summary.json").read_text())["policy"] == "seeded:5"
 
     @pytest.mark.parametrize(
         "argv",

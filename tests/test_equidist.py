@@ -317,6 +317,81 @@ class TestTruncatedDyadicLadder:
         assert_dyadic_ladder([(1 << w) - 1, 0, (1 << w) // 2], w, [1, 1, 2, 3])
 
 
+
+class TestFloorKeyLadder:
+    """A ladder with any denominator that is not a power of two sorts its
+    points x by floor keys K = floor(x * 2**w), w = 2b + 1 for b the widest
+    denominator's bit length.  It sweeps A_i = (K_(i) >> s)*n - i*2**(w - s),
+    s = max(w + bit length of n - 63, 0), settles the ranks within n of the
+    extremes exactly, and recovers their points from the keys alone."""
+
+    @pytest.mark.parametrize(
+        "pairs, rank, side",
+        [
+            # x_(1) is a hair over x_(0) + 1/3, so rank 1 holds the largest
+            # term, yet its truncated term is n - 1 below rank 0's.
+            ([(1110262555, 1925072638), (1580160255, 1736303723), (1580160255, 1736303723)],
+             1, max),
+            # x_(2) is a hair under x_(0) + 2/3, so rank 2 holds the smallest
+            # term, yet its truncated term is n - 1 above rank 0's.
+            ([(241289951, 1494655898), (1, 2), (1648970215, 1991265139)], 2, min),
+        ],
+    )
+    def test_extreme_term_n_minus_one_from_the_truncated_extreme(self, pairs, rank, side):
+        # b = 31, so w = 63 and, at n = 3, s = 2: both the floor and the cut
+        # bits move the truncated terms.
+        n, w, s = 3, 63, 2
+        assert max(c for _, c in pairs).bit_length() == 31
+        points = sorted(Fraction(a, c) for a, c in pairs)
+        keys = [(p.numerator << w) // p.denominator for p in points]
+        truncated = [(k >> s) * n - i * (1 << (w - s)) for i, k in enumerate(keys)]
+        left = [x * n - i for i, x in enumerate(points)]
+        assert left.index(side(left)) == rank
+        assert abs(truncated[rank] - side(truncated)) == n - 1
+        want = brute_force_star_discrepancy(points)
+        assert want == (left[rank] if side is max else 1 - left[rank]) / n
+        assert ladder_of([Fraction(a, c) for a, c in pairs], [1, 2, 3])[-1] == want
+        nums = [a for a, _ in pairs]
+        dens = [c for _, c in pairs]
+        assert star_discrepancy_ladder(nums, dens, [3]) == [want]
+
+    @pytest.mark.parametrize("b", [20, 28, 29, 30, 31, 32, 45])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_widths_around_the_cut(self, b, seed):
+        # At b = 29 and 30 the prefixes up to 15 and 3 points sweep with
+        # s = 0 and the longer ones with s > 0; narrower b never cut bits,
+        # wider b always do.
+        rng = random.Random(100 * b + seed)
+        dens = [rng.randrange(1 << (b - 1), 1 << b) | 1 for _ in range(4)]
+        dens += [3, 12, (1 << b) - 1]
+        pool = [Fraction(rng.randrange(c), c) for c in dens] + [Fraction(0), Fraction(1, 2)]
+        pool.append(Fraction((1 << b) - 2, (1 << b) - 1))
+        points = [rng.choice(pool) for _ in range(25)]
+        lengths = list(range(1, 26))
+        assert ladder_of(points, lengths) == [
+            brute_force_star_discrepancy(points[:n]) for n in lengths
+        ]
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_every_fraction_below_the_widest_denominator(self, b):
+        # Each a/c with c < 2**b alone, and beside a point over 2**b - 1 (so
+        # the keys have 2b + 1 bits) in either order: in a two-point prefix
+        # both ranks are settled, so each point is recovered from its key.
+        top = (1 << b) - 1
+        for c in range(1, 1 << b):
+            for a in range(c):
+                point = Fraction(a, c)
+                assert star_discrepancy_ladder([a], [c], [1]) == [
+                    brute_force_star_discrepancy([point])
+                ]
+                for pair in ([(a, c), (top // 2, top)], [(top // 2, top), (a, c)]):
+                    points = [Fraction(*p) for p in pair]
+                    got = star_discrepancy_ladder([p[0] for p in pair], [p[1] for p in pair], [1, 2])
+                    assert got == [
+                        brute_force_star_discrepancy(points[:1]),
+                        brute_force_star_discrepancy(points),
+                    ]
+
 class TestVerifyAap:
     def test_equal_gaps_accepted(self):
         cert = verify_aap(
