@@ -109,7 +109,6 @@ def _out_dir(args, *stale: str) -> Path:
 
 
 def _int_list(raw: str) -> list[int]:
-    """The integers of a comma-separated list; a list of none is bad input."""
     try:
         values = [int(part) for part in raw.split(",") if part != ""]
     except ValueError:

@@ -71,8 +71,7 @@ def _shift_to_common(nums: list[int], dens: list[int]) -> int:
 
 
 def _popped(values: list[int]) -> Iterator[int]:
-    """The items of ``values`` in order, each removed from the list as it
-    is taken, so the list shrinks as a ladder's run grows."""
+    """The items of ``values`` in order, each popped from the list as it is taken."""
     values.reverse()
     return iter(values.pop, None)
 
@@ -83,10 +82,10 @@ def _ladder(keys: Iterator[int], w: int, lengths: Sequence[int], exact, one) -> 
     ``exact(K)`` is one*x for the point x of key K.
 
     With rank i counted from 0, D*_n = max(max left, 1 - min left)/n for
-    left_i = x_(i)*n - i.  Each prefix is swept on truncations first: with
-    s = max(w + b - 63, 0), b the bit length of n, and A_i = (K_(i) >> s)*n
-    - i*2**(w - s), |A_i| < 2**63 and 2**w*left_i - A_i*2**s lies in
-    [0, n*2**s), since the floor in K_(i) loses less than 1 and the s bits
+    left_i = x_(i)*n - i.  Each prefix is swept on the truncated terms
+    A_i = (K_(i) >> s)*n - i*2**(w - s), s = max(w + b - 63, 0) for b the
+    bit length of n: |A_i| < 2**63, and 2**w*left_i - A_i*2**s lies in
+    [0, n*2**s), as the floor in K_(i) loses less than 1 and the s bits
     cut off at most 2**s - 1.  So only ranks with A_i > max A - n can hold
     the largest left_i and only ranks with A_i < min A + n the smallest;
     just those are settled by ``exact``.  The A_i are one array of 64-bit

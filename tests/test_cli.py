@@ -728,6 +728,9 @@ class TestExitCodes:
             {"policy": "seeded", "seed": -1},
             {"policy": "bogus"},
             {"policy": {"kind": "seeded", "seed": 3}},
+            # A seed no policy reads is still an integer field of the config.
+            {"seed": "notanint"},
+            {"policy": "mid", "seed": 1.5},
         ],
     )
     def test_bad_policy_exits_two(self, tmp_path, extra):
@@ -735,15 +738,6 @@ class TestExitCodes:
         config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
         code = main(["theta", "generate", "--config", str(config), "--out", str(tmp_path / "o"), "--n", "5"])
         assert code == 2
-
-    @pytest.mark.parametrize("extra", [{"seed": "notanint"}, {"policy": "mid", "seed": 1.5}])
-    def test_bad_seed_exits_two_whatever_the_policy(self, tmp_path, extra):
-        # A seed no policy reads is still an integer field of the config.
-        config = write_config(tmp_path)
-        config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
-        out = tmp_path / "o"
-        assert main(["theta", "generate", "--config", str(config), "--out", str(out), "--n", "5"]) == 2
-        assert not out.exists()
 
     @pytest.mark.parametrize("policy", [[], ["--policy", "min"], ["--policy", "mid"]])
     def test_seed_flag_without_the_seeded_policy_exits_two(self, tmp_path, policy, capsys):

@@ -342,31 +342,32 @@ class TestFloorKeyLadder:
         # bits move the truncated terms.
         n, w, s = 3, 63, 2
         assert max(c for _, c in pairs).bit_length() == 31
-        points = sorted(Fraction(a, c) for a, c in pairs)
+        given = [Fraction(a, c) for a, c in pairs]
+        points = sorted(given)
         keys = [(p.numerator << w) // p.denominator for p in points]
         truncated = [(k >> s) * n - i * (1 << (w - s)) for i, k in enumerate(keys)]
         left = [x * n - i for i, x in enumerate(points)]
         assert left.index(side(left)) == rank
         assert abs(truncated[rank] - side(truncated)) == n - 1
-        want = brute_force_star_discrepancy(points)
-        assert want == (left[rank] if side is max else 1 - left[rank]) / n
-        assert ladder_of([Fraction(a, c) for a, c in pairs], [1, 2, 3])[-1] == want
-        nums = [a for a, _ in pairs]
-        dens = [c for _, c in pairs]
-        assert star_discrepancy_ladder(nums, dens, [3]) == [want]
+        assert brute_force_star_discrepancy(points) == (
+            left[rank] if side is max else 1 - left[rank]
+        ) / n
+        assert ladder_of(given, [1, 2, 3]) == [
+            brute_force_star_discrepancy(given[:k]) for k in (1, 2, 3)
+        ]
 
     @pytest.mark.parametrize("b", [20, 28, 29, 30, 31, 32, 45])
     @pytest.mark.parametrize("seed", range(3))
     def test_widths_around_the_cut(self, b, seed):
-        # At b = 29 and 30 the prefixes up to 15 and 3 points sweep with
-        # s = 0 and the longer ones with s > 0; narrower b never cut bits,
-        # wider b always do.
+        # The first point is over 2**b - 1, so every prefix has keys of
+        # 2b + 1 bits.  At b = 29 and 30 the prefixes up to 15 and 3 points
+        # sweep with s = 0 and the longer ones with s > 0; narrower b never
+        # cut bits, wider b always do.
         rng = random.Random(100 * b + seed)
-        dens = [rng.randrange(1 << (b - 1), 1 << b) | 1 for _ in range(4)]
-        dens += [3, 12, (1 << b) - 1]
+        dens = [rng.randrange(1 << (b - 1), 1 << b) | 1 for _ in range(4)] + [3, 12]
         pool = [Fraction(rng.randrange(c), c) for c in dens] + [Fraction(0), Fraction(1, 2)]
-        pool.append(Fraction((1 << b) - 2, (1 << b) - 1))
-        points = [rng.choice(pool) for _ in range(25)]
+        widest = Fraction((1 << b) - 2, (1 << b) - 1)
+        points = [widest] + [rng.choice(pool + [widest]) for _ in range(24)]
         lengths = list(range(1, 26))
         assert ladder_of(points, lengths) == [
             brute_force_star_discrepancy(points[:n]) for n in lengths
@@ -385,9 +386,9 @@ class TestFloorKeyLadder:
                     brute_force_star_discrepancy([point])
                 ]
                 for pair in ([(a, c), (top // 2, top)], [(top // 2, top), (a, c)]):
+                    nums, dens = map(list, zip(*pair))
                     points = [Fraction(*p) for p in pair]
-                    got = star_discrepancy_ladder([p[0] for p in pair], [p[1] for p in pair], [1, 2])
-                    assert got == [
+                    assert star_discrepancy_ladder(nums, dens, [1, 2]) == [
                         brute_force_star_discrepancy(points[:1]),
                         brute_force_star_discrepancy(points),
                     ]
