@@ -37,12 +37,20 @@ DOUBLING = {
     "policy": "min",
 }
 RATIO3 = {**DOUBLING, "Q": {**DOUBLING["Q"], "params": {"coefficient": "9", "ratio": "3"}}}
-CONFIGS = {"config.json": DOUBLING, "config3.json": RATIO3}
+# Block-repetition bases at depth 3: v_m = 4m + 100 repeated m times
+# (coverage 7,976,032), and six listed (value, repeat) pairs (coverage 284,736).
+AFFINE = {**DOUBLING, "depth": 3, "Q": {"kind": "block-repetition", "params": {
+    "value_slope": "4", "value_intercept": "100", "repeat_slope": "1", "repeat_intercept": "0"}}}
+PAIRS = {**DOUBLING, "depth": 3, "Q": {"kind": "block-repetition", "params": {"pairs": [
+    ["4", "3"], ["16", "5"], ["64", "40"], ["256", "400"], ["1024", "4000"], ["8192", "100000"]]}}}
+CONFIGS = {"config.json": DOUBLING, "config3.json": RATIO3,
+           "config_affine.json": AFFINE, "config_pairs.json": PAIRS}
 
 ALL = ("--levels", "1,2,3,4", "--shifts", "0,1")
+ALL3 = ("--levels", "1,2,3", "--shifts", "0,1")
 SEEDED = ("--policy", "seeded", "--seed", "1")
-# (run name, argv); {config}, {config3} and {root} name the configs and the
-# run directory.  Each run writes into {root}/<name> and its stdout to
+# (run name, argv); {config}, {config3}, {config_affine}, {config_pairs} and
+# {root} name the configs and the run directory.  Each run writes into {root}/<name> and its stdout to
 # {root}/<name>.stdout.  "mixed.jsonl" is made between the runs.
 SMALL_RUNS = [
     ("gen", ["theta", "generate", "--config", "{config}", "--n", "3000", *SEEDED]),
@@ -55,6 +63,14 @@ SMALL_RUNS = [
     ("gen3", ["theta", "generate", "--config", "{config3}", "--n", "1000", *SEEDED]),
     ("analyze3", ["analyze", "--config", "{config3}", "--digits", "{root}/gen3/digits.jsonl", *ALL]),
     ("dim3", ["dim", "--config", "{config3}", "--n", "3000"]),
+    ("gen_affine", ["theta", "generate", "--config", "{config_affine}", "--n", "3000", *SEEDED]),
+    ("analyze_affine", ["analyze", "--config", "{config_affine}",
+                        "--digits", "{root}/gen_affine/digits.jsonl", *ALL3]),
+    ("dim_affine", ["dim", "--config", "{config_affine}", "--n", "3000"]),
+    ("gen_pairs", ["theta", "generate", "--config", "{config_pairs}", "--n", "3000", *SEEDED]),
+    ("analyze_pairs", ["analyze", "--config", "{config_pairs}",
+                       "--digits", "{root}/gen_pairs/digits.jsonl", *ALL3]),
+    ("dim_pairs", ["dim", "--config", "{config_pairs}", "--n", "3000"]),
 ]
 
 
