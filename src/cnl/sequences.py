@@ -31,7 +31,7 @@ import operator
 from collections import deque
 from contextlib import suppress
 from fractions import Fraction
-from itertools import groupby, islice, repeat
+from itertools import accumulate, groupby, islice, repeat
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -153,28 +153,6 @@ class ExplicitListRule(BasicSequenceRule):
         return {"values": [str(v) for v in self._values]}
 
 
-class ConstantRule(BasicSequenceRule):
-    kind = "constant"
-
-    def __init__(self, value: int):
-        value = _index(value, "constant value")
-        if value < 2:
-            raise RuleError(f"constant base must be >= 2, got {value}")
-        super().__init__(monotone_tail_from=1)
-        self.value = value
-
-    def q(self, n: int) -> int:
-        self._check_position(n)
-        return self.value
-
-    def iter_values(self, start: int = 1) -> Iterator[int]:
-        self._check_position(start)
-        yield from repeat(self.value)
-
-    def params_json(self) -> dict:
-        return {"value": str(self.value)}
-
-
 class GeometricRule(BasicSequenceRule):
     """q_n = coefficient * ratio**n."""
 
@@ -206,12 +184,28 @@ class GeometricRule(BasicSequenceRule):
         return {"coefficient": str(self.coefficient), "ratio": str(self.ratio)}
 
 
+class ConstantRule(GeometricRule):
+    """q_n = value: the geometric rule of ratio 1."""
+
+    kind = "constant"
+
+    def __init__(self, value: int):
+        value = _index(value, "constant value")
+        if value < 2:
+            raise RuleError(f"constant base must be >= 2, got {value}")
+        super().__init__(value, 1)
+        self.value = value
+
+    def params_json(self) -> dict:
+        return {"value": str(self.value)}
+
+
 class BlockRepetitionRule(BasicSequenceRule):
     """Value v_m repeated t_m times, for m = 1, 2, ...
 
-    Two parameterizations: an explicit finite list of (value, repeat)
-    pairs, or affine maps v_m = va*m + vb and t_m = ta*m + tb that
-    extend without bound.
+    Two parameterizations of one block table (``_block``): an explicit
+    finite list of (value, repeat) pairs, or affine maps v_m = va*m + vb
+    and t_m = ta*m + tb that extend without bound.
     """
 
     kind = "block-repetition"
@@ -229,15 +223,9 @@ class BlockRepetitionRule(BasicSequenceRule):
                 if t < 1:
                     raise RuleError(f"block repeat must be >= 1, got {t}")
             self._pairs = pairs
-            self._value_affine = None
-            self._repeat_affine = None
-            self._cum = [0]
-            for _, t in pairs:
-                self._cum.append(self._cum[-1] + t)
-            tail_from = None
+            self._cum = list(accumulate((t for _, t in pairs), initial=0))
             vals = [v for v, _ in pairs]
-            if all(a <= b for a, b in zip(vals, vals[1:])):
-                tail_from = 1
+            tail_from = 1 if all(a <= b for a, b in zip(vals, vals[1:])) else None
         else:
             va, vb = (_index(v, "block value map") for v in value_affine)
             ta, tb = (_index(t, "block repeat map") for t in repeat_affine)
@@ -247,7 +235,7 @@ class BlockRepetitionRule(BasicSequenceRule):
                 raise RuleError("first block value must be >= 2")
             if ta + tb < 1:
                 raise RuleError("first block repeat must be >= 1")
-            self._pairs = None
+            self._pairs = self._cum = None
             self._value_affine = (va, vb)
             self._repeat_affine = (ta, tb)
             tail_from = 1
@@ -255,11 +243,31 @@ class BlockRepetitionRule(BasicSequenceRule):
 
     @property
     def domain_max(self) -> Optional[int]:
-        if self._pairs is not None:
-            return self._cum[-1]
-        return None
+        return None if self._cum is None else self._cum[-1]
 
-    def _affine_block_of(self, n: int) -> tuple[int, int]:
+    def _block(self, m: int) -> tuple[int, int]:
+        """(v_m, t_m); past the last listed block, the past-end error."""
+        if self._pairs is None:
+            (va, vb), (ta, tb) = self._value_affine, self._repeat_affine
+            return va * m + vb, ta * m + tb
+        if m > len(self._pairs):
+            self._check_position(self._cum[-1] + 1)  # raises
+        return self._pairs[m - 1]
+
+    def block_of(self, n: int) -> tuple[int, int]:
+        """Block index m and 1-based offset inside it for position n."""
+        self._check_position(n)
+        cum = self._cum
+        if cum is not None:
+            # The least m with cum[m] >= n, by binary search.
+            lo, hi = 0, len(cum) - 1
+            while lo + 1 < hi:
+                mid = (lo + hi) // 2
+                if cum[mid] < n:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi, n - cum[lo]
         # Blocks 1..m cover cum(m) = ta*m(m+1)/2 + tb*m positions, and n
         # lies in the least m with cum(m) >= n.  For ta > 0 that is the
         # ceiling of the positive root of ta*m^2 + b*m = 2n, b = ta + 2tb;
@@ -274,40 +282,16 @@ class BlockRepetitionRule(BasicSequenceRule):
                 m += 1
         return m, n - ta * m * (m - 1) // 2 - tb * (m - 1)
 
-    def block_of(self, n: int) -> tuple[int, int]:
-        """Block index m and 1-based offset inside it for position n."""
-        self._check_position(n)
-        if self._pairs is not None:
-            lo, hi = 0, len(self._pairs)
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if self._cum[mid] < n:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi, n - self._cum[lo]
-        return self._affine_block_of(n)
-
     def q(self, n: int) -> int:
-        m, _ = self.block_of(n)
-        if self._pairs is not None:
-            return self._pairs[m - 1][0]
-        va, vb = self._value_affine
-        return va * m + vb
+        return self._block(self.block_of(n)[0])[0]
 
     def iter_values(self, start: int = 1) -> Iterator[int]:
         # One block lookup, then each block's value t_m times; the first
         # block is entered at the offset of ``start``.
         m, offset = self.block_of(start)
-        if self._pairs is not None:
-            for v, t in self._pairs[m - 1 :]:
-                yield from repeat(v, t - offset + 1)
-                offset = 1
-            self._check_position(self._cum[-1] + 1)  # raises: past the last block
-        va, vb = self._value_affine
-        ta, tb = self._repeat_affine
         while True:
-            yield from repeat(va * m + vb, ta * m + tb - offset + 1)
+            value, count = self._block(m)
+            yield from repeat(value, count - offset + 1)
             m += 1
             offset = 1
 
@@ -433,10 +417,7 @@ class ChainSpec:
             raise RuleError(f"S_j defined for j >= 1, got {j}")
         key = ("S", j)
         if key not in self._cache:
-            prod = 1
-            for k in range(1, j):
-                prod *= self.s_value(k)
-            self._cache[key] = prod
+            self._cache[key] = prod(self.s.values(j - 1))
         return self._cache[key]
 
     def rule(self, j: int, k: int = 0) -> BasicSequenceRule:

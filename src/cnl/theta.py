@@ -280,12 +280,13 @@ class ThetaSchedule:
                     (f"l_{j} recurrence at level {j}", lhs == rhs, f"{lhs} == {rhs}")
                 )
         for j in range(2, self.levels + 1):
+            # Every q_m with m >= nu_j clears S_j^(2j) (compute_nu), so no base
+            # is read: at depth 7 the doubling q_(L_5 + 1) has 2.4e10 bits.
             first = self.big_l(j - 1) + 1
-            thresh = self.big_s(j) ** (2 * j)
             checks.append(
                 (
                     f"level {j} opens past its threshold",
-                    self.q(first) >= thresh,
+                    first >= self.nu(j),
                     f"q_{first} >= S_{j}^{2 * j}",
                 )
             )
@@ -295,10 +296,11 @@ class ThetaSchedule:
 def compute_nu(spec: ChainSpec, j: int) -> int:
     """Smallest index from which every base value clears S_j^(2j).
 
-    Requires the base rule to certify a nondecreasing tail: the scan
-    walks the certified tail to the first crossing (all later positions
-    then clear the threshold by monotonicity) and extends the answer
-    leftward over the finitely many earlier positions.
+    Requires the base rule to certify a nondecreasing tail: one walk of
+    the base from the certified tail, through at most ``SCAN_BUDGET``
+    positions past it, finds the first crossing (all later positions then
+    clear the threshold by monotonicity), and the answer extends leftward
+    over the finitely many earlier positions.
     """
     if j < 2:
         raise ScheduleError("threshold indices are defined for levels >= 2")
@@ -312,12 +314,14 @@ def compute_nu(spec: ChainSpec, j: int) -> int:
     tail = base.monotone_tail_from
     m = tail
     try:
-        while base.q(m) < thresh:
+        for q in islice(base.iter_values(tail), SCAN_BUDGET + 1):
+            if q >= thresh:
+                break
             m += 1
-            if m - tail > SCAN_BUDGET:
-                raise ScheduleError(
-                    f"threshold S_{j}^{2 * j} not crossed within {SCAN_BUDGET} positions"
-                )
+        else:
+            raise ScheduleError(
+                f"threshold S_{j}^{2 * j} not crossed within {SCAN_BUDGET} positions"
+            )
     except OutOfDomainError as exc:
         raise ScheduleError(f"threshold never crossed within rule domain: {exc}") from exc
     if m > tail:

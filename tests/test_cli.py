@@ -894,6 +894,26 @@ class TestExitCodes:
         assert code == 1
         assert "not crossed within 100 positions" in capsys.readouterr().err
 
+    def test_depth_seven_runs_every_command(self, tmp_path, monkeypatch):
+        # L_5 = 24,490,045,440 at depth 7: no command may read a base that
+        # far out (q there has some 2.4e10 bits), so such a read fails here.
+        schedule_q = ThetaSchedule.q
+
+        def small_q(self, n):
+            assert n <= 10**8, f"schedule read q_{n}"
+            return schedule_q(self, n)
+
+        monkeypatch.setattr(ThetaSchedule, "q", small_q)
+        config = str(write_config(tmp_path, depth=7))
+        gen = tmp_path / "gen"
+        assert main(["theta", "generate", "--config", config, "--n", "10", "--out", str(gen)]) == 0
+        assert json.loads((gen / "summary.json").read_text())["all_pass"]
+        assert json.loads((gen / "schedule.json").read_text())["L"][4] == 24_490_045_440
+        assert main(["analyze", "--config", config, "--digits", str(gen / "digits.jsonl"),
+                     "--levels", "1,2,3,4,5,6,7", "--out", str(tmp_path / "an")]) == 0
+        assert json.loads((tmp_path / "an" / "analyze_summary.json").read_text())["schedule_conformant"]
+        assert main(["dim", "--config", config, "--n", "5", "--out", str(tmp_path / "dim")]) == 0
+
     def test_missing_digit_file_exits_two(self, tmp_path):
         config = write_config(tmp_path)
         code = main(

@@ -518,6 +518,34 @@ class TestBlockOf:
         assert ta * (m - 1) * m // 2 + tb * (m - 1) + offset == n
 
 
+class TestOneBlockTable:
+    """Both parameterizations read (v_m, t_m) from one table, so a pairs
+    rule listing an affine rule's first blocks is that rule up to them."""
+
+    @pytest.mark.parametrize(
+        "value_affine, repeat_affine",
+        [((4, 100), (1, 0)), ((2, 0), (2, 0)), ((1, 1), (0, 3)), ((3, 2), (3, -2)), ((0, 5), (4, 5))],
+    )
+    def test_listed_blocks_agree_with_the_affine_rule(self, value_affine, repeat_affine):
+        (va, vb), (ta, tb) = value_affine, repeat_affine
+        blocks = 9
+        affine = BlockRepetitionRule(value_affine=value_affine, repeat_affine=repeat_affine)
+        pairs = BlockRepetitionRule(pairs=[(va * m + vb, ta * m + tb) for m in range(1, blocks + 1)])
+        end = pairs.domain_max
+        assert end == sum(ta * m + tb for m in range(1, blocks + 1))
+        for n in range(1, end + 1):
+            assert pairs.block_of(n) == affine.block_of(n)
+            assert pairs.q(n) == affine.q(n)
+            ahead = end + 1 - n
+            assert list(islice(pairs.iter_values(n), ahead)) == list(islice(affine.iter_values(n), ahead))
+        past = f"position {end + 1} past end of block-repetition rule \\(length {end}\\)"
+        for read in (lambda: pairs.q(end + 1), lambda: pairs.block_of(end + 1),
+                     lambda: list(pairs.iter_values(end + 1)), lambda: list(pairs.iter_values(1))):
+            with pytest.raises(OutOfDomainError, match=past):
+                read()
+        assert affine.q(end + 1) == va * (blocks + 1) + vb
+
+
 def walk_rules():
     """One rule of every kind and parameterization, and a contraction and
     two shifted contractions of each, by test id."""

@@ -78,6 +78,28 @@ class TestComputeNu:
         with pytest.raises(ScheduleError, match=f"not crossed within {budget} positions"):
             compute_nu(spec, 2)
 
+    @pytest.mark.parametrize("tail", [1, 4])
+    def test_scan_reads_through_tail_plus_budget(self, monkeypatch, tail):
+        # q = 2 through position tail + 4, then 16 = S_2^4: with a budget
+        # of 5 the last position scanned crosses; with 4 the scan gives up.
+        rule = ExplicitListRule([2] * (tail + 4) + [16] * 3, monotone_tail_from=tail)
+        spec = ChainSpec(base=rule, s=ConstantRule(2), depth=2)
+        monkeypatch.setattr(theta, "SCAN_BUDGET", 5)
+        assert compute_nu(spec, 2) == tail + 5
+        monkeypatch.setattr(theta, "SCAN_BUDGET", 4)
+        with pytest.raises(ScheduleError, match="not crossed within 4 positions"):
+            compute_nu(spec, 2)
+
+    def test_scan_past_the_domain_says_so(self, monkeypatch):
+        rule = ExplicitListRule([2] * 6, monotone_tail_from=1)
+        spec = ChainSpec(base=rule, s=ConstantRule(2), depth=2)
+        monkeypatch.setattr(theta, "SCAN_BUDGET", 5)
+        with pytest.raises(ScheduleError, match="not crossed within 5 positions"):
+            compute_nu(spec, 2)
+        monkeypatch.setattr(theta, "SCAN_BUDGET", 6)
+        with pytest.raises(ScheduleError, match="never crossed within rule domain: position 7 past end"):
+            compute_nu(spec, 2)
+
 
 class TestBuildSchedule:
     def test_tables(self, schedule_a):
@@ -97,6 +119,23 @@ class TestBuildSchedule:
                 2 * j * spec_a.s_value(j) * schedule_a.nu(j + 1) - 1
             )
             assert lhs == rhs
+
+    def test_deep_config_reads_no_huge_base(self, monkeypatch):
+        # At depth 7 the doubling base's q at L_5 + 1 has about 2.4e10
+        # bits; every verify row must be decided without it.
+        def small_q(self, n):
+            if n > 10**8:
+                raise AssertionError(f"schedule read q_{n}")
+            return self.spec.base.q(n)
+
+        monkeypatch.setattr(ThetaSchedule, "q", small_q)
+        for depth in (7, 8, 10):
+            schedule = build_schedule(doubling_spec(depth=depth))
+            assert schedule.levels == depth - 1
+            assert schedule.big_l(5) == 24_490_045_440
+            rows = {name: (ok, detail) for name, ok, detail in schedule.verify()}
+            first = schedule.big_l(5) + 1
+            assert rows["level 6 opens past its threshold"] == (True, f"q_{first} >= S_6^12")
 
     def test_depth_one_schedules_first_level(self):
         schedule = build_schedule(doubling_spec(depth=1))
