@@ -124,8 +124,7 @@ class TestBuildSchedule:
         # At depth 7 the doubling base's q at L_5 + 1 has about 2.4e10
         # bits; every verify row must be decided without it.
         def small_q(self, n):
-            if n > 10**8:
-                raise AssertionError(f"schedule read q_{n}")
+            assert n <= 10**8, f"schedule read q_{n}"
             return self.spec.base.q(n)
 
         monkeypatch.setattr(ThetaSchedule, "q", small_q)
