@@ -4,17 +4,18 @@ The manifest maps a section to {path under the run directory: digest}.
 Section "small" holds every report and the stdout of the runs in
 ``SMALL_RUNS``; ``tests/test_golden.py`` reruns them in-process on each
 tier-1 run.  Section "full-coverage" holds the doubling config's
-``generate``, ``analyze`` and ``dim`` outputs at n = 36288, and the
+``generate``, ``analyze`` and ``dim`` outputs at n = 36288, the
 ratio-3 config's seeded ``generate --n 4000`` and its ``analyze`` as
-gen3 and analyze3, which the CI job of that name checks:
+gen3 and analyze3, and its ``dim --n 16128`` (full coverage) as dim3,
+which the CI job of that name checks:
 
-    python3 tests/golden.py check full-coverage OUT gen analyze dim gen3 analyze3
+    python3 tests/golden.py check full-coverage OUT gen analyze dim gen3 analyze3 dim3
 
 A change that alters report bytes on purpose rewrites a section, says so
 in CHANGES.md, and commits the new manifest:
 
     PYTHONPATH=src python3 tests/golden.py write small
-    python3 tests/golden.py write full-coverage OUT gen analyze dim gen3 analyze3
+    python3 tests/golden.py write full-coverage OUT gen analyze dim gen3 analyze3 dim3
 """
 
 from __future__ import annotations
