@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, atomic_write, count_block
 from .numeric import int_text, sqrt_lower
-from .sequences import partial_sum_qnk, window_reciprocal_sums
+from .sequences import partial_sum_qnk, reciprocal_sums
 
 __all__ = [
     "COND_START",
@@ -440,7 +440,7 @@ def dn_diagnostic(
     ``expansion.level_points``; both lists are consumed, as by
     ``star_discrepancy_ladder``.  The whole ladder is one exact integer
     sweep, and the proxies come from one running sum
-    (``window_reciprocal_sums``).  Power-of-two bases put every ratio
+    (``reciprocal_sums``).  Power-of-two bases put every ratio
     over one common denominator, the largest base, by a shift; other
     bases sort their ratios by floor keys over 2**(2b+1), b the widest
     base's bit length, which recover the few ratios settled exactly, so
@@ -456,7 +456,7 @@ def dn_diagnostic(
     lengths = sorted(set(int(p) for p in prefix_lengths))
     if lengths and not 1 <= lengths[0] <= lengths[-1] <= len(dens):
         raise ValueError(f"prefix lengths must lie in 1..{len(dens)}")
-    sums = window_reciprocal_sums(dens, 1, lengths)
+    sums = reciprocal_sums(dens, lengths)
     dstars = star_discrepancy_ladder(nums, dens, lengths)
     for n, dstar, running_recip in zip(lengths, dstars, sums):
         report.rows.append(

@@ -28,7 +28,6 @@ schedule machinery requires callers to certify tail monotonicity via
 from __future__ import annotations
 
 import operator
-from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from itertools import accumulate, groupby, islice, repeat
@@ -48,7 +47,7 @@ __all__ = [
     "ContractionRule",
     "block_positions",
     "ChainSpec",
-    "window_reciprocal_sums",
+    "reciprocal_sums",
     "partial_sum_qnk",
     "growth_condition_trace",
     "rule_to_json",
@@ -397,7 +396,9 @@ class ChainSpec:
     where s_j is the j-th value of the step sequence.  S_j denotes the
     cumulative product s_1 * ... * s_{j-1} (so S_1 = 1), which is the
     block length of Q_j relative to the base, so Q_j is one
-    S_j-contraction of the base rather than j-1 nested ones.
+    S_j-contraction of the base rather than j-1 nested ones.  Nothing is
+    memoized: S_j and each level rule are formed on every call, and a
+    schedule keeps its own table of S_j.
     """
 
     def __init__(self, base: BasicSequenceRule, s: BasicSequenceRule, depth: int):
@@ -406,7 +407,6 @@ class ChainSpec:
         self.base = base
         self.s = s
         self.depth = depth
-        self._cache: dict = {}
 
     def s_value(self, j: int) -> int:
         return self.s.q(j)
@@ -415,10 +415,7 @@ class ChainSpec:
         """S_j: product of the first j-1 contraction steps (S_1 = 1)."""
         if j < 1:
             raise RuleError(f"S_j defined for j >= 1, got {j}")
-        key = ("S", j)
-        if key not in self._cache:
-            self._cache[key] = prod(self.s.values(j - 1))
-        return self._cache[key]
+        return prod(self.s.values(j - 1))
 
     def rule(self, j: int, k: int = 0) -> BasicSequenceRule:
         """Chain level j with shift k: ``ContractionRule(base, S_j, k or
@@ -428,62 +425,40 @@ class ChainSpec:
         big_s = self.big_s(j)
         if not 0 <= k < big_s:
             raise OutOfDomainError(f"shift {k} outside 0..{big_s - 1} at level {j}")
-        key = ("rule", j, k)
-        if key not in self._cache:
-            self._cache[key] = (
-                self.base if big_s == 1 else ContractionRule(self.base, big_s, k or big_s)
-            )
-        return self._cache[key]
+        return self.base if big_s == 1 else ContractionRule(self.base, big_s, k or big_s)
 
 
-def _window_products(values: Iterator[int], k: int) -> Iterator[int]:
-    """q_j * ... * q_{j+k-1} for j = 1, 2, ..., each yielded as soon as
-    its last value is read."""
-    window = deque(islice(values, k - 1))
-    product = prod(window)
-    for q in values:
-        window.append(q)
-        product *= q
-        yield product
-        product //= window.popleft()
-
-
-def window_reciprocal_sums(
-    bases: Iterable[int], k: int, stops: Iterable[int]
-) -> list[Fraction]:
-    """Running sums over j <= n of 1/(q_j * ... * q_{j+k-1}), one per stop n.
+def reciprocal_sums(bases: Iterable[int], stops: Iterable[int]) -> list[Fraction]:
+    """Running sums over j <= n of 1/q_j, one per stop n.
 
     ``bases`` yields q_1, q_2, ... and is read only as far as the last
-    stop needs (n + k - 1 values); ``stops`` must be nondecreasing, so
-    one pass serves a whole prefix ladder.  Each run of equal window
-    products enters the sum once.  Products that are powers of two
-    2**e add up as one integer over 2**w, w the largest e so far; only
-    other products and each stop's sum are formed as ``Fraction``.
+    stop; ``stops`` must be nondecreasing, so one pass serves a whole
+    prefix ladder.  Each run of equal bases enters the sum once.  Bases
+    that are powers of two 2**e add up as one integer over 2**w, w the
+    largest e so far; only other bases and each stop's sum are formed as
+    ``Fraction``.
     """
-    if k < 1:
-        raise OutOfDomainError(f"window length must be >= 1, got {k}")
     values = iter(bases)
-    # A window of one is its base: no product to form or copy.
-    products = values if k == 1 else _window_products(values, k)
     other = Fraction(0)
     dyadic, width = 0, 0  # the power-of-two terms: dyadic / 2**width
     covered = 0
     sums = []
     for n in stops:
-        if n > covered:
-            for product, run in groupby(islice(products, n - covered)):
-                length = len(list(run))
-                covered += length
-                e = product.bit_length() - 1
-                if product != 1 << e:
-                    other += Fraction(length, product)
-                    continue
-                if e > width:
-                    dyadic <<= e - width
-                    width = e
-                dyadic += length << (width - e)
-            if covered < n:
-                raise OutOfDomainError(f"stop {n} needs {n + k - 1} bases; fewer were given")
+        if n < covered:
+            raise ValueError(f"stops must be nondecreasing from 0; got {n} after {covered}")
+        for q, run in groupby(islice(values, n - covered)):
+            length = len(list(run))
+            covered += length
+            e = q.bit_length() - 1
+            if q != 1 << e:
+                other += Fraction(length, q)
+                continue
+            if e > width:
+                dyadic <<= e - width
+                width = e
+            dyadic += length << (width - e)
+        if covered < n:
+            raise OutOfDomainError(f"stop {n} needs {n} bases; fewer were given")
         sums.append(other + Fraction(dyadic, 1 << width))
     return sums
 
@@ -492,7 +467,10 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
     """Sum over j <= n of 1/(q_j * ... * q_{j+k-1}); 0 for n = 0."""
     if n < 0:
         raise OutOfDomainError(f"prefix length must be >= 0, got {n}")
-    return window_reciprocal_sums(rule.iter_values(), k, [n])[0]
+    if k < 1:
+        raise OutOfDomainError(f"window length must be >= 1, got {k}")
+    values = rule.values(n + k - 1)
+    return reciprocal_sums((prod(values[j : j + k]) for j in range(n)), [n])[0]
 
 
 def growth_condition_trace(

@@ -147,6 +147,7 @@ class ThetaSchedule:
     def __init__(self, spec: ChainSpec, levels: int, nu: dict, ell: list, big_l: list):
         self.spec = spec
         self.levels = levels
+        self._big_s = [spec.big_s(j) for j in range(1, levels + 2)]
         self._nu = nu
         self._ell = ell
         self._big_l = big_l
@@ -157,7 +158,9 @@ class ThetaSchedule:
         return self.spec.s_value(j)
 
     def big_s(self, j: int) -> int:
-        return self.spec.big_s(j)
+        if not 1 <= j <= self.levels + 1:
+            raise ScheduleError(f"S_{j} not computed (levels 1..{self.levels + 1})")
+        return self._big_s[j - 1]
 
     def nu(self, j: int) -> int:
         if j not in self._nu:

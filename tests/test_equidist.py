@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,19 @@ class TestStarDiscrepancyLadder:
     def test_rejects_bad_input(self, nums, dens, lengths):
         with pytest.raises(ValueError):
             star_discrepancy_ladder(nums, dens, lengths)
+
+    @pytest.mark.parametrize(
+        "nums, dens, message",
+        [
+            ([1, 3, 0], [4, 3, 5], "point 1 outside [0, 1)"),  # num = den
+            ([1, -2, 5], [4, 3, 3], "point -2/3 outside [0, 1)"),  # num < 0, then num > den
+            ([0, 1, 9], [2, 2**70, 2**3], "point 9/8 outside [0, 1)"),  # the last point
+            ([5, 0], [3, 2], "point 5/3 outside [0, 1)"),  # num > den first
+        ],
+    )
+    def test_names_the_first_point_outside(self, nums, dens, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            star_discrepancy_ladder(nums, dens, [1, len(nums)])
 
 
 def assert_dyadic_ladder(nums, w, lengths=None):

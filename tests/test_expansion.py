@@ -278,7 +278,7 @@ class TestTranscode:
                 for length in range(full.limit - big_s, full.limit + 1):
                     stream = DigitStream(spec.base, full.prefix(length))
                     coarse = transcode(stream, spec, j)
-                    assert coarse.rule is rule
+                    assert rule_to_json(coarse.rule) == rule_to_json(rule)
                     assert coarse.limit == rule.blocks_in(length) == length // big_s
                     assert coarse.digit_list == level_points(stream, spec, j)[0]
                     back = transcode_inverse(coarse, spec, j)

@@ -136,6 +136,13 @@ class TestBuildSchedule:
             first = schedule.big_l(5) + 1
             assert rows["level 6 opens past its threshold"] == (True, f"q_{first} >= S_6^12")
 
+    def test_s_table_ends_one_level_past_the_schedule(self, schedule_a):
+        # S_j is tabulated for j = 1 .. levels + 1 and read from the table.
+        assert [schedule_a.big_s(j) for j in range(1, 5)] == [1, 2, 4, 8]
+        for j in (0, 5):
+            with pytest.raises(ScheduleError, match=rf"^S_{j} not computed \(levels 1\.\.4\)$"):
+                schedule_a.big_s(j)
+
     def test_depth_one_schedules_first_level(self):
         schedule = build_schedule(doubling_spec(depth=1))
         assert schedule.levels == 1
