@@ -469,7 +469,7 @@ def partial_sum_qnk(rule: BasicSequenceRule, n: int, k: int) -> Fraction:
         raise OutOfDomainError(f"prefix length must be >= 0, got {n}")
     if k < 1:
         raise OutOfDomainError(f"window length must be >= 1, got {k}")
-    values = rule.values(n + k - 1)
+    values = rule.values(n + k - 1) if n else []
     return reciprocal_sums((prod(values[j : j + k]) for j in range(n)), [n])[0]
 
 

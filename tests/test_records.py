@@ -65,7 +65,7 @@ class TestChainSpec:
         with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
             ChainSpec(base=GeometricRule(8, 2), s=ConstantRule(2), depth=depth)
 
-    def test_each_spec_has_its_own_cache(self):
+    def test_each_spec_has_its_own_steps(self):
         a = ChainSpec(GeometricRule(8, 2), ConstantRule(2), 3)
         b = ChainSpec(GeometricRule(8, 2), ConstantRule(3), 3)
         assert (a.big_s(3), b.big_s(3)) == (4, 9)

@@ -82,6 +82,9 @@ class TestPartialSums:
     def test_empty_sum(self):
         assert partial_sum_qnk(ConstantRule(3), 0, 2) == 0
 
+    def test_empty_sum_reads_no_bases(self):
+        assert partial_sum_qnk(ExplicitListRule([2, 3]), 0, 5) == 0
+
     def test_strictly_increasing_in_n(self):
         rule = GeometricRule(2, 2)
         prev = Fraction(0)
