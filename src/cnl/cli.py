@@ -319,7 +319,7 @@ def cmd_dim(args) -> int:
     omega_text = IntTexts()
 
     def write_row(row) -> None:
-        fh.write(",".join(row.csv_fields(omega_text)) + "\n")
+        fh.write(row.csv_line(omega_text))
         if row.k > args.n - window:
             tail["d_exact"] = _lower((row.d_exact_num, row.d_exact_den), tail.get("d_exact"))
             tail["d_bound"] = _lower((row.d_bound_num, row.d_bound_den), tail.get("d_bound"))

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from .expansion import DigitStream, mixed_radix
 from .numeric import format_ratio, hp_ln, int_text
 from .sequences import growth_condition_trace
-from .theta import ScheduleError, ThetaSchedule, digit_candidates
+from .theta import ScheduleError, ThetaSchedule, candidate_count, digit_candidates
 
 __all__ = [
     "GeometryError",
@@ -124,7 +124,7 @@ def theta_geometry(schedule: ThetaSchedule, depth: int) -> list[LevelGeometry]:
             eps = Fraction(info.a * info.a - 1, info.a * info.a) / q_prod_prev
         if prev_eps is not None and not eps < prev_eps:
             raise GeometryError(f"gap floor fails to decrease at level {k}")
-        out.append(LevelGeometry(k=k, m=digit_candidates(schedule, k, info, q).count, eps=eps))
+        out.append(LevelGeometry(k=k, m=candidate_count(info, q), eps=eps))
         prev_eps = eps
         q_prod_prev *= q
     return out
@@ -173,15 +173,13 @@ class DimensionTraceRow(NamedTuple):
     d_bound_num: int
     d_bound_den: int
 
-    def csv_fields(self, omega_text: Callable[[int], str] = int_text) -> list[str]:
-        return [
-            str(self.k),
-            str(self.level),
-            omega_text(self.omega),
-            format_ratio(self.log2_eps_num, self.ln2_lo),
-            format_ratio(self.d_exact_num, self.d_exact_den),
-            format_ratio(self.d_bound_num, self.d_bound_den),
-        ]
+    def csv_line(self, omega_text: Callable[[int], str] = int_text) -> str:
+        """The row's line of ``dim_trace.csv``, newline included."""
+        k, level, omega, eps_num, ln2_lo, exact_num, exact_den, bound_num, bound_den = self
+        return (
+            f"{k},{level},{omega_text(omega)},{format_ratio(eps_num, ln2_lo)},"
+            f"{format_ratio(exact_num, exact_den)},{format_ratio(bound_num, bound_den)}\n"
+        )
 
 
 def theta_dimension_trace(
@@ -196,13 +194,16 @@ def theta_dimension_trace(
 
     Everything streams in log space so gap denominators (products of
     all earlier bases) never materialize.  Row k reports the level i(k),
-    the exact candidate count, log2 of the exact gap, and both d_k
-    variants; rows start at k = 2.  Every sum of ``hp_ln`` enclosure
-    ends rounds in the direction that keeps each d_k a lower bound.
+    the exact candidate count omega(k), log2 of the exact gap, and both
+    d_k variants; rows start at k = 2.  omega(k) comes from the window
+    bounds (``candidate_count``), with no ``CandidateSet`` built.  Every
+    sum of ``hp_ln`` enclosure ends rounds in the direction that keeps
+    each d_k a lower bound.
 
     Each ``DimensionTraceRow`` goes to ``emit`` as soon as it is made;
     none is kept.  Its ratios are the integer pairs of the log sums, so
-    no ``Fraction`` is formed per row.  The same walk's ln q_n
+    no ``Fraction`` is formed per row, and it is built by ``tuple.__new__``
+    without the record's Python-level ``__new__``.  The same walk's ln q_n
     enclosures feed ``growth_condition_trace(..., emit=growth)``, whose
     flag is returned.
     """
@@ -217,7 +218,7 @@ def theta_dimension_trace(
         sum_log_bound = 0  # bound-substituted numerator
         for info, q in islice(schedule.walk(), horizon):
             k = info.n
-            omega = digit_candidates(schedule, k, info, q).count
+            omega = candidate_count(info, q)
             q_lo, q_hi = hp_ln(q, bits)
             log_omega = hp_ln(omega, bits)[0]
             weighted = (info.level - 1) * q_lo // info.level  # rounded down
@@ -230,12 +231,10 @@ def theta_dimension_trace(
                 denom_bound = sum_log_q - weighted
                 if denom_exact <= 0 or denom_bound <= 0:
                     raise GeometryError(f"no contraction to measure at k = {k}")
-                emit(
-                    DimensionTraceRow(
-                        k, info.level, omega, log_gap_factor - sum_log_q, ln2_lo,
-                        sum_log_omega, denom_exact, sum_log_bound, denom_bound,
-                    )
-                )
+                emit(tuple.__new__(DimensionTraceRow, (
+                    k, info.level, omega, log_gap_factor - sum_log_q, ln2_lo,
+                    sum_log_omega, denom_exact, sum_log_bound, denom_bound,
+                )))
             sum_log_q += q_hi
             sum_log_omega += log_omega
             sum_log_bound += weighted

@@ -41,10 +41,14 @@ def hp_ln(x: int | Fraction, bits: int | None = None) -> tuple[int, int]:
     ``bits`` None means 64.
     """
     bits = _DEFAULT_BITS if bits is None else bits
-    num, den = x.numerator, x.denominator  # an int is num / 1
-    if num <= 0:
+    if x <= 0:
         raise ValueError("hp_ln requires a positive argument")
     # Extra guard bits absorb e * (error of ln 2) for exponents e < 2**mag.
+    if isinstance(x, int):  # the denominator 1 adds ln 1 = 0
+        work = bits + 20 + x.bit_length().bit_length() + bits.bit_length()
+        lo, hi = _ln_int(x, work)
+        return lo >> (work - bits), -(-hi >> (work - bits))
+    num, den = x.numerator, x.denominator
     mag = max(num.bit_length(), den.bit_length()).bit_length()
     work = bits + 20 + mag + bits.bit_length()
     num_lo, num_hi = _ln_int(num, work)
@@ -135,20 +139,31 @@ def _power_of_two(k: int) -> Decimal:
 
 
 class IntTexts:
-    """``int_text`` across a run of integers.  A value that is the previous
-    one times an integer m of at most 64 more bits (bit lengths, then one
-    ``divmod``) is the previous ``Decimal`` times m, exact or raising, and
-    one ``str``, both linear in the digits; others go through ``int_text``."""
+    """``int_text`` across a run of integers.  A value of at most 64 more
+    bits than the previous one that is the previous one times an integer m
+    plus r, |r| < 2**64, is the previous ``Decimal`` times m plus r, exact
+    or raising, and one ``str``, all linear in the digits; others go
+    through ``int_text``.  A shift and a compare find m when it is a power
+    of two (doubling omega_k), else one ``divmod`` gives m or m + 1 (ratio-3
+    omega_k is 3 omega_(k-1) plus or minus a small remainder)."""
 
     def __init__(self) -> None:
         self._prev, self._decimal = 0, Decimal(0)
 
     def __call__(self, value: int) -> str:
         prev, self._prev = self._prev, value
-        if prev and 0 <= value.bit_length() - prev.bit_length() <= 64:
-            m, rem = divmod(value, prev)
-            if not rem:
+        shift = value.bit_length() - prev.bit_length()
+        if prev and 0 <= shift <= 64:
+            if value == prev << shift:
+                m, rem = 1 << shift, 0
+            else:
+                m, rem = divmod(value, prev)
+                if rem.bit_length() > 64:
+                    m, rem = m + 1, rem - prev
+            if rem.bit_length() <= 64:
                 self._decimal = _EXACT.multiply(self._decimal, m)
+                if rem:
+                    self._decimal = _EXACT.add(self._decimal, rem)
                 return str(self._decimal)
         text = int_text(value)
         self._decimal = Decimal(text)
@@ -162,12 +177,15 @@ def fraction_text(value: Fraction) -> str:
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
+_TENS = [10**digits for digits in range(13)]  # up to format_ratio's default of 12 digits
+
+
 def format_ratio(num: int, den: int, digits: int = 12) -> str:
     """Fixed-point decimal text of num/den, for den > 0 and any common factor,
     rounded half away from zero."""
     if digits < 0:
         raise ValueError(f"need digits >= 0, got {digits}")
-    scaled, rem = divmod(abs(num) * 10**digits, den)
+    scaled, rem = divmod(abs(num) * (_TENS[digits] if digits < 13 else 10**digits), den)
     if 2 * rem >= den:
         scaled += 1
     text = str(scaled).rjust(digits + 1, "0")

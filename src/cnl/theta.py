@@ -47,6 +47,7 @@ __all__ = [
     "compute_nu",
     "build_schedule",
     "digit_candidates",
+    "candidate_count",
     "generate_digits",
     "extract_y",
     "extract_y_prefix",
@@ -154,9 +155,6 @@ class ThetaSchedule:
 
     # Table accessors (1-based level indices).
 
-    def s_value(self, j: int) -> int:
-        return self.spec.s_value(j)
-
     def big_s(self, j: int) -> int:
         if not 1 <= j <= self.levels + 1:
             raise ScheduleError(f"S_{j} not computed (levels 1..{self.levels + 1})")
@@ -247,10 +245,10 @@ class ThetaSchedule:
 
     def dump_json(self) -> dict:
         return {
-            "S": [self.big_s(j) for j in range(1, self.levels + 2)],
-            "nu": [None] + [self.nu(j) for j in range(2, self.levels + 2)],
-            "l": [self.ell(j) for j in range(1, self.levels + 1)],
-            "L": [self.big_l(j) for j in range(1, self.levels + 1)],
+            "S": list(self._big_s),
+            "nu": [None, *self._nu.values()],
+            "l": list(self._ell),
+            "L": list(self._big_l),
             "window_shift": "c-1",
             "y_index_base": 0,
         }
@@ -259,7 +257,7 @@ class ThetaSchedule:
         """Structural identities; build_schedule raises on any failure."""
         checks: list[tuple[str, bool, str]] = []
         for j in range(1, self.levels + 1):
-            s_j = self.s_value(j)
+            s_j = self.spec.s_value(j)
             l_j = self.ell(j)
             checks.append(
                 (f"l_{j} >= j*s_{j}", l_j >= j * s_j, f"{l_j} >= {j * s_j}")
@@ -389,21 +387,34 @@ def digit_candidates(
     """
     if info is None:
         info, q = schedule.phi_inv(n), schedule.q(n)
-    lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
-    # ceil(q x / den) = whole x + ceil(part x / den), from one division of q;
-    # with hi = lo + 1 the upper bound is the lower one plus whole and the
-    # difference of the two small ceilings.
-    whole, part = divmod(q, den)
-    c_lo = -(-part * lo // den)
+    count, whole, lo, c_lo = _window_count(info, q)
     f_min = whole * lo + c_lo
-    f_max = f_min + whole + (-(-part * hi // den) - c_lo - 1)
-    if f_min < 1:
-        f_min = 1
-    if f_max >= q:
-        f_max = q - 1
-    if f_min > f_max:
-        raise ScheduleError(f"empty candidate window at position {n}")
-    return _new_tuple(CandidateSet, (f_min, f_max))
+    return _new_tuple(CandidateSet, (f_min, f_min + count - 1))
+
+
+def candidate_count(info: PositionInfo, q: int) -> int:
+    """``digit_candidates``' count for the walk step (info, q), with no
+    ``CandidateSet`` and no product for its f_min."""
+    return _window_count(info, q)[0]
+
+
+def _window_count(info: PositionInfo, q: int) -> tuple[int, int, int, int]:
+    """(count, whole, lo, c_lo) of a position's window: q = whole den + part
+    from one division (a shift when den is a power of two), c_lo =
+    ceil(part lo / den), so f_min = ceil(q lo / den) = whole lo + c_lo, and
+    with hi = lo + 1 the count is whole plus the difference of two small
+    ceilings.  Neither clamp to 1 .. q - 1 changes a nonempty window: f_min
+    >= 1, and f_max passes q - 1 only when hi > den, where lo >= den puts
+    f_min past it too.
+    """
+    lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
+    e = den.bit_length() - 1
+    whole, part = (q >> e, q & (den - 1)) if den == 1 << e else divmod(q, den)
+    c_lo = -(-part * lo // den)
+    count = whole + (-(-part * hi // den) - c_lo)
+    if count < 1 or hi > den:
+        raise ScheduleError(f"empty candidate window at position {info.n}")
+    return count, whole, lo, c_lo
 
 
 def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) -> Iterator[int]:
@@ -532,9 +543,7 @@ def position_decomposition(
         if n <= schedule.big_l(t) // step:
             m = n - schedule.big_l(t - 1) // step
             span = schedule.big_s(t) // step
-            return YPrefixDecomposition(
-                prefix=n, level=t, m=m, alpha=m // span, beta=m % span
-            )
+            return YPrefixDecomposition(n, t, m, m // span, m % span)
     raise ScheduleError(
         f"prefix {n} beyond the scheduled range (max {schedule.big_l(schedule.levels) // step})"
     )

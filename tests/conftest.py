@@ -10,7 +10,7 @@ import pytest
 
 from cnl.dimension import DimensionTraceRow, theta_dimension_trace
 from cnl.expansion import DigitStream
-from cnl.numeric import hp_ln
+from cnl.numeric import _ln_int, hp_ln
 from cnl.sequences import (
     ChainSpec,
     ConstantRule,
@@ -81,6 +81,19 @@ def row_ratios(row: DimensionTraceRow) -> Ratios:
         Fraction(row.d_exact_num, row.d_exact_den),
         Fraction(row.d_bound_num, row.d_bound_den),
     )
+
+
+def hp_ln_reference(x: int | Fraction, bits: int | None = None) -> tuple[int, int]:
+    """``hp_ln`` as one formula for integers and fractions alike: an
+    integer is read as a fraction over 1, whose ln is taken too."""
+    bits = 64 if bits is None else bits
+    num, den = x.numerator, x.denominator
+    mag = max(num.bit_length(), den.bit_length()).bit_length()
+    work = bits + 20 + mag + bits.bit_length()
+    num_lo, num_hi = _ln_int(num, work)
+    den_lo, den_hi = _ln_int(den, work)
+    shift = work - bits
+    return (num_lo - den_hi) >> shift, -((den_lo - num_hi) >> shift)
 
 
 def ln_enclosures(rule, bits: int | None = None):

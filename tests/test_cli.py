@@ -14,7 +14,7 @@ from cnl import cli, dimension, theta
 from cnl.cli import main
 from cnl.dimension import DimensionTraceRow
 from cnl.numeric import format_decimal
-from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
+from cnl.theta import CandidateSet, ThetaSchedule, candidate_count, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
 from .conftest import growth_ratios, row_ratios, short_list_spec, trace_rows
@@ -509,7 +509,7 @@ class TestDim:
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", str(n)]) == 0
         rows = trace_rows(schedule_a, n)
         lines = (out / "dim_trace.csv").read_text().splitlines()[1:]
-        assert lines == [",".join(row.csv_fields()) for row in rows]
+        assert lines == [row.csv_line().rstrip("\n") for row in rows]
         window = max(1, len(rows) // 10)
         summary = json.loads((out / "dim_summary.json").read_text())
         assert summary["trailing_window"] == window
@@ -531,18 +531,16 @@ class TestDim:
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", "60"]) == 0
         assert json.loads((out / "dim_summary.json").read_text())["precision_bits"] == 32
         lines = (out / "dim_trace.csv").read_text().splitlines()[1:]
-        assert lines == [",".join(row.csv_fields()) for row in trace_rows(schedule_a, 60, 32)]
-        assert lines != [",".join(row.csv_fields()) for row in trace_rows(schedule_a, 60)]
+        assert lines == [row.csv_line().rstrip("\n") for row in trace_rows(schedule_a, 60, 32)]
+        assert lines != [row.csv_line().rstrip("\n") for row in trace_rows(schedule_a, 60)]
 
     def test_geometry_error_mid_trace_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # A candidate count at k = 50 wider than the cylinder leaves nothing
         # to contract; rows 2..49 were already written when the trace stops.
-        def inflated(schedule, n, info=None, q=None):
-            if n == 50:
-                return CandidateSet(1, q**60)
-            return digit_candidates(schedule, n, info, q)
+        def inflated(info, q):
+            return q**60 if info.n == 50 else candidate_count(info, q)
 
-        monkeypatch.setattr(dimension, "digit_candidates", inflated)
+        monkeypatch.setattr(dimension, "candidate_count", inflated)
         config = write_config(tmp_path)
         out = tmp_path / "dim"
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", "100"]) == 1
@@ -551,14 +549,14 @@ class TestDim:
         assert list(out.iterdir()) == []
 
     def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
-        fields = DimensionTraceRow.csv_fields
+        line = DimensionTraceRow.csv_line
 
-        def failing(row):
+        def failing(row, omega_text):
             if row.k == 50:
                 raise RuntimeError("disk full")
-            return fields(row)
+            return line(row, omega_text)
 
-        monkeypatch.setattr(DimensionTraceRow, "csv_fields", failing)
+        monkeypatch.setattr(DimensionTraceRow, "csv_line", failing)
         config = write_config(tmp_path)
         out = tmp_path / "dim"
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", "100"]) == 3

@@ -5,8 +5,11 @@ Each example builds a config, runs seeded ``theta generate``, then
 ``dim``, all through ``cli.main``, and checks every ``dn_j*`` and
 ``rn_j*`` row against a reference computed here from the digits alone:
 the brute-force star discrepancy of the level's points and a direct
-``Fraction`` sum of 1/q over the level's bases.  Composed- and
-shifted-contraction bases reach the CLI only here.
+``Fraction`` sum of 1/q over the level's bases, and every ``dim_trace.csv``
+omega_k against ``digit_candidates``, which looks the position up with
+``phi_inv`` and ``q``, and against a count of the digits in the position's
+``Fraction`` window.  Composed- and shifted-contraction bases reach the CLI
+only here.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 
 from cnl.cli import main
 from cnl.expansion import DigitStream, load_jsonl, mixed_radix, transcode
+from cnl.numeric import hp_ln
 from cnl.sequences import (
     BlockRepetitionRule,
     ChainSpec,
@@ -36,9 +41,9 @@ from cnl.sequences import (
     RuleError,
     rule_to_json,
 )
-from cnl.theta import ScheduleError, build_schedule
+from cnl.theta import ScheduleError, build_schedule, digit_candidates
 
-from .conftest import brute_force_star_discrepancy
+from .conftest import brute_force_star_discrepancy, hp_ln_reference
 
 EXAMPLES = 3  # per rule kind
 MIN_COVERAGE = 20
@@ -184,7 +189,23 @@ def check_commands(root: Path, spec: ChainSpec, n: int, seed: int) -> int:
         assert code == 1 and outgrows_its_prefix(spec.base.values(n)), err.getvalue()
         assert err.getvalue().startswith("dimension trace rejected: no contraction to measure")
         assert not (root / "dim" / "dim_summary.json").exists()
+        return code
+    schedule = build_schedule(spec)
+    rows = csv_rows(root / "dim" / "dim_trace.csv")
+    assert [int(row["k"]) for row in rows] == list(range(2, n + 1))
+    for row in rows:
+        k = int(row["k"])
+        omega = int(Decimal(row["omega_k"]))
+        assert omega == digit_candidates(schedule, k).count == window_count(schedule, k), k
     return code
+
+
+def window_count(schedule, k: int) -> int:
+    """The digits F in 1 .. q_k - 1 with F / q_k in position k's window,
+    counted from the window's ``Fraction`` ends."""
+    info, q = schedule.phi_inv(k), schedule.q(k)
+    lo, hi = schedule.window(info.level, info.offset, k)
+    return min(math.ceil(q * hi) - 1, q - 1) - max(math.ceil(q * lo), 1) + 1
 
 
 def outgrows_its_prefix(bases: list[int]) -> bool:
@@ -195,3 +216,18 @@ def outgrows_its_prefix(bases: list[int]) -> bool:
             return True
         before *= q
     return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(
+        st.integers(1, 2**80),
+        st.integers(1, 2**6000),
+        st.integers(0, 6000).map(lambda e: 1 << e),
+        st.integers(0, 3000).map(lambda e: 3**e),
+    ),
+    bits=st.one_of(st.none(), st.integers(8, 300)),
+)
+def test_hp_ln_of_an_integer_is_the_fraction_formula(x, bits):
+    # hp_ln skips the ln of an integer's denominator 1; the reference takes it.
+    assert hp_ln(x, bits) == hp_ln_reference(x, bits)

@@ -182,11 +182,10 @@ class TestDimensionTrace:
         for row in rows:
             assert all(type(field) is int for field in row)
             assert row.ln2_lo > 0 and row.d_exact_den > 0 and row.d_bound_den > 0
-            assert row.csv_fields()[3:] == [format_decimal(r) for r in row_ratios(row)]
+            cells = row.csv_line().rstrip("\n").split(",")
+            assert cells[3:] == [format_decimal(r) for r in row_ratios(row)]
 
-    def test_csv_fields_of_unreduced_pairs(self):
+    def test_csv_line_of_unreduced_pairs(self):
         row = DimensionTraceRow(5, 2, 16, -30, 20, 6, 9, -4, 8)
         assert row_ratios(row) == (Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 2))
-        assert row.csv_fields() == [
-            "5", "2", "16", "-1.500000000000", "0.666666666667", "-0.500000000000"
-        ]
+        assert row.csv_line() == "5,2,16,-1.500000000000,0.666666666667,-0.500000000000\n"

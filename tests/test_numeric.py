@@ -306,6 +306,22 @@ def int_text_runs():
     yield [big, big * (2**64 + 1), big * (2**64 + 1) * (2**64 - 1), 2**64 * big]
     yield [5**3000, 5**3000 * (2**64 + 1), 5**3000 * (2**64 + 1) * 2]
     yield [big, big // 3, big // 3 + 1, 0, 0, 12, -24, -48, 96, -(big << 1), big << 2, 1, -1]
+    # Near-multiples prev * m + r with |r| < 2**64: positive r, negative r
+    # (3 prev - 1 is prev * 3 - 1, not prev * 2 + (prev - 1)), 65-bit r
+    # either way, which falls back to int_text, and negative values.
+    third = 3**2000
+    yield near_multiples(third, [(3, 1), (3, 2), (3, 2**64 - 1), (1, 5), (2**64, 1)])
+    yield near_multiples(third, [(3, -1), (3, -2), (3, 1 - 2**64), (2, -7)])
+    yield near_multiples(third, [(3, 2**64), (3, -(2**64)), (3, 1), (3, 2**65 + 1)])
+    yield near_multiples(-third, [(3, 0), (-3, 2), (3, -(2**63)), (-1, 0), (2, 1), (-3, -1)])
+
+
+def near_multiples(start: int, steps) -> list[int]:
+    """``start``, then each value the previous one times m plus r, for (m, r) in ``steps``."""
+    run = [start]
+    for m, r in steps:
+        run.append(m * run[-1] + r)
+    return run
 
 
 class TestIntTexts:
@@ -323,6 +339,18 @@ class TestIntTexts:
         texts = IntTexts()
         assert [texts(value) for value in run] == [str(value) for value in run]
         assert converted == [run[0], run[-2]]
+
+    def test_near_multiples_skip_int_text(self, monkeypatch):
+        # Only the first value and the steps whose remainder needs 65 bits
+        # either way (prev * 3 + 2**64 and prev * -3 - 2**64 - 1) are
+        # converted whole.
+        converted = []
+        monkeypatch.setattr(numeric, "int_text", lambda v: converted.append(v) or str(v))
+        steps = [(3, -1), (3, 1), (3, 2**64 - 1), (3, 2**64), (-3, -(2**64) - 1), (9, -3), (3, 5)]
+        run = near_multiples(3**2000, steps)
+        texts = IntTexts()
+        assert [texts(value) for value in run] == [str(value) for value in run]
+        assert converted == [run[0], run[4], run[5]]
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"

@@ -23,6 +23,7 @@ from cnl.theta import (
     TailCertificateError,
     ThetaSchedule,
     build_schedule,
+    candidate_count,
     compute_nu,
     digit_candidates,
     envelope,
@@ -225,6 +226,30 @@ class TestCandidates:
             cand = digit_candidates(schedule, info.n, info, q)
             assert cand.f_min == max(math.ceil(q * lo), 1)
             assert cand.f_max == min(math.ceil(q * hi) - 1, q - 1)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 8])
+    def test_count_from_the_clamped_fraction_window(self, a):
+        # Every offset at level 1 and deeper, for small and wide q, against
+        # the clamped digit range of the window in Fractions; an empty range
+        # raises, as a = 1 past level 1 always does.
+        for level in (1, 2):
+            for offset in range(1, a + 1):
+                for q in [*range(1, 80), 3**60, 2**70 + 1, 2**70]:
+                    if level == 1:
+                        lo, hi = Fraction(1, q), Fraction(2, q)
+                    else:
+                        lo = Fraction((offset - 1) * a + 1, a * a)
+                        hi = lo + Fraction(1, a * a)
+                    want = min(math.ceil(q * hi) - 1, q - 1) - max(math.ceil(q * lo), 1) + 1
+                    info = PositionInfo(n=7, level=level, block=1, offset=offset, a=a)
+                    if want >= 1:
+                        assert candidate_count(info, q) == want
+                        assert digit_candidates(None, 7, info, q).count == want
+                        continue
+                    for read in (lambda: candidate_count(info, q),
+                                 lambda: digit_candidates(None, 7, info, q)):
+                        with pytest.raises(ScheduleError, match="empty candidate window at position 7"):
+                            read()
 
     def test_position_four_window(self, schedule_a):
         cand = digit_candidates(schedule_a, 4)
