@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 from .expansion import DigitStream, mixed_radix
 from .numeric import format_ratio, hp_ln, int_text
 from .sequences import growth_condition_trace
-from .theta import ScheduleError, ThetaSchedule, candidate_count, digit_candidates
+from .theta import ScheduleError, ThetaSchedule, digit_candidates
 
 __all__ = [
     "GeometryError",
@@ -124,7 +124,7 @@ def theta_geometry(schedule: ThetaSchedule, depth: int) -> list[LevelGeometry]:
             eps = Fraction(info.a * info.a - 1, info.a * info.a) / q_prod_prev
         if prev_eps is not None and not eps < prev_eps:
             raise GeometryError(f"gap floor fails to decrease at level {k}")
-        out.append(LevelGeometry(k=k, m=candidate_count(info, q), eps=eps))
+        out.append(LevelGeometry(k=k, m=digit_candidates(schedule, k, info, q).count, eps=eps))
         prev_eps = eps
         q_prod_prev *= q
     return out
@@ -195,8 +195,9 @@ def theta_dimension_trace(
     Everything streams in log space so gap denominators (products of
     all earlier bases) never materialize.  Row k reports the level i(k),
     the exact candidate count omega(k), log2 of the exact gap, and both
-    d_k variants; rows start at k = 2.  omega(k) comes from the window
-    bounds (``candidate_count``), with no ``CandidateSet`` built.  Every
+    d_k variants; rows start at k = 2.  omega(k) is the count of the walk
+    step's ``digit_candidates`` window, from the window bounds: one
+    division of q_k and two small ceilings, with no clamp.  Every
     sum of ``hp_ln`` enclosure ends rounds in the direction that keeps
     each d_k a lower bound.
 
@@ -218,7 +219,7 @@ def theta_dimension_trace(
         sum_log_bound = 0  # bound-substituted numerator
         for info, q in islice(schedule.walk(), horizon):
             k = info.n
-            omega = candidate_count(info, q)
+            omega = digit_candidates(schedule, k, info, q).count
             q_lo, q_hi = hp_ln(q, bits)
             log_omega = hp_ln(omega, bits)[0]
             weighted = (info.level - 1) * q_lo // info.level  # rounded down

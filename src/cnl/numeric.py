@@ -177,15 +177,12 @@ def fraction_text(value: Fraction) -> str:
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
-_TENS = [10**digits for digits in range(13)]  # up to format_ratio's default of 12 digits
-
-
 def format_ratio(num: int, den: int, digits: int = 12) -> str:
     """Fixed-point decimal text of num/den, for den > 0 and any common factor,
     rounded half away from zero."""
     if digits < 0:
         raise ValueError(f"need digits >= 0, got {digits}")
-    scaled, rem = divmod(abs(num) * (_TENS[digits] if digits < 13 else 10**digits), den)
+    scaled, rem = divmod(abs(num) * 10**digits, den)
     if 2 * rem >= den:
         scaled += 1
     text = str(scaled).rjust(digits + 1, "0")

@@ -47,7 +47,6 @@ __all__ = [
     "compute_nu",
     "build_schedule",
     "digit_candidates",
-    "candidate_count",
     "generate_digits",
     "extract_y",
     "extract_y_prefix",
@@ -246,7 +245,7 @@ class ThetaSchedule:
     def dump_json(self) -> dict:
         return {
             "S": list(self._big_s),
-            "nu": [None, *self._nu.values()],
+            "nu": [None, *map(self._nu.__getitem__, range(2, self.levels + 2))],
             "l": list(self._ell),
             "L": list(self._big_l),
             "window_shift": "c-1",
@@ -387,34 +386,20 @@ def digit_candidates(
     """
     if info is None:
         info, q = schedule.phi_inv(n), schedule.q(n)
-    count, whole, lo, c_lo = _window_count(info, q)
-    f_min = whole * lo + c_lo
-    return _new_tuple(CandidateSet, (f_min, f_min + count - 1))
-
-
-def candidate_count(info: PositionInfo, q: int) -> int:
-    """``digit_candidates``' count for the walk step (info, q), with no
-    ``CandidateSet`` and no product for its f_min."""
-    return _window_count(info, q)[0]
-
-
-def _window_count(info: PositionInfo, q: int) -> tuple[int, int, int, int]:
-    """(count, whole, lo, c_lo) of a position's window: q = whole den + part
-    from one division (a shift when den is a power of two), c_lo =
-    ceil(part lo / den), so f_min = ceil(q lo / den) = whole lo + c_lo, and
-    with hi = lo + 1 the count is whole plus the difference of two small
-    ceilings.  Neither clamp to 1 .. q - 1 changes a nonempty window: f_min
-    >= 1, and f_max passes q - 1 only when hi > den, where lo >= den puts
-    f_min past it too.
-    """
     lo, hi, den = _window_bounds(info.level, info.offset, info.a, q)
+    # ceil(q x / den) = whole x + ceil(part x / den), from one division of q
+    # (a shift when den is a power of two); with hi = lo + 1, f_max - f_min
+    # is whole plus the small ``extra``.  Neither clamp to 1 .. q - 1
+    # changes a nonempty window: f_min >= 1, and f_max passes q - 1 only
+    # when hi > den, where lo >= den puts f_min past it too.
     e = den.bit_length() - 1
     whole, part = (q >> e, q & (den - 1)) if den == 1 << e else divmod(q, den)
     c_lo = -(-part * lo // den)
-    count = whole + (-(-part * hi // den) - c_lo)
-    if count < 1 or hi > den:
-        raise ScheduleError(f"empty candidate window at position {info.n}")
-    return count, whole, lo, c_lo
+    extra = -(-part * hi // den) - c_lo - 1
+    if whole < -extra or hi > den:
+        raise ScheduleError(f"empty candidate window at position {n}")
+    f_min = whole * lo + c_lo
+    return _new_tuple(CandidateSet, (f_min, f_min + whole + extra))
 
 
 def generate_digits(schedule: ThetaSchedule, policy: SelectionPolicy, n: int) -> Iterator[int]:

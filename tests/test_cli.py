@@ -14,7 +14,7 @@ from cnl import cli, dimension, theta
 from cnl.cli import main
 from cnl.dimension import DimensionTraceRow
 from cnl.numeric import format_decimal
-from cnl.theta import CandidateSet, ThetaSchedule, candidate_count, digit_candidates
+from cnl.theta import CandidateSet, ThetaSchedule, digit_candidates
 from cnl.sequences import rule_from_json, rule_to_json, ConstantRule, GeometricRule
 
 from .conftest import growth_ratios, row_ratios, short_list_spec, trace_rows
@@ -537,10 +537,12 @@ class TestDim:
     def test_geometry_error_mid_trace_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # A candidate count at k = 50 wider than the cylinder leaves nothing
         # to contract; rows 2..49 were already written when the trace stops.
-        def inflated(info, q):
-            return q**60 if info.n == 50 else candidate_count(info, q)
+        def inflated(schedule, n, info=None, q=None):
+            if n == 50:
+                return CandidateSet(1, q**60)
+            return digit_candidates(schedule, n, info, q)
 
-        monkeypatch.setattr(dimension, "candidate_count", inflated)
+        monkeypatch.setattr(dimension, "digit_candidates", inflated)
         config = write_config(tmp_path)
         out = tmp_path / "dim"
         assert main(["dim", "--config", str(config), "--out", str(out), "--n", "100"]) == 1
