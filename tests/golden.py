@@ -61,6 +61,7 @@ SMALL_RUNS = [
     ("dim15000", ["dim", "--config", "{config}", "--n", "15000"]),
     ("repro200", ["repro-sec1", "--n", "200"]),
     ("repro5000", ["repro-sec1", "--n", "5000"]),
+    ("repro50000", ["repro-sec1", "--n", "50000"]),
     ("gen3", ["theta", "generate", "--config", "{config3}", "--n", "1000", *SEEDED]),
     ("analyze3", ["analyze", "--config", "{config3}", "--digits", "{root}/gen3/digits.jsonl", *ALL]),
     ("dim3", ["dim", "--config", "{config3}", "--n", "3000"]),
