@@ -16,7 +16,7 @@ import csv
 import operator
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .expansion import DigitStream, atomic_write, count_block
 from .numeric import int_text, sqrt_lower
@@ -55,21 +55,6 @@ def _validate_unit_points(points: Sequence[Fraction]) -> list[Fraction]:
     return values
 
 
-def _dyadic(dens: Iterable[int]) -> bool:
-    return all(den == 1 << (den.bit_length() - 1) for den in dens)
-
-
-def _shift_to_common(nums: list[int], dens: list[int]) -> int:
-    """Rewrite nums[i]/dens[i] in place over d, the largest (power-of-two)
-    denominator.  ``dens`` is emptied as the points are shifted, so the
-    widened points and the denominators are never all held at once."""
-    d = max(dens)
-    width = d.bit_length()
-    for i in range(len(nums) - 1, -1, -1):
-        nums[i] <<= width - dens.pop().bit_length()
-    return d
-
-
 def _popped(values: list[int]) -> Iterator[int]:
     """The items of ``values`` in order, each popped from the list as it is taken."""
     values.reverse()
@@ -88,11 +73,9 @@ def _ladder(keys: Iterator[int], w: int, lengths: Sequence[int], exact, one) -> 
     [0, n*2**s), as the floor in K_(i) loses less than 1 and the s bits
     cut off at most 2**s - 1.  So only ranks with A_i > max A - n can hold
     the largest left_i and only ranks with A_i < min A + n the smallest;
-    just those are settled by ``exact``.  The A_i are one array of 64-bit
-    integers per prefix, read by ``max``, ``min`` and the two rank scans.
+    just those are settled by ``exact``.  The A_i are one list per
+    prefix, read by ``max``, ``min`` and the two rank scans.
     """
-    from array import array  # a shared library; commands that sweep no ladder skip it
-
     out = []
     run: list[int] = []
     for n in lengths:
@@ -101,8 +84,8 @@ def _ladder(keys: Iterator[int], w: int, lengths: Sequence[int], exact, one) -> 
         run.sort()
         s = max(w + n.bit_length() - 63, 0)
         step = 1 << (w - s)
-        heads = map(operator.mul, map(operator.rshift, run, repeat(s)), repeat(n))
-        truncated = array("q", map(operator.sub, heads, range(0, n * step, step)))
+        heads = map(operator.rshift, run, repeat(s)) if s else run
+        truncated = list(map(operator.sub, map(operator.mul, heads, repeat(n)), range(0, n * step, step)))
 
         def settled(cut, side):
             ranks = compress(count(), map(side, truncated, repeat(cut)))
@@ -156,12 +139,14 @@ def star_discrepancy_ladder(
     for num, den in zip(nums, dens):
         if not 0 <= num < den:
             raise ValueError(f"point {Fraction(num, den)} outside [0, 1)")
-    if _dyadic(dens):
-        d = _shift_to_common(nums, dens)
-        out = _ladder(_popped(nums), d.bit_length() - 1, lengths, lambda x: x, d)
+    w = max(dens).bit_length()
+    if not any(map(operator.and_, dens, map(operator.sub, dens, repeat(1)))):  # powers of two
+        shifts = map(operator.sub, repeat(w), map(int.bit_length, _popped(dens)))
+        keys = map(operator.lshift, _popped(nums), shifts)
+        out = _ladder(keys, w - 1, lengths, lambda x: x, 1 << (w - 1))
     else:
-        top = (1 << max(dens).bit_length()) - 1
-        w = 2 * top.bit_length() + 1
+        top = (1 << w) - 1
+        w = 2 * w + 1
         heads = map(operator.lshift, _popped(nums), repeat(w))
         keys = map(operator.floordiv, heads, _popped(dens))
         out = _ladder(keys, w, lengths, lambda k: Fraction(k, 1 << w).limit_denominator(top), 1)
@@ -239,12 +224,8 @@ def verify_aap(
 
     def reject(code: int) -> AAPCertificate:
         return AAPCertificate(
-            delta=delta,
-            epsilon=epsilon,
-            eta=None,
-            accepted=False,
-            failing_condition=code,
-            n_points=len(values),
+            delta=delta, epsilon=epsilon, eta=None, accepted=False,
+            failing_condition=code, n_points=len(values),
         )
 
     one_plus = 1 + delta
@@ -265,12 +246,8 @@ def verify_aap(
     eta = eta_hi
     assert _check_conditions(values, delta, eta)
     return AAPCertificate(
-        delta=delta,
-        epsilon=epsilon,
-        eta=eta,
-        accepted=True,
-        failing_condition=None,
-        n_points=len(values),
+        delta=delta, epsilon=epsilon, eta=eta, accepted=True,
+        failing_condition=None, n_points=len(values),
     )
 
 
@@ -372,14 +349,10 @@ def normality_report(
         )
         for blk in blocks
     )
-    pairwise = {}
-    for a in blocks:
-        for b in blocks:
-            if a == b:
-                continue
-            pairwise[(a, b)] = (
-                Fraction(counts[a], counts[b]) if counts[b] > 0 else None
-            )
+    pairwise = {
+        (a, b): Fraction(counts[a], counts[b]) if counts[b] > 0 else None
+        for a in blocks for b in blocks if a != b
+    }
     return NormalityReport(n=n, k=k, rows=rows, pairwise=pairwise)
 
 
@@ -438,13 +411,8 @@ def dn_diagnostic(
 
     ``nums`` holds the digits E_n and ``dens`` their bases q_n, as from
     ``expansion.level_points``; both lists are consumed, as by
-    ``star_discrepancy_ladder``.  The whole ladder is one exact integer
-    sweep, and the proxies come from one running sum
-    (``reciprocal_sums``).  Power-of-two bases put every ratio
-    over one common denominator, the largest base, by a shift; other
-    bases sort their ratios by floor keys over 2**(2b+1), b the widest
-    base's bit length, which recover the few ratios settled exactly, so
-    no lcm is formed.  Each prefix forms one ``Fraction``, its result.
+    ``star_discrepancy_ladder``, whose exact integer sweep gives every
+    D*, and the proxies come from one running sum (``reciprocal_sums``).
 
     Each row carries the averaged-reciprocal proxy (1/N) sum 1/q_n: the
     equivalence between digit-ratio equidistribution and orbit
@@ -458,14 +426,8 @@ def dn_diagnostic(
         raise ValueError(f"prefix lengths must lie in 1..{len(dens)}")
     sums = reciprocal_sums(dens, lengths)
     dstars = star_discrepancy_ladder(nums, dens, lengths)
-    for n, dstar, running_recip in zip(lengths, dstars, sums):
-        report.rows.append(
-            DiscrepancyRow(
-                n=n,
-                dstar=dstar,
-                bound=Fraction(1),
-                certificate="trivial",
-                proxy=running_recip / n,
-            )
-        )
+    report.rows = [
+        DiscrepancyRow(n=n, dstar=dstar, bound=Fraction(1), certificate="trivial", proxy=recip / n)
+        for n, dstar, recip in zip(lengths, dstars, sums)
+    ]
     return report

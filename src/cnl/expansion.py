@@ -26,7 +26,7 @@ import operator
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
@@ -168,11 +168,7 @@ def count_block(stream: DigitStream, block: Sequence[int], n: int) -> int:
     if n == 0:
         return 0
     digits = stream.prefix(n + len(entries) - 1)
-    count = 0
-    for p in range(n):
-        if digits[p : p + len(entries)] == entries:
-            count += 1
-    return count
+    return sum(digits[p : p + len(entries)] == entries for p in range(n))
 
 
 def transcode(stream: DigitStream, spec: ChainSpec, j: int) -> DigitStream:
@@ -221,33 +217,33 @@ def level_points(
     Point n is nums[n-1] / dens[n-1], the source digits at
     ``spec.rule(j, k).block(n)`` read as one mixed-radix fraction; only
     complete blocks count.  dens equals ``spec.rule(j, k).values(len(dens))``,
-    but the bases come from one walk of the base rule, each consumed by
-    the Horner step that packs its digit: a shift for a power-of-two
-    base, whose exponent is summed, and a multiply for any other.  At
-    level 1 the points are the digits themselves.
+    but the bases come from one walk of the base rule, a chunk of blocks
+    at a time, packed one Horner column (digit c of each block) at a time:
+    by shifts if the column's bases are powers of two, else multiplies.
+    At level 1 the points are the digits themselves.
     """
     rule = spec.rule(j, k)
     total = stream.limit
     if rule is spec.base:
         return stream.prefix(total), spec.base.values(total)
-    digits = iter(stream.digit_list)
     bases = spec.base.iter_values()
-    width = rule.k
     nums, dens = [], []
-    for _ in range(rule.blocks_in(total)):
-        num, den, e = 0, 1, 0
-        for digit, q in zip(islice(digits, width), bases):
-            shift = q.bit_length() - 1
-            if q == 1 << shift:
-                # The Horner step by 2**shift is a shift; den keeps the exponent.
-                num = (num << shift) + digit
-                e += shift
-            else:
-                num = num * q + digit
-                den *= q
-        nums.append(num)
-        dens.append(den << e)
-        width = rule.s
+    pos, width, left = 0, rule.k, rule.blocks_in(total)
+    while left > 0:
+        size = min(left, -(-512 // width) if pos else 1)  # block 1 alone
+        end = pos + size * width
+        ds, qs = stream.digit_list[pos:end], list(islice(bases, end - pos))
+        num, den = ds[::width], qs[::width]
+        for c in range(1, width):
+            q = qs[c::width]
+            step = operator.mul
+            if not any(map(operator.and_, q, map(operator.sub, q, repeat(1)))):
+                step, q = operator.lshift, list(map(operator.sub, map(int.bit_length, q), repeat(1)))
+            num = map(operator.add, map(step, num, q), ds[c::width])
+            den = map(step, den, q)
+        nums += num
+        dens += den
+        pos, width, left = end, rule.s, left - size
     return nums, dens
 
 
@@ -258,8 +254,7 @@ class Census(NamedTuple):
 
 def digit_census(digits: Sequence[int]) -> Census:
     """Zero count and the set of positive values among ``digits``."""
-    zeros = sum(1 for d in digits if d == 0)
-    return Census(zero_count=zeros, value_set=frozenset(d for d in digits if d > 0))
+    return Census(zero_count=digits.count(0), value_set=frozenset(d for d in digits if d > 0))
 
 
 @contextmanager

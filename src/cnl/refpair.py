@@ -25,7 +25,8 @@ the listing's own arithmetic; the report prints both readings:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, ge, mul, truediv
 from typing import Iterator
 
 from .equidist import dn_diagnostic
@@ -90,18 +91,21 @@ def coarse_digit(n: int) -> int:
     return (t - 1) * 4 * m
 
 
+def _fine_block(m: int) -> list[int]:
+    """Block m of x's fine digits: range(m) interleaved with range(m, 2m)."""
+    block = [0] * (2 * m)
+    block[::2], block[1::2] = range(m), range(m, 2 * m)
+    return block
+
+
 def _fine_digits() -> Iterator[int]:
     """fine_digit(1), fine_digit(2), ... from one walk over the blocks."""
-    for m in count(1):
-        for low in range(m):
-            yield low
-            yield m + low
+    return chain.from_iterable(map(_fine_block, count(1)))
 
 
 def _coarse_digits() -> Iterator[int]:
-    """coarse_digit(1), coarse_digit(2), ... from one walk over the blocks."""
-    for m in count(1):
-        yield from range(0, 4 * m * m, 4 * m)
+    """coarse_digit(1), coarse_digit(2), ...: block m is range(0, 4m^2, 4m)."""
+    return chain.from_iterable(map(range, repeat(0), map(mul, count(4, 4), count(1)), count(4, 4)))
 
 
 def fine_stream(n: int) -> DigitStream:
@@ -144,25 +148,37 @@ def _orbit_check(
     The enclosure of T_n(x) at depth d is [num, num + 1) / den, where
     num / den packs x's coarse digits n+1 .. n+d in one Horner pass, as
     ``t_enclosure`` does; the depth grows until (num + 1) / den is below
-    ``ORBIT_THRESHOLD``, up to ``_MAX_ENCLOSURE_DEPTH``.  Every test is
-    in integers, and the coarse digits and bases are packed once, by
-    ``level_points``.
+    ``ORBIT_THRESHOLD``, up to ``_MAX_ENCLOSURE_DEPTH``.  The coarse digits
+    and bases are packed once, by ``level_points``.  Depth 1 is screened by
+    correctly rounded quotients: rounding is monotone and 1/2 is a float,
+    so one below 1/2 certifies its n, and the worst depth-1 bound lies
+    among the largest.  The bounds and deeper tests are exact.
     """
     nums, dens = level_points(x_fine, spec, 2)
     below_num, below_den = ORBIT_THRESHOLD.numerator, ORBIT_THRESHOLD.denominator
-    worst_num, worst_den = 0, 1
-    for n in range(horizon + 1):
-        num, den = 0, 1
-        for p in range(n, n + _MAX_ENCLOSURE_DEPTH):
-            num = num * dens[p] + nums[p]
-            den *= dens[p]
-            if (num + 1) * below_den < below_num * den:
+    bounds = [Fraction(0)]
+    for lo in range(0, horizon + 1, 1024):  # screened 1024 positions at a time
+        hi = min(lo + 1024, horizon + 1)
+        quotients = list(map(truediv, map(add, nums[lo:hi], repeat(1)), dens[lo:hi]))
+        for i in compress(count(), map(ge, quotients, repeat(float(ORBIT_THRESHOLD)))):
+            num, den = 0, 1
+            for p in range(lo + i, lo + i + _MAX_ENCLOSURE_DEPTH):
+                num = num * dens[p] + nums[p]
+                den *= dens[p]
+                if (num + 1) * below_den < below_num * den:
+                    break
+            else:
+                del quotients[i:]  # fails at n = lo + i: only earlier bounds count
                 break
-        else:
-            return False, Fraction(worst_num, worst_den)
-        if (num + 1) * worst_den > worst_num * den:
-            worst_num, worst_den = num + 1, den
-    return True, Fraction(worst_num, worst_den)
+            bounds.append(Fraction(num + 1, den))
+            quotients[i] = -1.0
+        top = max(quotients, default=-1.0)
+        if top >= 0:
+            ranks = compress(count(lo), map(eq, quotients, repeat(top)))
+            bounds += (Fraction(nums[n] + 1, dens[n]) for n in ranks)
+        if len(quotients) < hi - lo:
+            return False, max(bounds)
+    return True, max(bounds)
 
 
 def build_report(orbit_horizon: int = 5000) -> RefPairReport:

@@ -12,12 +12,9 @@ of the base.
 
 ``q(n)`` is random access: it derives position n from the rule's
 parameters alone.  Bulk readers instead take ``iter_values(start)``, one
-sequential walk per rule kind (a geometric rule multiplies by its
-ratio, a block rule locates one block and then repeats values, a
-contraction multiplies consecutive chunks of its base's walk), so a
-prefix of N values costs N steps rather than N position lookups.  A
-walk raises ``OutOfDomainError`` at the same position, with the same
-message, as ``q`` would.
+sequential walk, so a prefix of N values costs N steps rather than N
+position lookups.  A walk raises ``OutOfDomainError`` at the same
+position, with the same message, as ``q`` would.
 
 Limit properties ("infinite in limit", "k-divergent") are never decided
 by this module.  Operations emit finite-horizon evidence only, and the
@@ -28,9 +25,10 @@ schedule machinery requires callers to certify tail monotonicity via
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from contextlib import suppress
 from fractions import Fraction
-from itertools import accumulate, groupby, islice, repeat
+from itertools import accumulate, chain, count, groupby, islice, repeat
 from math import isqrt, prod
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -105,9 +103,12 @@ class BasicSequenceRule:
     def iter_values(self, start: int = 1) -> Iterator[int]:
         """q(start), q(start + 1), ... as one sequential walk.
 
-        Each rule kind gives a walk cheaper than one ``q`` call per
-        value; every walk raises where ``q`` would.
+        Each rule kind gives it as a few C-level runs (``_runs``),
+        chained and checked from the first read; it raises where ``q`` would.
         """
+        return chain.from_iterable(self._runs(start))
+
+    def _runs(self, start: int) -> Iterator[Iterable[int]]:
         raise NotImplementedError
 
     def values(self, count: int) -> list[int]:
@@ -143,9 +144,9 @@ class ExplicitListRule(BasicSequenceRule):
         self._check_position(n)
         return self._values[n - 1]
 
-    def iter_values(self, start: int = 1) -> Iterator[int]:
+    def _runs(self, start: int) -> Iterator[Iterable[int]]:
         self._check_position(start)
-        yield from self._values[start - 1 :]
+        yield self._values[start - 1 :]
         self._check_position(len(self._values) + 1)
 
     def params_json(self) -> dict:
@@ -172,12 +173,9 @@ class GeometricRule(BasicSequenceRule):
         self._check_position(n)
         return self.coefficient * self.ratio**n
 
-    def iter_values(self, start: int = 1) -> Iterator[int]:
+    def _runs(self, start: int) -> Iterator[Iterable[int]]:
         self._check_position(start)
-        value = self.coefficient * self.ratio**start
-        while True:
-            yield value
-            value *= self.ratio
+        yield accumulate(repeat(self.ratio), operator.mul, initial=self.coefficient * self.ratio**start)
 
     def params_json(self) -> dict:
         return {"coefficient": str(self.coefficient), "ratio": str(self.ratio)}
@@ -258,15 +256,8 @@ class BlockRepetitionRule(BasicSequenceRule):
         self._check_position(n)
         cum = self._cum
         if cum is not None:
-            # The least m with cum[m] >= n, by binary search.
-            lo, hi = 0, len(cum) - 1
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if cum[mid] < n:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi, n - cum[lo]
+            m = bisect_left(cum, n)  # the least m with cum[m] >= n
+            return m, n - cum[m - 1]
         # Blocks 1..m cover cum(m) = ta*m(m+1)/2 + tb*m positions, and n
         # lies in the least m with cum(m) >= n.  For ta > 0 that is the
         # ceiling of the positive root of ta*m^2 + b*m = 2n, b = ta + 2tb;
@@ -284,15 +275,14 @@ class BlockRepetitionRule(BasicSequenceRule):
     def q(self, n: int) -> int:
         return self._block(self.block_of(n)[0])[0]
 
-    def iter_values(self, start: int = 1) -> Iterator[int]:
-        # One block lookup, then each block's value t_m times; the first
-        # block is entered at the offset of ``start``.
+    def _runs(self, start: int) -> Iterator[Iterable[int]]:
+        # One block lookup, then each block's value t_m times as one
+        # ``repeat``; the first block is entered at the offset of ``start``.
         m, offset = self.block_of(start)
-        while True:
-            value, count = self._block(m)
-            yield from repeat(value, count - offset + 1)
-            m += 1
-            offset = 1
+        value, t = self._block(m)
+        yield repeat(value, t - offset + 1)
+        for m in count(m + 1):
+            yield repeat(*self._block(m))
 
     def params_json(self) -> dict:
         if self._pairs is not None:
@@ -368,19 +358,17 @@ class ContractionRule(BasicSequenceRule):
     def q(self, n: int) -> int:
         return next(self.iter_values(n))
 
-    def iter_values(self, start: int = 1) -> Iterator[int]:
-        # Products of consecutive chunks of one walk of the base; q(n) is
-        # the first value of the walk from n.
+    def _runs(self, start: int) -> Iterator[Iterable[int]]:
+        # Products of consecutive chunks of one walk of the base: the chunk
+        # of ``start``, then s values at a time by one ``zip``; q(n) is the
+        # first value of the walk from n.
         self._check_position(start)
         limit = self.domain_max
         values = self.base.iter_values(self.block(start).start)
-        width = self.k if start == 1 else self.s
-        n = start
-        while limit is None or n <= limit:
-            yield prod(islice(values, width))
-            width = self.s
-            n += 1
-        self._check_position(n)
+        yield [prod(islice(values, self.k if start == 1 else self.s))]
+        rest = map(prod, zip(*[values] * self.s))
+        yield rest if limit is None else islice(rest, limit - start)
+        self._check_position(limit + 1)  # reached by a finite walk only
 
     def params_json(self) -> dict:
         params = {"base": rule_to_json(self.base), "s": str(self.s)}

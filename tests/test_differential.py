@@ -9,7 +9,9 @@ the brute-force star discrepancy of the level's points and a direct
 omega_k against ``digit_candidates``, which looks the position up with
 ``phi_inv`` and ``q``, and against a count of the digits in the position's
 ``Fraction`` window.  Composed- and shifted-contraction bases reach the CLI
-only here.
+only here.  ``level_points`` is also checked directly, at every level and
+shift of drawn configs of every kind, against the level rule's bases,
+``transcode`` and ``mixed_radix``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import csv
 import io
 import json
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,7 @@ from hypothesis import HealthCheck, assume, given, note, settings
 from hypothesis import strategies as st
 
 from cnl.cli import main
-from cnl.expansion import DigitStream, load_jsonl, mixed_radix, transcode
+from cnl.expansion import DigitStream, level_points, load_jsonl, mixed_radix, transcode
 from cnl.numeric import hp_ln
 from cnl.sequences import (
     BlockRepetitionRule,
@@ -39,6 +43,7 @@ from cnl.sequences import (
     GeometricRule,
     OutOfDomainError,
     RuleError,
+    block_positions,
     rule_to_json,
 )
 from cnl.theta import ScheduleError, build_schedule, digit_candidates
@@ -131,6 +136,56 @@ def test_commands_agree_with_references(tmp_path_factory, kind, data, depth, ste
     assume(n >= 2)
     note(json.dumps(rule_to_json(spec.base)))
     check_commands(tmp_path_factory.mktemp("run"), spec, n, seed)
+
+
+def check_level_points(stream: DigitStream, spec: ChainSpec) -> None:
+    """``level_points`` at every level j and shift k < S_j: its bases are
+    the level rule's, its points ``transcode``'s at k = 0, and each point is
+    ``mixed_radix`` over its block's positions."""
+    for j in range(1, spec.depth + 1):
+        big_s = spec.big_s(j)
+        for k in range(big_s):
+            nums, dens = level_points(stream, spec, j, k)
+            assert len(nums) == len(dens) == max((stream.limit - (k or big_s)) // big_s + 1, 0)
+            assert dens == spec.rule(j, k).values(len(dens)), (j, k)
+            if k == 0:
+                assert nums == transcode(stream, spec, j).digit_list, j
+            for n, point in enumerate(zip(nums, dens), 1):
+                assert point == mixed_radix(stream, block_positions(n, big_s, k or big_s)), (j, k, n)
+
+
+def random_stream(base, n: int, seed: int) -> DigitStream:
+    """n seeded digits, each anywhere in its base's range: 0 and q - 1 included."""
+    rng = random.Random(seed)
+    return DigitStream(base, [rng.choice((0, q - 1, rng.randrange(q))) for q in base.values(n)])
+
+
+@pytest.mark.parametrize("kind", BASES)
+@settings(max_examples=8, deadline=None)
+@given(
+    data=st.data(),
+    depth=st.integers(1, 4),
+    step=st.sampled_from([2, 3]),
+    n=st.integers(1, 1100),
+    seed=st.integers(0, 2**32),
+)
+def test_level_points_agree_with_their_references(kind, data, depth, step, n, seed):
+    # Streams run past level_points' 512-position chunks, and most end
+    # inside a block of the wider levels.
+    spec = ChainSpec(base=data.draw(BASES[kind]), s=ConstantRule(step), depth=depth)
+    # At most 20000 bits of bases in all, so fast-growing bases stay quick.
+    bits = accumulate(q.bit_length() for q in spec.base.values(min(n, spec.base.domain_max or n)))
+    n = max(sum(1 for total in bits if total <= 20000), 1)
+    note(json.dumps(rule_to_json(spec.base)))
+    check_level_points(random_stream(spec.base, n, seed), spec)
+
+
+@pytest.mark.parametrize("base", [GeometricRule(8, 2), GeometricRule(9, 3), ExplicitListRule(
+    [2, 3, 4, 6, 8, 8, 12, 16, 2**70, 3**40, 2**5, 5] * 100)], ids=["doubling", "ratio-3", "mixed"])
+def test_level_points_across_chunks_and_a_partial_block(base):
+    # 1031 positions: two whole 512-position chunks and more at every
+    # level, ending 7 positions into a block of 8 at level 4.
+    check_level_points(random_stream(base, 1031, 5), ChainSpec(base, ConstantRule(2), 4))
 
 
 def test_dim_rejects_a_base_that_outgrows_its_prefix(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,7 +99,8 @@ class TestReport:
 def enclosure_loop(x_coarse, horizon):
     """Check (d) by its first definition: per n, ``t_enclosure`` at depth
     1, 2, ... until its upper edge drops below the threshold.  Returns
-    (orbit_ok, worst upper bound, deepest depth used)."""
+    (orbit_ok, worst upper bound, deepest depth that certified an n); on a
+    failure, the bound and depth from before it."""
     worst_hi, deepest = Fraction(0), 0
     for n in range(0, horizon + 1):
         depth = 1
@@ -108,7 +110,7 @@ def enclosure_loop(x_coarse, horizon):
                 break
             depth += 1
             if depth > _MAX_ENCLOSURE_DEPTH:
-                return False, worst_hi, depth - 1
+                return False, worst_hi, deepest
         deepest = max(deepest, depth)
         if hi > worst_hi:
             worst_hi = hi
@@ -144,3 +146,75 @@ class TestOrbitCheck:
         assert not ok and worst > 0
         assert _orbit_check(x_fine, self.spec, horizon) == (False, worst)
         assert _orbit_check(x_fine, self.spec, 19) == enclosure_loop(x_coarse, 19)[:2]
+
+
+class TestOrbitCheckPerturbed:
+    """``_orbit_check`` against ``enclosure_loop`` on x with some fine digit
+    pairs set to their maximum, which makes that coarse digit maximal: no
+    depth certifies T_n(x) < 1/2 for the n just before it, and an n that
+    already needed depth 2 needs depth 3 when the maximal digit follows its
+    first."""
+
+    spec = ChainSpec(base=fine_base_rule(), s=ConstantRule(2), depth=2)
+
+    def perturbed(self, horizon, coarse_positions):
+        rule = fine_base_rule()
+        values = rule.values(2 * (horizon + _MAX_ENCLOSURE_DEPTH))
+        fine = {p for c in coarse_positions for p in (2 * c - 1, 2 * c)}
+        digits = [q - 1 if n in fine else fine_digit(n) for n, q in enumerate(values, 1)]
+        return DigitStream(rule, digits)
+
+    def test_random_maximal_pairs(self):
+        rng = random.Random(41)
+        plain = transcode(fine_stream(2 * (300 + _MAX_ENCLOSURE_DEPTH)), self.spec, 2)
+        # n whose T_n(x) needs depth 2 as it stands: its first coarse digit is q/2 - 1.
+        deep = [n for n in range(300) if 2 * (plain.digit(n + 1) + 1) >= plain.rule.q(n + 1)]
+        seen = set()
+        for _ in range(40):
+            horizon = rng.randint(1, 300)
+            choices = [1, horizon + 1, rng.choice(deep) + 2, rng.randint(1, horizon + 8)]
+            picks = rng.sample(choices, rng.randint(0, 3))
+            x_fine = self.perturbed(horizon, picks)
+            ok, worst, deepest = enclosure_loop(transcode(x_fine, self.spec, 2), horizon)
+            assert _orbit_check(x_fine, self.spec, horizon) == (ok, worst), (horizon, picks)
+            failure = min(picks, default=horizon + 2) - 1
+            assert ok == (failure > horizon)
+            seen.add("fails at 0" if failure == 0 else "fails at the horizon" if failure == horizon
+                     else "keeps the bound before a failure" if not ok else "passes")
+            if deepest >= 3:
+                seen.add("needs depth 3")
+        assert seen == {"fails at 0", "fails at the horizon", "keeps the bound before a failure",
+                        "passes", "needs depth 3"}
+
+    def test_worst_bound_past_the_first_screen(self):
+        # x's digits all 0 but coarse digit 1300, q/2 - 2: T_1299(x) has the
+        # worst bound, at depth 1, past the first 1024 positions screened.
+        rule, horizon = fine_base_rule(), 1500
+        digits = [0] * (2 * (horizon + _MAX_ENCLOSURE_DEPTH))
+        m = rule.q(2600) // 2
+        digits[2598], digits[2599] = m - 1, 2 * m - 2  # fine positions 2599, 2600
+        x_fine = DigitStream(rule, digits)
+        ok, worst, _ = enclosure_loop(transcode(x_fine, self.spec, 2), horizon)
+        assert ok and worst == Fraction(2 * m * m - 1, 4 * m * m)
+        assert _orbit_check(x_fine, self.spec, horizon) == (True, worst)
+
+    @pytest.mark.parametrize("horizon", range(13))
+    def test_short_horizons(self, horizon):
+        # At horizon 0 the one position, n = 0, needs depth 2.
+        x_fine = fine_stream(2 * (horizon + _MAX_ENCLOSURE_DEPTH))
+        ok, worst, _ = enclosure_loop(transcode(x_fine, self.spec, 2), horizon)
+        assert _orbit_check(x_fine, self.spec, horizon) == (ok, worst) == (True, worst)
+
+    def test_failure_at_zero_reports_zero(self):
+        x_fine = self.perturbed(50, [1])
+        assert _orbit_check(x_fine, self.spec, 50) == (False, Fraction(0))
+
+    def test_position_needing_depth_three(self):
+        # T_5(x) needs depth 2 as it stands; a maximal coarse digit 7 makes
+        # it need depth 3, and T_6(x) then fails.
+        x_fine = self.perturbed(6, [7])
+        x_coarse = transcode(x_fine, self.spec, 2)
+        ok, worst, deepest = enclosure_loop(x_coarse, 5)
+        assert ok and deepest == 3
+        assert _orbit_check(x_fine, self.spec, 5) == (True, worst)
+        assert _orbit_check(x_fine, self.spec, 6) == (False, worst) == enclosure_loop(x_coarse, 6)[:2]
