@@ -151,13 +151,13 @@ def _orbit_check(
     ``ORBIT_THRESHOLD``, up to ``_MAX_ENCLOSURE_DEPTH``.  The coarse digits
     and bases are packed once, by ``level_points``.  Depth 1 is screened by
     correctly rounded quotients: rounding is monotone and 1/2 is a float,
-    so one below 1/2 certifies its n, and the worst depth-1 bound lies
-    among the largest.  The bounds and deeper tests are exact.
+    so one below 1/2 certifies its n, and the worst depth-1 bound is at a
+    largest quotient.  The bounds and deeper tests are exact.
     """
     nums, dens = level_points(x_fine, spec, 2)
     below_num, below_den = ORBIT_THRESHOLD.numerator, ORBIT_THRESHOLD.denominator
     bounds = [Fraction(0)]
-    for lo in range(0, horizon + 1, 1024):  # screened 1024 positions at a time
+    for lo in range(0, horizon + 1, 1024):  # 1024 at a time: few floats held
         hi = min(lo + 1024, horizon + 1)
         quotients = list(map(truediv, map(add, nums[lo:hi], repeat(1)), dens[lo:hi]))
         for i in compress(count(), map(ge, quotients, repeat(float(ORBIT_THRESHOLD)))):
@@ -171,7 +171,7 @@ def _orbit_check(
                 del quotients[i:]  # fails at n = lo + i: only earlier bounds count
                 break
             bounds.append(Fraction(num + 1, den))
-            quotients[i] = -1.0
+            quotients[i] = -1.0  # not a depth-1 bound
         top = max(quotients, default=-1.0)
         if top >= 0:
             ranks = compress(count(lo), map(eq, quotients, repeat(top)))
