@@ -23,7 +23,7 @@ from itertools import accumulate, islice
 from math import gcd
 from pathlib import Path
 
-from .dimension import GeometryError, theta_dimension_trace
+from .dimension import DimensionTraceRow, GeometryError, theta_dimension_trace
 from .equidist import dn_diagnostic
 from .expansion import (
     DigitError,
@@ -334,7 +334,7 @@ def cmd_dim(args) -> int:
     try:
         with atomic_write(out_dir / "dim_trace.csv") as fh, \
                 atomic_write(out_dir / "growth_trace.csv") as gh:
-            fh.write("k,i_k,omega_k,eps_log2,d_exact,d_bound\n")
+            fh.write(DimensionTraceRow.csv_header)
             gh.write("k,ratio_num,ratio_den,ratio_decimal\n")
             growth_flag = theta_dimension_trace(
                 schedule, args.n, bits, emit=write_row, growth=write_ratio

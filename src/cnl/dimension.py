@@ -173,6 +173,8 @@ class DimensionTraceRow(NamedTuple):
     d_bound_num: int
     d_bound_den: int
 
+    csv_header = "k,i_k,omega_k,eps_log2,d_exact,d_bound\n"
+
     def csv_line(self, omega_text: Callable[[int], str] = int_text) -> str:
         """The row's line of ``dim_trace.csv``, newline included."""
         k, level, omega, eps_num, ln2_lo, exact_num, exact_den, bound_num, bound_den = self

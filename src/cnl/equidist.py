@@ -12,7 +12,6 @@ defining conditions.
 
 from __future__ import annotations
 
-import csv
 import operator
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
@@ -58,7 +57,7 @@ def _validate_unit_points(points: Sequence[Fraction]) -> list[Fraction]:
 def _popped(values: list[int]) -> Iterator[int]:
     """The items of ``values`` in order, each popped from the list as it is taken."""
     values.reverse()
-    return iter(values.pop, None)
+    return map(list.pop, repeat(values, len(values)))
 
 
 def _ladder(keys: Iterator[int], w: int, lengths: Sequence[int], exact, one) -> list[Fraction]:
@@ -376,6 +375,7 @@ class DiscrepancyReport:
         return all(row.certificate != "fatal" for row in self.rows)
 
     def write_csv(self, path) -> None:
+        """Header and rows end in ``\\r\\n``, the note in ``\\n``; no cell needs quoting."""
         with_proxy = any(row.proxy is not None for row in self.rows)
         with_env = any(row.envelope is not None for row in self.rows)
         columns = ["N", "Dstar_num", "Dstar_den", "bound_num", "bound_den", "certificate"]
@@ -383,18 +383,17 @@ class DiscrepancyReport:
             columns += ["proxy_num", "proxy_den"]
         if with_env:
             columns += ["ebar_num", "ebar_den"]
-        with atomic_write(path, newline="") as fh:
-            writer = csv.writer(fh)
+        with atomic_write(path) as fh:
             if self.header_note:
                 fh.write(f"# {self.header_note}\n")
-            writer.writerow(columns)
+            fh.write(",".join(columns) + "\r\n")
             for row in self.rows:
-                record = [row.n, *_cells(row.dstar), *_cells(row.bound), row.certificate]
+                record = [int_text(row.n), *_cells(row.dstar), *_cells(row.bound), row.certificate]
                 if with_proxy:
                     record += _cells(row.proxy)
                 if with_env:
                     record += _cells(row.envelope)
-                writer.writerow(record)
+                fh.write(",".join(record) + "\r\n")
 
 
 def _cells(value: Optional[Fraction]) -> list[str]:

@@ -62,14 +62,18 @@ class DigitError(ValueError):
 class DigitStream:
     """A finite digit sequence against a base rule, checked when built.
 
-    ``digits`` become a list of ints, range-checked along one walk of
-    ``rule`` by one ``min`` and one C-level comparison against the walk; a
-    digit out of range sends the list through ``_checked``, which raises
-    its error at its position.  ``limit`` is the number of digits.
+    ``digits`` become a list of ints by ``operator.index``, range-checked
+    along one walk of ``rule`` by one ``min`` and one C-level comparison
+    against the walk; a digit out of range sends the list through
+    ``_checked``, which raises its error at its position.  ``limit`` is
+    the number of digits.
     """
 
     def __init__(self, rule: BasicSequenceRule, digits: Iterable[int]):
-        values = list(map(int, digits))
+        try:
+            values = list(map(operator.index, digits))
+        except TypeError as exc:
+            raise DigitError(f"digits must be integers: {exc}") from exc
         if values and (min(values) < 0 or any(map(operator.ge, values, rule.iter_values(1)))):
             values = list(_checked(rule, values))
         self.rule = rule
@@ -258,13 +262,14 @@ def digit_census(digits: Sequence[int]) -> Census:
 
 
 @contextmanager
-def atomic_write(path, newline: Optional[str] = None) -> Iterator[TextIO]:
+def atomic_write(path) -> Iterator[TextIO]:
     """A text file opened beside ``path`` and renamed into place when the
-    block ends; on any exception it is removed, so no partial file shows."""
+    block ends; on any exception it is removed, so no partial file shows.
+    Line ends are written as given."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

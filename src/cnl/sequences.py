@@ -10,11 +10,10 @@ s, k)`` multiplies the first k base values, then s at a time, and
 ``ChainSpec.rule(j, k)`` is chain level j with shift k as one such rule
 of the base.
 
-``q(n)`` is random access: it derives position n from the rule's
-parameters alone.  Bulk readers instead take ``iter_values(start)``, one
-sequential walk, so a prefix of N values costs N steps rather than N
-position lookups.  A walk raises ``OutOfDomainError`` at the same
-position, with the same message, as ``q`` would.
+``q(n)`` is the first value of ``iter_values(n)``, the rule's one
+sequential walk, so both raise ``OutOfDomainError`` at the same position
+with the same message.  Bulk readers take the walk: a prefix of N values
+costs N steps rather than N position lookups.
 
 Limit properties ("infinite in limit", "k-divergent") are never decided
 by this module.  Operations emit finite-horizon evidence only, and the
@@ -91,7 +90,7 @@ class BasicSequenceRule:
         return None
 
     def q(self, n: int) -> int:
-        raise NotImplementedError
+        return next(self.iter_values(n))
 
     def _check_position(self, n: int) -> None:
         if n < 1:
@@ -104,7 +103,7 @@ class BasicSequenceRule:
         """q(start), q(start + 1), ... as one sequential walk.
 
         Each rule kind gives it as a few C-level runs (``_runs``),
-        chained and checked from the first read; it raises where ``q`` would.
+        chained and checked from the first read.
         """
         return chain.from_iterable(self._runs(start))
 
@@ -141,6 +140,7 @@ class ExplicitListRule(BasicSequenceRule):
         return len(self._values)
 
     def q(self, n: int) -> int:
+        """An index: a walk copies the tail, and ``compute_nu`` probes one n at a time."""
         self._check_position(n)
         return self._values[n - 1]
 
@@ -168,10 +168,6 @@ class GeometricRule(BasicSequenceRule):
         super().__init__(monotone_tail_from=1)
         self.coefficient = coefficient
         self.ratio = ratio
-
-    def q(self, n: int) -> int:
-        self._check_position(n)
-        return self.coefficient * self.ratio**n
 
     def _runs(self, start: int) -> Iterator[Iterable[int]]:
         self._check_position(start)
@@ -272,9 +268,6 @@ class BlockRepetitionRule(BasicSequenceRule):
                 m += 1
         return m, n - ta * m * (m - 1) // 2 - tb * (m - 1)
 
-    def q(self, n: int) -> int:
-        return self._block(self.block_of(n)[0])[0]
-
     def _runs(self, start: int) -> Iterator[Iterable[int]]:
         # One block lookup, then each block's value t_m times as one
         # ``repeat``; the first block is entered at the offset of ``start``.
@@ -355,13 +348,9 @@ class ContractionRule(BasicSequenceRule):
             return None
         return self.blocks_in(limit)
 
-    def q(self, n: int) -> int:
-        return next(self.iter_values(n))
-
     def _runs(self, start: int) -> Iterator[Iterable[int]]:
         # Products of consecutive chunks of one walk of the base: the chunk
-        # of ``start``, then s values at a time by one ``zip``; q(n) is the
-        # first value of the walk from n.
+        # of ``start``, then s values at a time by one ``zip``.
         self._check_position(start)
         limit = self.domain_max
         values = self.base.iter_values(self.block(start).start)

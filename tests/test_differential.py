@@ -11,7 +11,11 @@ omega_k against ``digit_candidates``, which looks the position up with
 ``Fraction`` window.  Composed- and shifted-contraction bases reach the CLI
 only here.  ``level_points`` is also checked directly, at every level and
 shift of drawn configs of every kind, against the level rule's bases,
-``transcode`` and ``mixed_radix``.
+``transcode`` and ``mixed_radix``.  Geometric bases whose c and r are
+not powers of two take the non-dyadic paths: the floor-key ladder and the
+``Fraction`` proxy sums.  Chains of depth 4 and 5, some with an
+explicit list of unequal steps, run the same checks where S_(j+1) / S_j
+changes with j.
 """
 
 from __future__ import annotations
@@ -55,14 +59,31 @@ MIN_COVERAGE = 20
 MAX_DIGITS = 200
 
 
+def not_a_power_of_two(x: int) -> bool:
+    return x & (x - 1) != 0
+
+
+COPRIME = [
+    (c, r) for c in range(3, 100) for r in range(3, 16)
+    if math.gcd(c, r) == 1 and not_a_power_of_two(c) and not_a_power_of_two(r)
+]
 # Bases by rule kind, with small parameters.  A constant base schedules
 # at least 20 positions only at depth 3 with step 3, once it clears 3**12.
+# The three geometric radices below are never powers of two: c and r
+# coprime (so not powers of a common base), r = 1, and c = 1.
 SIMPLE = {
     "explicit-list": st.lists(st.integers(2, 10**7), min_size=30, max_size=300).map(
         lambda values: ExplicitListRule(sorted(values), monotone_tail_from=1)
     ),
     "constant": st.integers(3**12, 10**7).map(ConstantRule),
     "geometric": st.builds(GeometricRule, st.integers(1, 9), st.integers(2, 5)),
+    "geometric coprime": st.sampled_from(COPRIME).map(lambda cr: GeometricRule(*cr)),
+    "geometric r = 1": st.integers(3**12, 10**7).filter(not_a_power_of_two).map(
+        lambda c: GeometricRule(c, 1)
+    ),
+    "geometric c = 1": st.sampled_from([3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15]).map(
+        lambda r: GeometricRule(1, r)
+    ),
     "block-repetition pairs": st.lists(
         st.tuples(st.integers(2, 10**7), st.integers(1, 40)), min_size=1, max_size=8
     ).map(lambda pairs: BlockRepetitionRule(pairs=sorted(pairs))),
@@ -136,6 +157,49 @@ def test_commands_agree_with_references(tmp_path_factory, kind, data, depth, ste
     assume(n >= 2)
     note(json.dumps(rule_to_json(spec.base)))
     check_commands(tmp_path_factory.mktemp("run"), spec, n, seed)
+
+
+# Deep chains: bases from 2**64 on, which clears every threshold S_j^(2j)
+# of depth 5 (at most 81**10 < 2**64) from the first position, so levels 2
+# and 3 start inside the first 200 digits; and steps that are one constant
+# or an explicit list of unequal steps.
+DEEP_BASES = st.one_of(
+    st.builds(GeometricRule, st.integers(2**64, 2**66), st.integers(1, 7)),
+    st.lists(st.integers(2**64, 2**72), min_size=40, max_size=300).map(
+        lambda values: ExplicitListRule(sorted(values), monotone_tail_from=1)
+    ),
+    st.builds(
+        lambda vb, tb: BlockRepetitionRule(value_affine=(3, vb), repeat_affine=(1, tb)),
+        st.integers(2**64, 2**66), st.integers(1, 4),
+    ),
+)
+STEPS = st.one_of(
+    st.sampled_from([2, 3]).map(ConstantRule),
+    st.lists(st.sampled_from([2, 3]), min_size=5, max_size=5)
+    .filter(lambda steps: len(set(steps[:3])) > 1)
+    .map(ExplicitListRule),
+)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    base=DEEP_BASES,
+    steps=STEPS,
+    depth=st.integers(4, 5),
+    n=st.integers(2, MAX_DIGITS),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_deep_chains_agree_with_references(tmp_path_factory, base, steps, depth, n, seed):
+    spec = ChainSpec(base=base, s=steps, depth=depth)
+    schedule = build_schedule(spec)
+    # At most 8000 bits of bases in all: the floor-key ladder's recovery of
+    # wide non-dyadic points is quadratic in their width.
+    bits = accumulate(q.bit_length() for q in base.values(min(n, base.domain_max or n)))
+    n = min(sum(1 for total in bits if total <= 8000), schedule.coverage)
+    assume(n >= 2)
+    note(json.dumps(rule_to_json(spec.base)))
+    note(json.dumps(rule_to_json(spec.s)))
+    check_commands(tmp_path_factory.mktemp("deep"), spec, n, seed)
 
 
 def check_level_points(stream: DigitStream, spec: ChainSpec) -> None:

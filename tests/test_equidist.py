@@ -236,6 +236,15 @@ class TestStarDiscrepancyLadder:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             star_discrepancy_ladder(nums, dens, [1, len(nums)])
 
+    def test_popped_stops_at_the_end_of_its_list(self):
+        from cnl.equidist import _popped
+
+        values = [4, 7, 1]
+        items = _popped(values)
+        assert list(items) == [4, 7, 1]
+        assert next(items, None) is None
+        assert values == []
+
 
 def assert_dyadic_ladder(nums, w, lengths=None):
     """The ladder of nums[i] / 2**w, every den unreduced, against the brute force."""
@@ -593,6 +602,25 @@ class TestDnDiagnostic:
         lines = path.read_text().strip().splitlines()
         assert lines[1].startswith("N,Dstar_num,Dstar_den,bound_num,bound_den,certificate")
         assert len(lines) == 4
+
+    def test_csv_line_endings(self, tmp_path):
+        from cnl.equidist import DiscrepancyReport, DiscrepancyRow
+
+        rows = [
+            DiscrepancyRow(n=3, dstar=Fraction(1, 3), bound=Fraction(1), certificate="pass",
+                           envelope=Fraction(2, 5)),
+            DiscrepancyRow(n=10, dstar=Fraction(1, 10)),
+        ]
+        path = tmp_path / "envelope.csv"
+        DiscrepancyReport(rows=rows, header_note="a note").write_csv(path)
+        assert path.read_bytes() == (
+            b"# a note\n"
+            b"N,Dstar_num,Dstar_den,bound_num,bound_den,certificate,ebar_num,ebar_den\r\n"
+            b"3,1,3,1,1,pass,2,5\r\n"
+            b"10,1,10,,,,,\r\n"
+        )
+        DiscrepancyReport(rows=rows[1:]).write_csv(path)
+        assert path.read_bytes() == b"N,Dstar_num,Dstar_den,bound_num,bound_den,certificate\r\n10,1,10,,,\r\n"
 
     def test_csv_writes_integers_past_the_str_digit_limit(self, tmp_path):
         from decimal import Decimal

@@ -133,12 +133,17 @@ class TestConstructor:
             DigitStream(ExplicitListRule([2, 3]), [1, 1, 1])
 
     def test_any_iterable_of_integers(self):
-        stream = DigitStream(ConstantRule(10), iter(("7", 3, True)))
+        stream = DigitStream(ConstantRule(10), iter((7, 3, True)))
         assert stream.limit == 3 and stream.prefix(3) == [7, 3, 1]
         with pytest.raises(DigitError, match="unavailable"):
             stream.digit(4)
         empty = DigitStream(ConstantRule(10), [])
         assert empty.limit == 0 and empty.prefix(0) == []
+
+    @pytest.mark.parametrize("digits", [[3.7, 2.2], [1, 2.0], ["7", 3], [Fraction(1)]])
+    def test_refuses_digits_that_are_not_integers(self, digits):
+        with pytest.raises(DigitError, match="digits must be integers"):
+            DigitStream(ConstantRule(10), digits)
 
     def test_checks_along_one_walk(self):
         base = CountingListRule([3, 5, 7, 9])
