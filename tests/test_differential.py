@@ -67,6 +67,7 @@ COPRIME = [
     (c, r) for c in range(3, 100) for r in range(3, 16)
     if math.gcd(c, r) == 1 and not_a_power_of_two(c) and not_a_power_of_two(r)
 ]
+
 # Bases by rule kind, with small parameters.  A constant base schedules
 # at least 20 positions only at depth 3 with step 3, once it clears 3**12.
 # The three geometric radices below are never powers of two: c and r
@@ -160,9 +161,10 @@ def test_commands_agree_with_references(tmp_path_factory, kind, data, depth, ste
 
 
 # Deep chains: bases from 2**64 on, which clears every threshold S_j^(2j)
-# of depth 5 (at most 81**10 < 2**64) from the first position, so levels 2
-# and 3 start inside the first 200 digits; and steps that are one constant
-# or an explicit list of unequal steps.
+# of depth 5 (at most 81**10 < 2**64) from the first position, so L_2 is at
+# most 36 and level 2's points, S_2 apart, cross level-3 blocks of S_3 in
+# the first digits; and steps that are one constant or an explicit list of
+# unequal steps.
 DEEP_BASES = st.one_of(
     st.builds(GeometricRule, st.integers(2**64, 2**66), st.integers(1, 7)),
     st.lists(st.integers(2**64, 2**72), min_size=40, max_size=300).map(
